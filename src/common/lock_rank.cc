@@ -15,8 +15,6 @@ lockRankName(LockRank rank)
         return "serve.client";
     case LockRank::ServePoolIncident:
         return "serve.pool_incident";
-    case LockRank::ExecIncident:
-        return "exec.incident";
     case LockRank::FaultWatchdog:
         return "fault.watchdog";
     case LockRank::ExecQueue:

@@ -74,10 +74,8 @@ enum class LockRank : int {
     /// serve::SearchService client-facing state (submit/cancel/
     /// status snapshots) — the outermost lock a caller thread takes.
     ServeClient = 10,
-    /// serve::SharedStagePool watchdog-incident latch.
+    /// SharedStagePool watchdog-incident latch (solo and serve).
     ServePoolIncident = 20,
-    /// ParallelRuntime::Impl watchdog-incident latch.
-    ExecIncident = 30,
     /// fault::Watchdog polling-loop control (stop flag, incidents).
     FaultWatchdog = 40,
     /// BoundedTaskQueue buffer (stage inboxes, completion queues).

@@ -1,18 +1,13 @@
 #include "exec/parallel_runtime.h"
 
 #include <algorithm>
-#include <mutex>
-#include <sstream>
 
-#include "common/lock_rank.h"
 #include "common/logging.h"
 #include "exec/commit_gate.h"
-#include "exec/stage_worker.h"
+#include "exec/pool.h"
 #include "fault/recovery_policy.h"
-#include "fault/watchdog.h"
 #include "obs/wall_clock.h"
 #include "session/training_session.h"
-#include "train/run_checkpoint.h"
 
 namespace naspipe {
 
@@ -40,15 +35,13 @@ ParallelRuntime::supported(const RuntimeConfig &config,
 /**
  * The coordinator (the thread calling run()) drives the shared
  * TrainingSession; this Impl is the session's execution backend —
- * it owns the commit gate, the worker threads, the completion queue
- * and the supervision layer (heartbeat watchdog + recovery policy),
- * and dispatches every admitted subnet into stage 0.
+ * it owns the commit gate, the job binding and the stage pool, and
+ * dispatches every admitted subnet into stage 0.
  *
- * Gate, workers, completions queue and watchdog are *phase-scoped*:
- * a fail-stop recovery tears them all down (quiesce) and rebuilds
- * them (setup + startWorkers), exactly like the simulator's
- * resetRunState + setup. The fault injector, the recovery policy and
- * the cumulative fault counters live across phases.
+ * Gate and pool are *phase-scoped*: a fail-stop recovery quiesces the
+ * pool and the session's rollback rebuilds both, exactly like the
+ * simulator's phase rebuild. The recovery policy lives across phases;
+ * the fault plan and counters live in the session.
  */
 struct ParallelRuntime::Impl : ExecutionBackend {
     const SearchSpace &space;
@@ -59,34 +52,16 @@ struct ParallelRuntime::Impl : ExecutionBackend {
     TrainingSession session;
 
     std::unique_ptr<CommitGate> gate;
-    std::vector<std::unique_ptr<StageWorker>> workers;
-    std::unique_ptr<BoundedTaskQueue<std::shared_ptr<const SubnetRun>>>
-        completions;
+    JobBinding binding;
+    std::unique_ptr<SharedStagePool> pool;
 
-    // Supervision. The watchdog is declared after the completion
-    // queue so it is destroyed first — its incident callback pushes
-    // the nullptr sentinel into `completions`.
-    FaultInjector injector;
     fault::RecoveryPolicy policy;
-    std::unique_ptr<fault::Watchdog> watchdog;
-    RankedMutex execIncidentMu{LockRank::ExecIncident};
-    int incidentStage = -1;        ///< last incident's victim stage
-    std::string incidentReason;    ///< last incident's description
     bool failStopPending = false;  ///< coordinator-only freeze flag
-
-    // Cumulative fault/recovery accounting (across phases).
-    int recoveries = 0;
-    int subnetsReplayed = 0;
-    double recoverySecondsTotal = 0.0;
-    double lostComputeSeconds = 0.0;
     bool retriesExhausted = false;
-
-    obs::TimePoint epoch;
 
     Impl(const SearchSpace &s, const RuntimeConfig &c)
         : space(s), config(c), model(c.system),
           numStages(c.numStages), session(s, config),
-          injector(c.faults),
           policy(fault::RecoveryPolicy::Config{
               c.recoveryMaxRetries, c.recoveryBackoffSeconds, 60.0})
     {
@@ -98,7 +73,7 @@ struct ParallelRuntime::Impl : ExecutionBackend {
     double
     elapsed() const
     {
-        return obs::secondsSince(epoch);
+        return obs::secondsSince(pool->epoch());
     }
 
     /**
@@ -113,15 +88,15 @@ struct ParallelRuntime::Impl : ExecutionBackend {
         auto run = std::make_shared<SubnetRun>();
         run->subnet = sn;
         run->partition = session.partitionOf(id);
-        // Single-tenant: ticket = sequence ID keeps the workers'
-        // forward queues in Algorithm 2's lowest-ID-first order.
+        run->job = &binding;
+        // Single job: ticket = sequence ID keeps the workers' forward
+        // queues in Algorithm 2's lowest-ID-first order.
         run->ticket = static_cast<std::uint64_t>(id);
         for (int b = 0; b < sn.size(); b++) {
             if (space.parameterized(b, sn.choice(b)))
                 gate->registerActivation(sn.layer(b).key(), sn.id());
         }
-        workers[0]->submit(
-            ExecTask{ExecTask::Kind::Forward, std::move(run)});
+        pool->dispatch(std::move(run));
     }
 
     /**
@@ -140,242 +115,132 @@ struct ParallelRuntime::Impl : ExecutionBackend {
         (void)id;
     }
 
-    bool setup();
-    void startWorkers();
-    void quiesce();
+    void buildPhase();
+    double workerBusySeconds() const;
     void checkFaults();
     bool recover();
-    double joinedBusySum() const;
+    RunResult failure(const std::string &error) const;
     RunResult collect();
 };
 
-bool
-ParallelRuntime::Impl::setup()
+/**
+ * Build this phase's gate, binding and (unstarted) pool, after
+ * session.initRun(). The previous phase's pool must be quiesced.
+ */
+void
+ParallelRuntime::Impl::buildPhase()
 {
-    // Phase-scoped teardown first (recovery re-enters here): the
-    // watchdog before the workers it observes, the workers before
-    // the gate they reference.
-    watchdog.reset();
-    workers.clear();
-    gate = std::make_unique<CommitGate>();
-
-    // Same capacity discipline as the simulator: identical batch =>
-    // identical LR scaling and gradient-noise scale => the numeric
-    // trajectory the equivalence harness compares bitwise.
-    if (!session.initRun())
-        return false;
-
     // Pre-materialize every layer: after this, worker threads only
     // ever look up existing entries, so the store's maps need no
     // structural locking on the hot path.
     session.store()->materializeAll();
 
-    int limit = model.effectiveInflight(numStages);
-    // A subnet owns exactly one live pipeline token, so `limit`
-    // bounds every inbox; the 2x slack keeps pushes non-blocking.
-    auto inboxCapacity =
-        static_cast<std::size_t>(std::max(2 * limit, 8));
-    completions = std::make_unique<
-        BoundedTaskQueue<std::shared_ptr<const SubnetRun>>>(
-        inboxCapacity);
+    gate = std::make_unique<CommitGate>();
+    binding = JobBinding{0, &space, gate.get(),
+                         config.numeric ? &session.exec() : nullptr};
 
-    StageWorker::ContextConfig ctx;
-    ctx.mode = model.memory;
-    ctx.predictor = model.predictor;
-    ctx.prefetchDepth = model.prefetchDepth;
+    SharedStagePool::Config pc;
+    pc.numStages = numStages;
+    // A subnet owns exactly one live pipeline token, so the in-flight
+    // limit bounds every inbox; the 2x slack keeps pushes
+    // non-blocking.
+    pc.inboxCapacity = static_cast<std::size_t>(
+        std::max(2 * model.effectiveInflight(numStages), 8));
+    pc.context.mode = model.memory;
+    pc.context.predictor = model.predictor;
+    pc.context.prefetchDepth = model.prefetchDepth;
     // The §4.2 memory-limit check, same cap as the simulator: the
     // planned footprint covers the ~3 moving contexts of §3.3;
     // contexts awaiting their backward pass also linger, so the
     // enforced budget is 3x the plan.
-    ctx.budgetBytes =
+    pc.context.budgetBytes =
         model.memory == MemoryMode::AllResident
             ? 0
             : 3 * session.plan().residentParamBytesPerGpu;
+    pc.watchdogPollMs = config.watchdogPollMs;
+    pc.wallDeadline = config.wallWatchdog;
+    pc.deadlineSeconds = config.watchdogDeadlineSeconds;
+    pc.recordTrace = config.traceEnabled;
+    pool = std::make_unique<SharedStagePool>(space, pc);
 
-    for (int k = 0; k < numStages; k++) {
-        workers.push_back(std::make_unique<StageWorker>(
-            k, numStages, space, *gate,
-            config.numeric ? &session.exec() : nullptr,
-            UpdateSemantics::Immediate, inboxCapacity, ctx));
-    }
-    for (int k = 0; k < numStages; k++) {
-        workers[static_cast<std::size_t>(k)]->connect(
-            k + 1 < numStages
-                ? workers[static_cast<std::size_t>(k) + 1].get()
-                : nullptr,
-            k > 0 ? workers[static_cast<std::size_t>(k) - 1].get()
-                  : nullptr,
-            k == 0
-                ? [this](std::shared_ptr<const SubnetRun> run) {
-                      completions->push(std::move(run));
-                  }
-                : std::function<
-                      void(std::shared_ptr<const SubnetRun>)>());
-    }
-    gate->onCommit([this] {
-        for (auto &worker : workers)
-            worker->notify();
-    });
+    gate->onCommit([p = pool.get()] { p->notifyAll(); });
     if (config.commitObserver)
         gate->onCommitEvent(config.commitObserver);
-    return true;
 }
 
-void
-ParallelRuntime::Impl::startWorkers()
-{
-    epoch = obs::now();
-    for (auto &worker : workers)
-        worker->start(epoch, config.traceEnabled);
-
-    // Supervision: the watchdog polls the heartbeats and reports the
-    // first incident by pushing the nullptr sentinel into the
-    // completion queue — the coordinator is the single recovery
-    // authority and learns about failures exactly where it already
-    // blocks. Crash detection is state-based (deterministic); the
-    // wall hang deadline is opt-in via RuntimeConfig::wallWatchdog.
-    fault::Watchdog::Config wc;
-    wc.wallDeadline = config.wallWatchdog;
-    wc.deadlineSeconds = config.watchdogDeadlineSeconds;
-    wc.pollMs = config.watchdogPollMs;
-    std::vector<const fault::WorkerHeartbeat *> hearts;
-    hearts.reserve(workers.size());
-    for (const auto &worker : workers)
-        hearts.push_back(&worker->heartbeat());
-    watchdog = std::make_unique<fault::Watchdog>(
-        wc, std::move(hearts),
-        [this](int worker, const std::string &reason) {
-            {
-                std::lock_guard<RankedMutex> lock(execIncidentMu);
-                incidentStage = worker;
-                incidentReason = reason;
-            }
-            completions->push(nullptr);
-        });
-}
-
-void
-ParallelRuntime::Impl::quiesce()
-{
-    // Teardown order matters: the watchdog first (it reads the
-    // heartbeats and could re-fire on a dying worker), then abort
-    // every worker — requestAbort closes each inbox, so a surviving
-    // worker blocked pushing to the dead stage is released — then
-    // join.
-    watchdog.reset();
-    for (auto &worker : workers)
-        worker->requestAbort();
-    for (auto &worker : workers)
-        worker->join();
-}
-
+/** Summed worker busy time of this phase (read after the join). */
 double
-ParallelRuntime::Impl::joinedBusySum() const
+ParallelRuntime::Impl::workerBusySeconds() const
 {
     double total = 0.0;
-    for (const auto &worker : workers)
-        total += worker->stats().busySec;
+    for (int k = 0; k < numStages; k++)
+        total += pool->worker(k).stats().busySec;
     return total;
 }
 
 /**
- * The fault plan's logical clock is the completion count, same as
- * the simulator: called after every recordCompletion. Fail-stop
- * faults latch a crash into the victim worker and freeze the
- * coordinator (failStopPending) until the watchdog's sentinel
- * arrives; transient faults only perturb timing.
+ * Called after every recordCompletion. Fail-stop faults latch a
+ * crash into the victim worker and freeze the coordinator
+ * (failStopPending) until the watchdog's sentinel arrives; transient
+ * faults only perturb timing.
  */
 void
 ParallelRuntime::Impl::checkFaults()
 {
-    for (const FaultSpec &f : injector.due(session.finished())) {
+    for (const FaultSpec &f :
+         session.dueFaults(ticksFromSec(elapsed()))) {
         int stage = std::clamp(f.stage, 0, numStages - 1);
-        session.trace()->add(TraceRecord{
-            ticksFromSec(elapsed()), ticksFromSec(elapsed()), stage,
-            TraceKind::Fault, -1, f.describe()});
-        inform("fault injected: ", f.describe());
+        // A link fault hits the link below `b`; a one-stage pipeline
+        // has no links.
+        int b = std::min(stage, numStages - 2);
         switch (f.kind) {
           case FaultKind::GpuCrash:
-            workers[static_cast<std::size_t>(stage)]->injectCrash();
+            pool->injectCrash(stage);
             failStopPending = true;
             break;
-          case FaultKind::LinkDrop: {
-            if (numStages < 2)
-                break;  // a one-stage pipeline has no links
-            // The downstream end of the dropped link loses its
-            // traffic — fail-stop for the stage behind it.
-            int b = std::min(stage, numStages - 2);
-            workers[static_cast<std::size_t>(b) + 1]->injectCrash();
-            failStopPending = true;
-            break;
-          }
-          case FaultKind::StageStall: {
-            int ticks = std::max(1, static_cast<int>(f.durationMs));
-            workers[static_cast<std::size_t>(stage)]->injectStall(
-                ticks);
-            break;
-          }
-          case FaultKind::LinkDegrade: {
+          case FaultKind::LinkDrop:
             if (numStages < 2)
                 break;
-            int b = std::min(stage, numStages - 2);
-            int tasks = std::max(1, static_cast<int>(f.durationMs));
-            workers[static_cast<std::size_t>(b)]->injectDegrade(
-                tasks);
+            // The downstream end of the dropped link loses its
+            // traffic — fail-stop for the stage behind it.
+            pool->injectCrash(b + 1);
+            failStopPending = true;
             break;
-          }
+          case FaultKind::StageStall:
+            pool->injectStall(
+                stage, std::max(1, static_cast<int>(f.durationMs)));
+            break;
+          case FaultKind::LinkDegrade:
+            if (numStages < 2)
+                break;
+            pool->injectDegrade(
+                b, std::max(1, static_cast<int>(f.durationMs)));
+            break;
         }
     }
 }
 
 /**
- * In-place recovery after quiesce(): charge the attempt to the
- * policy, roll the session back to the last drained checkpoint,
- * rebuild the phase (gate, workers, watchdog) and respawn. The
- * replayed subnets re-execute in CSP order, so the run lands on the
- * same bits as a fault-free run — the simulator's beginRecovery,
- * re-expressed for threads.
+ * In-place recovery after the pool quiesced: charge the attempt to
+ * the policy, roll the session back to the last drained checkpoint
+ * on a fresh phase (gate, pool) and respawn. Downtime is modeled,
+ * not slept: detection + restart plus the policy's exponential
+ * backoff.
  */
 bool
 ParallelRuntime::Impl::recover()
 {
     double wallAtCrash = session.secOffset() + elapsed();
-    double busyAtCrash = session.busyOffset() + joinedBusySum();
-
-    RunCheckpoint ckpt;
-    bool haveCkpt = false;
-    if (!session.lastCheckpoint().empty()) {
-        std::istringstream in(session.lastCheckpoint());
-        bool ok = ckpt.load(in);
-        NASPIPE_ASSERT(ok, "in-memory checkpoint unreadable");
-        haveCkpt = true;
-    }
-    recoveries++;
-    subnetsReplayed +=
-        session.finished() - static_cast<int>(ckpt.completed);
-    lostComputeSeconds +=
-        std::max(0.0, busyAtCrash - ckpt.busySeconds);
-    // Modeled, not slept: detection + restart plus the policy's
-    // exponential backoff are charged into the run's time offsets.
+    double busyAtCrash = session.busyOffset() + workerBusySeconds();
+    int incidentStage = pool->incidentStage();
     double backoff = policy.nextBackoffSeconds();
-    recoverySecondsTotal += config.recoverySeconds + backoff;
-    {
-        std::lock_guard<RankedMutex> lock(execIncidentMu);
-        inform("recovering stage ", incidentStage, " (",
-               incidentReason, "): rollback from ",
-               session.finished(), " to ", ckpt.completed,
-               " completed subnets (",
-               session.finished() - static_cast<int>(ckpt.completed),
-               " to replay, attempt ", policy.consecutiveFailures(),
-               ")");
-    }
+    inform("recovering ", pool->incidentDescription(), ", attempt ",
+           policy.consecutiveFailures());
 
-    if (!setup())
-        return false;  // cannot happen: the same plan fit before
-    session.setTimeOffsets(
-        wallAtCrash + config.recoverySeconds + backoff,
-        ckpt.busySeconds);
-    if (haveCkpt && !session.restore(ckpt))
+    auto rolled = session.rollback(wallAtCrash, busyAtCrash,
+                                   config.recoverySeconds + backoff,
+                                   [this] { buildPhase(); });
+    if (!rolled)
         return false;
     // restore() drops version-map entries of layers restored at
     // version 0; re-materialize so the hot path stays structurally
@@ -385,28 +250,35 @@ ParallelRuntime::Impl::recover()
     // trace the same way) — the recovery span opens the new phase.
     session.trace()->add(TraceRecord{
         0, 0, std::max(incidentStage, 0), TraceKind::Recovery, -1,
-        "rollback to " + std::to_string(ckpt.completed) +
+        "rollback to " + std::to_string(rolled->toCompleted) +
             ", attempt " +
             std::to_string(policy.consecutiveFailures())});
     // The gate was recreated, so every causal chain restarts at rank
     // 0 — a live CspOracle resets its cursors through this hook.
     if (config.recoveryObserver)
-        config.recoveryObserver(recoveries);
+        config.recoveryObserver(session.recoveries());
     failStopPending = false;
-    startWorkers();
+    pool->start();
     return true;
+}
+
+RunResult
+ParallelRuntime::Impl::failure(const std::string &error) const
+{
+    RunResult out;
+    out.failed = true;
+    out.error = error;
+    out.plan = session.plan();
+    return out;
 }
 
 RunResult
 ParallelRuntime::Impl::collect()
 {
     double wall = elapsed();
-    double busySum = 0.0;
-    for (const auto &worker : workers)
-        busySum += worker->stats().busySec;
-
-    RunResult out = session.collect(session.secOffset() + wall,
-                                    session.busyOffset() + busySum);
+    RunResult out =
+        session.collect(session.secOffset() + wall,
+                        session.busyOffset() + workerBusySeconds());
     RunMetrics &m = out.metrics;
     // wallSeconds is this process's real run time; simSeconds (set by
     // the session) additionally carries the producing run's seconds
@@ -415,8 +287,9 @@ ParallelRuntime::Impl::collect()
     m.execWorkers = numStages;
 
     double bubbleTotal = 0.0;
-    for (const auto &worker : workers) {
-        const StageWorker::Stats &s = worker->stats();
+    for (int k = 0; k < numStages; k++) {
+        const StageWorker &worker = pool->worker(k);
+        const StageWorker::Stats &s = worker.stats();
         m.perStageBusySec.push_back(s.busySec);
         m.perStageGateWaitSec.push_back(s.gateWaitSec);
         m.perStageIdleSec.push_back(s.idleSec);
@@ -434,17 +307,11 @@ ParallelRuntime::Impl::collect()
                 std::clamp(1.0 - s.busySec / wall, 0.0, 1.0);
         }
         // Stage-ascending merge: deterministic observation order.
-        out.observations.stages.push_back(worker->observation());
+        out.observations.stages.push_back(worker.observation());
     }
     m.bubbleRatio =
         numStages > 0 ? bubbleTotal / numStages : 0.0;
     m.gateCommits = gate->commits();
-
-    m.faultsInjected = injector.firedCount();
-    m.recoveries = recoveries;
-    m.subnetsReplayed = subnetsReplayed;
-    m.recoverySeconds = recoverySecondsTotal;
-    m.lostComputeSeconds = lostComputeSeconds;
     m.retriesExhausted = retriesExhausted ? 1 : 0;
 
     // Real per-worker context-cache accounting (the port of the
@@ -452,8 +319,8 @@ ParallelRuntime::Impl::collect()
     // and report N/A.
     if (model.memory != MemoryMode::AllResident) {
         std::uint64_t hits = 0, misses = 0;
-        for (const auto &worker : workers) {
-            const ExecContextCache &cache = worker->cache();
+        for (int k = 0; k < numStages; k++) {
+            const ExecContextCache &cache = pool->worker(k).cache();
             hits += cache.memory().hitStats().hits();
             misses += cache.memory().hitStats().misses();
             m.prefetchedBytes += cache.stats().prefetchedBytes;
@@ -470,10 +337,10 @@ ParallelRuntime::Impl::collect()
 
     if (config.traceEnabled) {
         std::vector<TraceRecord> merged;
-        for (const auto &worker : workers) {
-            merged.insert(merged.end(),
-                          worker->traceRecords().begin(),
-                          worker->traceRecords().end());
+        for (int k = 0; k < numStages; k++) {
+            const auto &records = pool->worker(k).traceRecords();
+            merged.insert(merged.end(), records.begin(),
+                          records.end());
         }
         std::sort(merged.begin(), merged.end(),
                   [](const TraceRecord &a, const TraceRecord &b) {
@@ -512,73 +379,56 @@ ParallelRuntime::run()
         out.error = why;
         return out;
     }
-    if (!im.setup()) {
+    // Same capacity discipline as the simulator: identical batch =>
+    // identical LR scaling and gradient-noise scale => the numeric
+    // trajectory the equivalence harness compares bitwise.
+    if (!session.initRun()) {
         RunResult out;
         out.oom = true;
         out.plan = session.plan();
         return out;
     }
+    im.buildPhase();
 
     if (!im.config.resumePath.empty()) {
-        RunCheckpoint ckpt;
-        if (!ckpt.loadFile(im.config.resumePath) ||
-            !session.restore(ckpt)) {
-            RunResult out;
-            out.failed = true;
-            out.error = "cannot resume from checkpoint '" +
-                        im.config.resumePath + "'";
-            out.plan = session.plan();
-            return out;
+        if (!session.resume(im.config.resumePath)) {
+            return im.failure("cannot resume from checkpoint '" +
+                              im.config.resumePath + "'");
         }
-        session.setTimeOffsets(ckpt.simSeconds, ckpt.busySeconds);
-        session.setCheckpointsWritten(
-            static_cast<int>(ckpt.checkpointsWritten));
         // ParameterStore::load drops the version-map entries of
         // layers restored at version 0; re-materialize so the hot
         // path stays structurally read-only for the workers.
         session.store()->materializeAll();
     }
 
-    im.startWorkers();
+    im.pool->start();
 
     session.pump();
     while (session.finished() < session.totalSubnets() ||
            im.failStopPending) {
         std::shared_ptr<const SubnetRun> run =
-            im.completions->pop();
+            im.pool->completions().pop();
 
         if (!run) {
             // Watchdog sentinel: a stage crashed (or, under the
             // opt-in wall deadline, hung). Quiesce the surviving
             // workers, then either give up (bounded retries) or
             // roll back and respawn in place.
-            im.quiesce();
+            im.pool->abort();
             if (!im.policy.allowRetry()) {
                 im.retriesExhausted = true;
-                RunResult out;
-                out.failed = true;
+                RunResult out = im.failure(
+                    "recovery retries exhausted after " +
+                    std::to_string(im.policy.consecutiveFailures() +
+                                   1) +
+                    " consecutive failures (" +
+                    im.pool->incidentDescription() + ")");
                 out.retriesExhausted = true;
-                {
-                    std::lock_guard<RankedMutex> lock(im.execIncidentMu);
-                    out.error =
-                        "recovery retries exhausted after " +
-                        std::to_string(
-                            im.policy.consecutiveFailures() + 1) +
-                        " consecutive failures (stage " +
-                        std::to_string(im.incidentStage) + ": " +
-                        im.incidentReason + ")";
-                }
-                out.plan = session.plan();
                 return out;
             }
-            if (!im.recover()) {
-                RunResult out;
-                out.failed = true;
-                out.error =
-                    "recovery from the last checkpoint failed";
-                out.plan = session.plan();
-                return out;
-            }
+            if (!im.recover())
+                return im.failure(
+                    "recovery from the last checkpoint failed");
             session.pump();
             continue;
         }
@@ -617,13 +467,7 @@ ParallelRuntime::run()
         session.pump();
     }
 
-    // The watchdog goes first — a clean drain flips every heartbeat
-    // to Exited, which must not read as an incident.
-    im.watchdog.reset();
-    for (auto &worker : im.workers)
-        worker->requestStop();
-    for (auto &worker : im.workers)
-        worker->join();
+    im.pool->shutdown();
 
     NASPIPE_ASSERT(session.finished() == session.totalSubnets(),
                    "run ended with ", session.finished(), " of ",

@@ -9,12 +9,9 @@
 namespace naspipe {
 
 StageWorker::StageWorker(int stage, int numStages,
-                         const SearchSpace &space, CommitGate &gate,
-                         NumericExecutor *exec,
-                         UpdateSemantics semantics,
+                         const SearchSpace &space,
                          std::size_t inboxCapacity, ContextConfig ctx)
-    : _stage(stage), _numStages(numStages), _space(space), _gate(gate),
-      _exec(exec), _semantics(semantics), _inbox(inboxCapacity),
+    : _stage(stage), _numStages(numStages), _inbox(inboxCapacity),
       _cache(space, ctx.mode, ctx.budgetBytes),
       _predictor(ctx.predictor, ctx.prefetchDepth)
 {
@@ -125,9 +122,9 @@ StageWorker::queuedForwardIds() const
 void
 StageWorker::prefetchPredicted(const std::vector<SubnetId> &picks)
 {
-    // Predictor paths are single-tenant only (a multi-tenant pool
-    // runs with the predictor off), so _fwd's ticket order is
-    // sequence-ID order here and the binary search stays valid.
+    // Predictor paths are solo-only (the service's pool runs with
+    // the predictor off), so _fwd's ticket order is sequence-ID
+    // order here and the binary search stays valid.
     for (SubnetId id : picks) {
         auto at = std::lower_bound(
             _fwd.begin(), _fwd.end(), id,
@@ -185,9 +182,9 @@ StageWorker::resolveClaims(Pending &pending)
     const SubnetRun &run = *pending.run;
     auto [lo, hi] = blockRange(run);
     for (int b = lo; b <= hi; b++) {
-        if (!spaceOf(run).parameterized(b, run.subnet.choice(b)))
+        if (!run.job->space->parameterized(b, run.subnet.choice(b)))
             continue;
-        pending.claims.push_back(gateOf(run).resolve(
+        pending.claims.push_back(run.job->gate->resolve(
             run.subnet.layer(b).key(), run.subnet.id()));
     }
     pending.claimsResolved = true;
@@ -200,7 +197,7 @@ StageWorker::findRunnableForward(std::uint64_t *blockedOn)
         resolveClaims(_fwd[i]);
         bool ready = true;
         for (const CommitGate::Claim &claim : _fwd[i].claims) {
-            if (!gateOf(*_fwd[i].run).readable(claim)) {
+            if (!_fwd[i].run->job->gate->readable(claim)) {
                 ready = false;
                 // Attribute the stall to the chain holding the
                 // lowest-sequence candidate: per the liveness
@@ -234,10 +231,13 @@ StageWorker::execForward(Pending pending)
                                                queuedForwardIds()));
     if (lo <= hi)
         _cache.ensureResident(run.subnet, lo, hi);
-    NumericExecutor *exec = execOf(run);
+    NumericExecutor *exec = run.job->exec;
     double start = secondsSinceEpoch();
+    // CSP systems only (ParallelRuntime::supported): every update
+    // lands immediately.
     if (exec && lo <= hi)
-        exec->forwardStage(run.subnet, lo, hi, _semantics, _stage);
+        exec->forwardStage(run.subnet, lo, hi,
+                           UpdateSemantics::Immediate, _stage);
     if (exec && _stage == _numStages - 1)
         exec->computeLoss(run.subnet);
     double end = secondsSinceEpoch();
@@ -275,16 +275,17 @@ StageWorker::execBackward(Pending pending)
     prefetchPredicted(_predictor.beforeBackward(queuedForwardIds()));
     if (lo <= hi)
         _cache.ensureResident(run.subnet, lo, hi);
-    NumericExecutor *exec = execOf(run);
+    NumericExecutor *exec = run.job->exec;
     double start = secondsSinceEpoch();
     if (exec && lo <= hi)
-        exec->backwardStage(run.subnet, lo, hi, _semantics, _stage);
+        exec->backwardStage(run.subnet, lo, hi,
+                            UpdateSemantics::Immediate, _stage);
     // Commit strictly after the optimizer steps: the release edge in
     // CommitGate::commit is what publishes the new parameter bytes to
     // the next activator's forward read.
     resolveClaims(pending);
     for (const CommitGate::Claim &claim : pending.claims)
-        gateOf(run).commit(claim, _stage);
+        run.job->gate->commit(claim, _stage);
     double end = secondsSinceEpoch();
     _stats.busySec += end - start;
     _stats.backwards++;

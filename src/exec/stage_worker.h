@@ -51,15 +51,14 @@
 namespace naspipe {
 
 /**
- * Per-job execution context for multi-tenant pools (src/serve).
+ * Per-job execution context of a pool task.
  *
- * A shared-pool StageWorker serves tasks from many independent
- * search jobs; each job owns its own commit gate (causal chains),
- * numeric executor and parameter store. A task resolves those
- * through the binding its SubnetRun carries — a null binding means
- * the single-tenant path, which uses the worker-construction
- * defaults and behaves exactly as before. The binding is immutable
- * while any of its tasks is in flight and must outlive them.
+ * A StageWorker serves tasks from one or many independent search
+ * jobs; each job owns its own commit gate (causal chains), numeric
+ * executor and parameter store. A task resolves those through the
+ * binding its SubnetRun carries — the solo threaded executor binds
+ * its single run the same way. The binding is immutable while any
+ * of its tasks is in flight and must outlive them.
  */
 struct JobBinding {
     int jobId = 0;
@@ -72,7 +71,7 @@ struct JobBinding {
 struct SubnetRun {
     Subnet subnet;
     SubnetPartition partition;
-    /** Owning job in a multi-tenant pool; null = single-tenant. */
+    /** Owning job (required: the pool rejects unbound runs). */
     const JobBinding *job = nullptr;
     /**
      * Global dispatch ticket: the cross-job priority the forward
@@ -121,16 +120,12 @@ class StageWorker
     /**
      * @param stage this worker's stage index
      * @param numStages pipeline depth D
-     * @param space the search space
-     * @param gate the shared commit gate
-     * @param exec numeric executor, or nullptr for schedule-only runs
-     * @param semantics parameter-update semantics (Immediate for CSP)
+     * @param space the search space the context cache sizes against
      * @param inboxCapacity bounded-inbox capacity (>= in-flight limit)
      * @param ctx context cache/predictor configuration
      */
     StageWorker(int stage, int numStages, const SearchSpace &space,
-                CommitGate &gate, NumericExecutor *exec,
-                UpdateSemantics semantics, std::size_t inboxCapacity,
+                std::size_t inboxCapacity,
                 ContextConfig ctx = ContextConfig());
 
     StageWorker(const StageWorker &) = delete;
@@ -210,21 +205,6 @@ class StageWorker
 
     void runLoop();
     void drainInbox();
-    /** @name Multi-tenant resolution (job binding, else defaults)
-     * @{ */
-    const SearchSpace &spaceOf(const SubnetRun &run) const
-    {
-        return run.job ? *run.job->space : _space;
-    }
-    CommitGate &gateOf(const SubnetRun &run) const
-    {
-        return run.job ? *run.job->gate : _gate;
-    }
-    NumericExecutor *execOf(const SubnetRun &run) const
-    {
-        return run.job ? run.job->exec : _exec;
-    }
-    /** @} */
     /** Consume a stall latch: sleep through @p ticks bounded waits. */
     void stallFor(int ticks);
     /** Index into _fwd of the lowest-ID readable forward, or -1; on
@@ -245,10 +225,6 @@ class StageWorker
 
     const int _stage;
     const int _numStages;
-    const SearchSpace &_space;
-    CommitGate &_gate;
-    NumericExecutor *_exec;
-    const UpdateSemantics _semantics;
 
     BoundedTaskQueue<ExecTask> _inbox;
     StageWorker *_next = nullptr;

@@ -1,23 +1,22 @@
 #include "runtime/pipeline_runtime.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/logging.h"
 #include "runtime/stage.h"
 #include "schedule/csp_scheduler.h"
 #include "session/training_session.h"
 #include "sim/simulator.h"
-#include "train/run_checkpoint.h"
 
 namespace naspipe {
 
 /**
  * The simulator-specific half of the run: the event loop, the cluster
  * model, the per-stage schedulers/context managers, mirroring, bulk
- * flushing and fault injection. Everything executor-independent —
- * sampling order, score delivery, checkpoint cadence, resume replay,
- * shared metrics — lives in the TrainingSession this Impl backs.
+ * flushing and the hardware side of faults. Everything
+ * executor-independent — sampling order, score delivery, checkpoint
+ * cadence, resume, rollback, fault accounting, shared metrics — lives
+ * in the TrainingSession this Impl backs.
  */
 struct PipelineRuntime::Impl : ExecutionBackend {
     const SearchSpace &space;
@@ -35,9 +34,6 @@ struct PipelineRuntime::Impl : ExecutionBackend {
     std::unique_ptr<MirrorPlanner> mirrors;
     std::unique_ptr<FlushController> flushCtl;
     SwapModel swap;
-    /// Fired flags survive recovery rewinds: a replaced GPU does not
-    /// crash again when the completion counter passes the trigger.
-    FaultInjector injector;
 
     UpdateSemantics semantics = UpdateSemantics::Immediate;
     MessageSizer sizer;
@@ -62,20 +58,15 @@ struct PipelineRuntime::Impl : ExecutionBackend {
     std::uint64_t stallDependency = 0;
     std::uint64_t stallMirrorWait = 0;
 
-    // Fault state. A "phase" is one sim.run() between (re)starts; the
-    // session's offsets carry wall-clock and busy time across phases.
+    // A "phase" is one sim.run() between (re)starts; the session's
+    // offsets carry wall-clock and busy time across phases.
     bool crashed = false;  ///< fail-stop fired; sim was stopped
-    int recoveries = 0;
-    int subnetsReplayed = 0;
-    double recoverySecondsTotal = 0.0;
-    double lostComputeSeconds = 0.0;
 
     Impl(const SearchSpace &s, const RuntimeConfig &c)
         : space(s), config(c), model(c.system),
           numStages(c.numStages), session(s, config),
           swap(c.cluster.gpu.pcieBytesPerSec,
-               c.cluster.gpu.pcieLatency),
-          injector(c.faults)
+               c.cluster.gpu.pcieLatency)
     {
         session.attach(this);
     }
@@ -99,7 +90,7 @@ struct PipelineRuntime::Impl : ExecutionBackend {
     void admit(SubnetId id) override;
     void restoreCompleted(SubnetId id) override;
 
-    bool setup();
+    void buildPhase();
     bool upstreamWritesDone(int stage, SubnetId id) const;
     void injectSubnets();
     double busySum() const;
@@ -120,12 +111,10 @@ struct PipelineRuntime::Impl : ExecutionBackend {
     RunResult collect();
 };
 
-bool
-PipelineRuntime::Impl::setup()
+/** Build this phase's cluster and stages, after session.initRun(). */
+void
+PipelineRuntime::Impl::buildPhase()
 {
-    if (!session.initRun())
-        return false;
-
     ClusterConfig cc = config.cluster;
     cc.numStages = numStages;
     cluster = std::make_unique<Cluster>(sim, cc);
@@ -171,7 +160,6 @@ PipelineRuntime::Impl::setup()
             sim, space, cluster->gpu(k), k, numStages, model.memory,
             std::move(hooks), cacheBudget));
     }
-    return true;
 }
 
 bool
@@ -642,11 +630,8 @@ PipelineRuntime::Impl::busySum() const
 void
 PipelineRuntime::Impl::checkFaults(Tick end)
 {
-    for (const FaultSpec &f : injector.due(session.finished())) {
+    for (const FaultSpec &f : session.dueFaults(end)) {
         int stage = std::clamp(f.stage, 0, numStages - 1);
-        session.trace()->add(TraceRecord{
-            end, end, stage, TraceKind::Fault, -1, f.describe()});
-        inform("fault injected: ", f.describe());
         switch (f.kind) {
           case FaultKind::GpuCrash:
             cluster->failStage(stage);
@@ -721,10 +706,10 @@ PipelineRuntime::Impl::resetRunState()
     pendingFinish.clear();
     fwdArrival.clear();
     crashed = false;
-    // Stall counters and fault bookkeeping carry across phases
-    // deliberately: they are cumulative diagnostics. The session's
-    // per-run state resets in initRun(); its checkpoint totals and
-    // time offsets carry too.
+    // Stall counters carry across phases deliberately: they are
+    // cumulative diagnostics. The session's per-run state resets in
+    // initRun(); its fault counters, checkpoint totals and time
+    // offsets carry too.
 }
 
 bool
@@ -732,34 +717,14 @@ PipelineRuntime::Impl::beginRecovery()
 {
     double simAtCrash = session.secOffset() + ticksToSec(sim.now());
     double busyAtCrash = session.busyOffset() + busySum();
-
-    RunCheckpoint ckpt;
-    bool haveCkpt = false;
-    if (!session.lastCheckpoint().empty()) {
-        std::istringstream in(session.lastCheckpoint());
-        bool ok = ckpt.load(in);
-        NASPIPE_ASSERT(ok, "in-memory checkpoint unreadable");
-        haveCkpt = true;
-    }
-    recoveries++;
-    subnetsReplayed +=
-        session.finished() - static_cast<int>(ckpt.completed);
-    lostComputeSeconds +=
-        std::max(0.0, busyAtCrash - ckpt.busySeconds);
-    recoverySecondsTotal += config.recoverySeconds;
-    inform("recovering: rollback from ", session.finished(), " to ",
-           ckpt.completed, " completed subnets (",
-           session.finished() - static_cast<int>(ckpt.completed),
-           " to replay)");
-
-    resetRunState();
-    if (!setup())
-        return false;  // cannot happen: the same plan fit before
-    session.setTimeOffsets(simAtCrash + config.recoverySeconds,
-                           ckpt.busySeconds);
-    if (haveCkpt && !session.restore(ckpt))
-        return false;
-    return true;
+    // restoreCompleted() needs the rebuilt stages, hence the phase
+    // rebuild between the session's re-init and restore.
+    auto rolled = session.rollback(
+        simAtCrash, busyAtCrash, config.recoverySeconds, [this] {
+            resetRunState();
+            buildPhase();
+        });
+    return rolled.has_value();
 }
 
 RunResult
@@ -809,12 +774,6 @@ PipelineRuntime::Impl::collect()
     m.stallEmptyQueues = stallEmptyQueues;
     m.stallDependency = stallDependency;
     m.stallMirrorWait = stallMirrorWait;
-
-    m.faultsInjected = injector.firedCount();
-    m.recoveries = recoveries;
-    m.subnetsReplayed = subnetsReplayed;
-    m.recoverySeconds = recoverySecondsTotal;
-    m.lostComputeSeconds = lostComputeSeconds;
     return out;
 }
 
@@ -832,27 +791,22 @@ PipelineRuntime::run()
 {
     Impl &im = *_impl;
     TrainingSession &session = im.session;
-    if (!im.setup()) {
+    if (!session.initRun()) {
         RunResult out;
         out.oom = true;
         out.plan = session.plan();
         return out;
     }
+    im.buildPhase();
 
-    if (!im.config.resumePath.empty()) {
-        RunCheckpoint ckpt;
-        if (!ckpt.loadFile(im.config.resumePath) ||
-            !session.restore(ckpt)) {
-            RunResult out;
-            out.failed = true;
-            out.error = "cannot resume from checkpoint '" +
-                        im.config.resumePath + "'";
-            out.plan = session.plan();
-            return out;
-        }
-        session.setTimeOffsets(ckpt.simSeconds, ckpt.busySeconds);
-        session.setCheckpointsWritten(
-            static_cast<int>(ckpt.checkpointsWritten));
+    if (!im.config.resumePath.empty() &&
+        !session.resume(im.config.resumePath)) {
+        RunResult out;
+        out.failed = true;
+        out.error = "cannot resume from checkpoint '" +
+                    im.config.resumePath + "'";
+        out.plan = session.plan();
+        return out;
     }
 
     im.injectSubnets();
@@ -861,8 +815,8 @@ PipelineRuntime::run()
         // Every fail-stop fault fires exactly once, bounding the
         // recovery loop by the plan size.
         NASPIPE_ASSERT(
-            im.recoveries <
-                static_cast<int>(im.injector.plan().size()),
+            session.recoveries() <
+                static_cast<int>(session.faults().plan().size()),
             "recovery loop exceeded the fault plan");
         if (!im.beginRecovery()) {
             RunResult out;

@@ -7,7 +7,6 @@
 #include "common/logging.h"
 #include "schedule/scheduler.h"
 #include "supernet/search_space.h"
-#include "train/run_checkpoint.h"
 
 namespace naspipe {
 namespace serve {
@@ -186,7 +185,7 @@ ServeJob::ServeJob(int id, JobSpec spec, int numStages)
     : _id(id), _spec(std::move(spec)),
       _space(makeSpaceByName(_spec.space)),
       _config(buildConfig(_spec, numStages)),
-      _session(_space, _config), _injector(_spec.faults),
+      _session(_space, _config),
       _policy(fault::RecoveryPolicy::Config{
           _spec.recoveryRetries, _config.recoveryBackoffSeconds,
           60.0})
@@ -258,18 +257,13 @@ ServeJob::start(PoolHooks hooks, double nowSeconds)
     // fails the job rather than silently retraining from subnet 0.
     if (!_spec.ckptPath.empty() &&
         std::ifstream(_spec.ckptPath).good()) {
-        RunCheckpoint ckpt;
-        if (!ckpt.loadFile(_spec.ckptPath) ||
-            !_session.restore(ckpt)) {
+        if (!_session.resume(_spec.ckptPath)) {
             fail("cannot resume from checkpoint '" + _spec.ckptPath +
                  "'");
             return false;
         }
-        _session.setTimeOffsets(ckpt.simSeconds, ckpt.busySeconds);
-        _session.setCheckpointsWritten(
-            static_cast<int>(ckpt.checkpointsWritten));
         inform("job ", _id, ": resumed from '", _spec.ckptPath,
-               "' at ", ckpt.completed, " completed subnets");
+               "' at ", _session.finished(), " completed subnets");
     }
     // Pre-materialize so the shared workers' hot path stays
     // structurally read-only on this job's private store.
@@ -322,8 +316,8 @@ ServeJob::applyCompletion(
 
     // The job's fault plan runs on the job's own logical clock (its
     // completion count) — neighbors never advance it.
-    for (const FaultSpec &f : _injector.due(_session.finished())) {
-        inform("job ", _id, ": fault injected: ", f.describe());
+    for (const FaultSpec &f :
+         _session.dueFaults(ticksFromSec(nowSeconds - _phaseStart))) {
         if (faultIsFailStop(f.kind))
             beginFailStop("injected fault: " + f.describe());
     }
@@ -376,34 +370,12 @@ ServeJob::recover(double nowSeconds)
 
     double wallAtCrash =
         _session.secOffset() + (nowSeconds - _phaseStart);
-    RunCheckpoint ckpt;
-    bool haveCkpt = false;
-    if (!_session.lastCheckpoint().empty()) {
-        std::istringstream in(_session.lastCheckpoint());
-        bool ok = ckpt.load(in);
-        NASPIPE_ASSERT(ok, "in-memory checkpoint unreadable");
-        haveCkpt = true;
-    }
-    _recoveries++;
-    _subnetsReplayed +=
-        _session.finished() - static_cast<int>(ckpt.completed);
     double backoff = _policy.nextBackoffSeconds();
-    _recoverySecondsTotal += _config.recoverySeconds + backoff;
     inform("job ", _id, " recovering (", _failStopReason,
-           "): rollback from ", _session.finished(), " to ",
-           ckpt.completed, " completed subnets (",
-           _session.finished() - static_cast<int>(ckpt.completed),
-           " to replay, attempt ", _policy.consecutiveFailures(),
-           ")");
-
-    if (!_session.initRun()) {
-        fail("recovery re-plan failed");  // cannot happen: fit before
-        return false;
-    }
-    _session.setTimeOffsets(
-        wallAtCrash + _config.recoverySeconds + backoff,
-        ckpt.busySeconds);
-    if (haveCkpt && !_session.restore(ckpt)) {
+           "), attempt ", _policy.consecutiveFailures());
+    if (!_session.rollback(wallAtCrash, _session.busyOffset(),
+                           _config.recoverySeconds + backoff,
+                           nullptr)) {
         fail("recovery from the last checkpoint failed");
         return false;
     }
@@ -412,7 +384,7 @@ ServeJob::recover(double nowSeconds)
     // The shared workers and every other tenant's gate are untouched.
     rebuildGate();
     if (_hooks.recovered)
-        _hooks.recovered(_recoveries);
+        _hooks.recovered(_session.recoveries());
     _failStopPending = false;
     _phaseStart = nowSeconds;
     setState(JobState::Running);
@@ -516,10 +488,6 @@ ServeJob::finish(double nowSeconds)
     m.wallSeconds = nowSeconds - _startedAt;
     m.execWorkers = _config.numStages;
     m.gateCommits = _gate->commits();
-    m.faultsInjected = _injector.firedCount();
-    m.recoveries = _recoveries;
-    m.subnetsReplayed = _subnetsReplayed;
-    m.recoverySeconds = _recoverySecondsTotal;
     setState(JobState::Done);
 }
 

@@ -234,8 +234,11 @@ class ServeJob : public ExecutionBackend
     const TrainingSession &session() const { return _session; }
     /** Reserved in-flight window (admission-control accounting). */
     int window() const;
-    int recoveries() const { return _recoveries; }
-    int subnetsReplayed() const { return _subnetsReplayed; }
+    int recoveries() const { return _session.recoveries(); }
+    int subnetsReplayed() const
+    {
+        return _session.subnetsReplayed();
+    }
     int pendingDrain() const { return _pendingDrain; }
     std::uint64_t supernetHash() const
     {
@@ -270,16 +273,10 @@ class ServeJob : public ExecutionBackend
     PoolHooks _hooks;
     std::uint64_t _nextTicket = 0;
 
-    FaultInjector _injector;
     fault::RecoveryPolicy _policy;
     bool _failStopPending = false;
     std::string _failStopReason;
     int _pendingDrain = 0;  ///< stragglers left to drop (Recovering)
-
-    // Cumulative fault accounting (across recovery phases).
-    int _recoveries = 0;
-    int _subnetsReplayed = 0;
-    double _recoverySecondsTotal = 0.0;
 
     double _startedAt = 0.0;   ///< service clock at start()
     double _phaseStart = 0.0;  ///< service clock at this phase's start

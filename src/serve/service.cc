@@ -343,9 +343,12 @@ SearchService::run()
         return AllDone;
     }
 
-    // The pool needs a single-tenant fallback space reference for
-    // the worker constructor; any live space works (bound tasks
-    // never consult it), and jobs are never erased from _jobs.
+    // Worker context management stays AllResident with the
+    // predictor off (the Config default): every job's store
+    // pre-materializes at admission, and the cache is pure
+    // bookkeeping that sharing across tenants would only entangle —
+    // so the space it sizes against is never consulted; any live one
+    // works, and jobs are never erased from _jobs.
     SharedStagePool::Config pc;
     pc.numStages = _config.numStages;
     long long windows = 0;

@@ -47,8 +47,8 @@
 
 #include "common/lock_rank.h"
 #include "obs/metrics_registry.h"
+#include "exec/pool.h"
 #include "serve/job.h"
-#include "serve/pool.h"
 #include "serve/scheduler.h"
 
 namespace naspipe {

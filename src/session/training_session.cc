@@ -17,7 +17,8 @@ TrainingSession::TrainingSession(const SearchSpace &space,
                       : defaultActivationModel(space.family())),
       _scoreScale(config.scoreScale > 0.0
                       ? config.scoreScale
-                      : defaultScoreScale(space.family()))
+                      : defaultScoreScale(space.family())),
+      _injector(config.faults)
 {
     NASPIPE_ASSERT(_numStages >= 1, "need >= 1 stage");
     NASPIPE_ASSERT(config.totalSubnets >= 1, "need >= 1 subnet");
@@ -384,11 +385,67 @@ TrainingSession::restore(const RunCheckpoint &ckpt)
     return true;
 }
 
+bool
+TrainingSession::resume(const std::string &path)
+{
+    RunCheckpoint ckpt;
+    if (!ckpt.loadFile(path) || !restore(ckpt))
+        return false;
+    setTimeOffsets(ckpt.simSeconds, ckpt.busySeconds);
+    _checkpointsWritten = static_cast<int>(ckpt.checkpointsWritten);
+    return true;
+}
+
 void
 TrainingSession::setTimeOffsets(double secOffset, double busyOffset)
 {
     _secOffset = secOffset;
     _busyOffset = busyOffset;
+}
+
+std::vector<FaultSpec>
+TrainingSession::dueFaults(Tick at)
+{
+    std::vector<FaultSpec> due = _injector.due(_finished);
+    for (const FaultSpec &f : due) {
+        int stage = std::clamp(f.stage, 0, _numStages - 1);
+        _trace->add(TraceRecord{at, at, stage, TraceKind::Fault, -1,
+                                f.describe()});
+        inform("fault injected: ", f.describe());
+    }
+    return due;
+}
+
+std::optional<TrainingSession::Rollback>
+TrainingSession::rollback(double secAtCrash, double busyAtCrash,
+                          double downtimeSeconds,
+                          const std::function<void()> &rebuildPhase)
+{
+    RunCheckpoint ckpt;
+    bool haveCkpt = !_lastCkpt.empty();
+    if (haveCkpt) {
+        std::istringstream in(_lastCkpt);
+        bool ok = ckpt.load(in);
+        NASPIPE_ASSERT(ok, "in-memory checkpoint unreadable");
+    }
+    Rollback report{_finished, static_cast<int>(ckpt.completed)};
+    _recoveries++;
+    _subnetsReplayed += report.fromCompleted - report.toCompleted;
+    _lostComputeSeconds +=
+        std::max(0.0, busyAtCrash - ckpt.busySeconds);
+    _recoverySeconds += downtimeSeconds;
+    inform("rollback from ", report.fromCompleted, " to ",
+           report.toCompleted, " completed subnets (",
+           report.fromCompleted - report.toCompleted, " to replay)");
+
+    if (!initRun())
+        return std::nullopt;  // cannot happen: the same plan fit before
+    if (rebuildPhase)
+        rebuildPhase();
+    setTimeOffsets(secAtCrash + downtimeSeconds, ckpt.busySeconds);
+    if (haveCkpt && !restore(ckpt))
+        return std::nullopt;
+    return report;
 }
 
 RunResult
@@ -427,6 +484,12 @@ TrainingSession::collect(double totalSeconds, double busyTotal)
     m.checkpointsWritten = _checkpointsWritten;
     m.checkpointBytes = _checkpointBytes;
     m.checkpointSeconds = _checkpointSecondsTotal;
+
+    m.faultsInjected = _injector.firedCount();
+    m.recoveries = _recoveries;
+    m.subnetsReplayed = _subnetsReplayed;
+    m.recoverySeconds = _recoverySeconds;
+    m.lostComputeSeconds = _lostComputeSeconds;
 
     // The "supernet loss" is the trailing-window mean over the last
     // subnets *by sequence ID* (not completion order), so the metric

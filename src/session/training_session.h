@@ -2,17 +2,18 @@
  * @file
  * TrainingSession: the runtime-agnostic coordinator core.
  *
- * Both executors — the discrete-event simulator (PipelineRuntime) and
- * the real thread pool (ParallelRuntime) — used to reimplement the
- * same coordinator: draw subnets in sequence order, gate injection on
- * the in-flight limit / feedback lag / checkpoint drain barrier,
- * deliver quality scores to the sampler in sequence-ID order, take
- * drained checkpoints, replay a checkpoint on resume, and assemble
- * the shared half of RunMetrics. That logic is *exactly* the part of
- * NASPipe that makes a run a pure function of (seed, scores-by-ID)
- * (Definition 1), so duplicating it was a reproducibility hazard:
- * any drift between the two copies silently broke the bitwise
- * sim ≡ threads equivalence the test suite asserts.
+ * Every executor — the discrete-event simulator (PipelineRuntime),
+ * the real thread pool (ParallelRuntime) and each serve job — needs
+ * the same coordinator: draw subnets in sequence order, gate
+ * injection on the in-flight limit / feedback lag / checkpoint drain
+ * barrier, deliver quality scores to the sampler in sequence-ID
+ * order, take drained checkpoints, replay a checkpoint on resume or
+ * after a fail-stop fault, and assemble the shared half of
+ * RunMetrics. That logic is *exactly* the part of NASPipe that makes
+ * a run a pure function of (seed, scores-by-ID) (Definition 1), so
+ * duplicating it is a reproducibility hazard: any drift between
+ * copies silently breaks the bitwise sim ≡ threads ≡ serve
+ * equivalence the test suite asserts.
  *
  * TrainingSession owns that logic once. An executor plugs in behind
  * the small ExecutionBackend interface: it is handed each freshly
@@ -33,11 +34,14 @@
 #ifndef NASPIPE_SESSION_TRAINING_SESSION_H
 #define NASPIPE_SESSION_TRAINING_SESSION_H
 
+#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "fault/fault_plan.h"
 #include "runtime/pipeline_runtime.h"
 #include "train/run_checkpoint.h"
 
@@ -82,11 +86,19 @@ class ExecutionBackend
 
 /**
  * The shared coordinator: sampling/injection order, score delivery,
- * checkpoint cadence, resume/replay, and metrics assembly.
+ * checkpoint cadence, resume/replay, fail-stop rollback, fault
+ * accounting, and metrics assembly.
  */
 class TrainingSession
 {
   public:
+    /** What one rollback() rewound: completed counts at the crash and
+     *  at the restored checkpoint (0 when none was taken yet). */
+    struct Rollback {
+        int fromCompleted = 0;
+        int toCompleted = 0;
+    };
+
     /**
      * @param space the search space (must outlive the session)
      * @param config run configuration (shared with the executors)
@@ -104,7 +116,7 @@ class TrainingSession
      * (Re)initialize one run phase: plan capacity, build the sampler
      * / store / numeric executor / tracker / trace, and clear the
      * per-run state. Cumulative diagnostics (checkpoint totals, time
-     * offsets) survive — the simulator's fault recovery re-inits the
+     * offsets, fault counters) survive — rollback() re-inits the
      * session without losing them. Returns false when the capacity
      * planner rejects the run (plan() still reports the attempt).
      */
@@ -186,14 +198,49 @@ class TrainingSession
      */
     bool restore(const RunCheckpoint &ckpt);
 
+    /**
+     * Resume from the checkpoint file at @p path: restore() it and
+     * adopt the producing run's time offsets and checkpoint count.
+     * Call after initRun() and after the backend is ready for
+     * restoreCompleted(). Returns false (with a logged reason) on an
+     * unreadable or incompatible file.
+     */
+    bool resume(const std::string &path);
+
     /** Serialized last checkpoint (fail-stop rollback target). */
     const std::string &lastCheckpoint() const { return _lastCkpt; }
+    /** @} */
 
-    /** Carry run time across phases (recovery) or from a resume. */
-    void setTimeOffsets(double secOffset, double busyOffset);
+    /** @name Faults and fail-stop rollback
+     * @{ */
+    /**
+     * Fault-plan specs due at the current completion count — the
+     * logical clock every executor shares. Each spec fires once, even
+     * after a rollback rewinds the count past its trigger. Each due
+     * fault is logged and traced at @p at; the caller maps it onto
+     * its own target (sim hardware, a worker latch, a job).
+     */
+    std::vector<FaultSpec> dueFaults(Tick at);
 
-    /** Adopt the producing run's checkpoint count on resume. */
-    void setCheckpointsWritten(int n) { _checkpointsWritten = n; }
+    /**
+     * Roll the run back to the last drained checkpoint (subnet 0
+     * when none was taken): charge the fault counters, initRun(),
+     * let @p rebuildPhase rebuild the executor's phase state, then
+     * restore the checkpoint and move the clock to the crash plus
+     * the downtime. @p secAtCrash / @p busyAtCrash are absolute run
+     * totals at the crash; @p downtimeSeconds is the modeled
+     * detection + restart time the caller charges. The replayed
+     * subnets re-execute in CSP order, so the run lands on the
+     * fault-free bits. Empty when re-init or restore fails.
+     */
+    std::optional<Rollback>
+    rollback(double secAtCrash, double busyAtCrash,
+             double downtimeSeconds,
+             const std::function<void()> &rebuildPhase);
+
+    const FaultInjector &faults() const { return _injector; }
+    int recoveries() const { return _recoveries; }
+    int subnetsReplayed() const { return _subnetsReplayed; }
     /** @} */
 
     /**
@@ -201,9 +248,9 @@ class TrainingSession
      * losses, sampled subnets, store, trace, throughput, memory
      * plan figures, checkpoint accounting, the trailing-window final
      * loss, the convergence curve, the supernet hash, the causal
-     * audit, and the post-training search. @p totalSeconds and
-     * @p busyTotal are absolute run totals; the executor then fills
-     * in its own timing/cache/fault specifics.
+     * audit, the fault counters, and the post-training search.
+     * @p totalSeconds and @p busyTotal are absolute run totals; the
+     * executor then fills in its own timing and cache specifics.
      */
     RunResult collect(double totalSeconds, double busyTotal);
 
@@ -240,6 +287,8 @@ class TrainingSession
 
   private:
     bool compatible(const RunCheckpoint &ckpt) const;
+    /** Carry run time across phases (rollback) or from a resume. */
+    void setTimeOffsets(double secOffset, double busyOffset);
 
     const SearchSpace &_space;
     const RuntimeConfig &_config;
@@ -280,6 +329,13 @@ class TrainingSession
     int _checkpointsWritten = 0;
     std::uint64_t _checkpointBytes = 0;
     double _checkpointSecondsTotal = 0.0;
+
+    // Fault state, cumulative across rollbacks.
+    FaultInjector _injector;
+    int _recoveries = 0;
+    int _subnetsReplayed = 0;
+    double _recoverySeconds = 0.0;
+    double _lostComputeSeconds = 0.0;
 };
 
 } // namespace naspipe

@@ -214,8 +214,11 @@ RunCheckpoint::saveFileAtomic(const std::string &path) const
     const std::string tmp = path + ".tmp";
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out || !save(out)) {
+        bool ok = out && save(out);
+        out.close();  // the final flush can fail too (disk full)
+        if (!ok || out.fail()) {
             warn("cannot write run checkpoint to ", tmp);
+            std::remove(tmp.c_str());
             return false;
         }
     }

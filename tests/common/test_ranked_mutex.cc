@@ -64,11 +64,10 @@ TEST_F(RankedMutexTest, RankNamesAndLevelsAreStable)
 {
     const LockRank ranks[] = {
         LockRank::ServeClient,       LockRank::ServePoolIncident,
-        LockRank::ExecIncident,      LockRank::FaultWatchdog,
-        LockRank::ExecQueue,         LockRank::ExecWorkerSignal,
-        LockRank::ExecGateTable,     LockRank::ExecGateWait,
-        LockRank::TrainContext,      LockRank::TrainAccessLog,
-        LockRank::VerifyOracle,
+        LockRank::FaultWatchdog,     LockRank::ExecQueue,
+        LockRank::ExecWorkerSignal,  LockRank::ExecGateTable,
+        LockRank::ExecGateWait,      LockRank::TrainContext,
+        LockRank::TrainAccessLog,    LockRank::VerifyOracle,
     };
     int previous = 0;
     for (LockRank rank : ranks) {

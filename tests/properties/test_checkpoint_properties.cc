@@ -12,8 +12,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 
@@ -411,6 +417,49 @@ TEST(CheckpointProperties, AtomicSaveLeavesNoTempFileBehind)
     RunCheckpoint loaded;
     EXPECT_TRUE(loaded.loadFile(path));
     std::remove(path.c_str());
+}
+
+TEST(CheckpointProperties, FailedAtomicSaveKeepsOldFileAndNoTemp)
+{
+    std::string path =
+        ::testing::TempDir() + "naspipe_fsize_test.ckpt";
+    auto slurp = [&path] {
+        std::ifstream in(path, std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(in), {});
+    };
+    RunCheckpoint small;
+    ASSERT_TRUE(small.saveFileAtomic(path));
+    const std::string before = slurp();
+    ASSERT_LT(before.size(), 600u);
+
+    // A larger save runs out of room mid-write (disk full, quota):
+    // a forked child under a 600-byte RLIMIT_FSIZE, with SIGXFSZ
+    // ignored so the write fails with EFBIG instead of killing it.
+    RunCheckpoint big;
+    big.storeBytes.assign(10000, 'x');
+    pid_t child = fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+        std::signal(SIGXFSZ, SIG_IGN);
+        rlimit limit{};
+        getrlimit(RLIMIT_FSIZE, &limit);
+        limit.rlim_cur = 600;
+        setrlimit(RLIMIT_FSIZE, &limit);
+        _exit(big.saveFileAtomic(path) ? 1 : 0);
+    }
+    int status = 0;
+    ASSERT_EQ(waitpid(child, &status, 0), child);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0)
+        << "a save past the size limit must report failure";
+
+    EXPECT_EQ(slurp(), before);
+    RunCheckpoint loaded;
+    EXPECT_TRUE(loaded.loadFile(path));
+    EXPECT_FALSE(std::ifstream(path + ".tmp").good())
+        << "the failed save left its temp file behind";
+    std::remove(path.c_str());
+    std::remove((path + ".tmp").c_str());
 }
 
 } // namespace

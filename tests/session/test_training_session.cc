@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <vector>
 
 #include "session/training_session.h"
@@ -68,9 +69,65 @@ struct Fixture {
             id, 0.5f + 0.01f * static_cast<float>(id),
             0.1 * (id + 1));
     }
+    /**
+     * Train subnet @p id start to finish on this thread — every
+     * stage forward, the loss, every stage backward — and record it
+     * at 0.1 s per subnet. Completing in ID order is a valid CSP
+     * interleaving, so the weights match any executor's.
+     */
+    bool execute(SubnetId id)
+    {
+        const Subnet &sn = session.subnetOf(id);
+        NumericExecutor &exec = session.exec();
+        const int stages = 2;
+        for (int k = 0; k < stages; k++) {
+            auto [lo, hi] = session.blockRange(k, id);
+            if (lo <= hi)
+                exec.forwardStage(sn, lo, hi,
+                                  UpdateSemantics::Immediate, k);
+        }
+        exec.computeLoss(sn);
+        for (int k = stages - 1; k >= 0; k--) {
+            auto [lo, hi] = session.blockRange(k, id);
+            if (lo <= hi)
+                exec.backwardStage(sn, lo, hi,
+                                   UpdateSemantics::Immediate, k);
+        }
+        return session.recordCompletion(id, exec.finishSubnet(sn),
+                                        0.1 * (id + 1));
+    }
+    /**
+     * Train until @p until subnets completed, committing a checkpoint
+     * (busy = 0.05 s per subnet) at every drained barrier. Returns
+     * true when it stopped early because a fault fell due.
+     */
+    bool drive(int until)
+    {
+        while (session.finished() < until) {
+            session.pump();
+            auto id = static_cast<SubnetId>(session.finished());
+            bool atBarrier = execute(id);
+            if (!session.dueFaults(0).empty())
+                return true;
+            if (atBarrier) {
+                session.commitCheckpoint(session.buildCheckpoint(
+                    0.1 * (id + 1), 0.05 * (id + 1)));
+            }
+        }
+        return false;
+    }
     MockBackend backend;
     TrainingSession session;
 };
+
+/** Final supernet hash of a fault-free run of @p c. */
+std::uint64_t
+faultFreeHash(const SearchSpace &space, const RuntimeConfig &c)
+{
+    Fixture clean(space, c);
+    EXPECT_FALSE(clean.drive(c.totalSubnets));
+    return clean.session.store()->supernetHash();
+}
 
 TEST(TrainingSessionCore, PumpFillsTheInflightWindow)
 {
@@ -255,6 +312,118 @@ TEST(TrainingSessionCore, RestoreReplaysWithoutReexecution)
     EXPECT_EQ(resumed.session.pump(), 4);
     EXPECT_EQ(resumed.backend.admitted,
               (std::vector<SubnetId>{4, 5, 6, 7}));
+}
+
+TEST(TrainingSessionCore, RollbackToTheLastCheckpointReplays)
+{
+    SearchSpace space = makeSpaceByName("NLP.c1");
+    RuntimeConfig c = config(8, 4);
+    c.ckptInterval = 4;
+    std::uint64_t want = faultFreeHash(space, c);
+
+    FaultSpec crash;
+    crash.atStep = 6;
+    c.faults = {crash};
+    Fixture f(space, c);
+    ASSERT_TRUE(f.drive(8));  // the crash falls due at 6 completions
+    ASSERT_EQ(f.session.finished(), 6);
+
+    // The phase rebuild runs after the re-init, before the restore.
+    bool rebuilt = false;
+    auto report = f.session.rollback(
+        2.0, 1.5, 5.0, [&] {
+            rebuilt = true;
+            EXPECT_EQ(f.session.finished(), 0);
+            EXPECT_TRUE(f.backend.restored.empty());
+        });
+    ASSERT_TRUE(report.has_value());
+    EXPECT_TRUE(rebuilt);
+    EXPECT_EQ(report->fromCompleted, 6);
+    EXPECT_EQ(report->toCompleted, 4);
+    EXPECT_EQ(f.backend.restored,
+              (std::vector<SubnetId>{0, 1, 2, 3}));
+    EXPECT_EQ(f.session.finished(), 4);
+    // Crash time plus the charged downtime; busy time resumes from
+    // the checkpoint's.
+    EXPECT_DOUBLE_EQ(f.session.secOffset(), 2.0 + 5.0);
+    EXPECT_DOUBLE_EQ(f.session.busyOffset(), 0.05 * 4);
+
+    EXPECT_FALSE(f.drive(8));  // a fired fault never fires again
+    RunResult r = f.session.collect(10.0, 1.0);
+    EXPECT_EQ(r.metrics.faultsInjected, 1);
+    EXPECT_EQ(r.metrics.recoveries, 1);
+    EXPECT_EQ(r.metrics.subnetsReplayed, 2);
+    EXPECT_DOUBLE_EQ(r.metrics.recoverySeconds, 5.0);
+    EXPECT_DOUBLE_EQ(r.metrics.lostComputeSeconds, 1.5 - 0.05 * 4);
+    EXPECT_EQ(r.supernetHash, want);
+}
+
+TEST(TrainingSessionCore, RollbackWithoutACheckpointRestartsAtZero)
+{
+    SearchSpace space = makeSpaceByName("NLP.c1");
+    RuntimeConfig c = config(8, 4);
+    std::uint64_t want = faultFreeHash(space, c);
+
+    Fixture f(space, c);
+    EXPECT_FALSE(f.drive(3));
+    ASSERT_TRUE(f.session.lastCheckpoint().empty());
+    auto report = f.session.rollback(1.0, 0.5, 2.0, nullptr);
+    ASSERT_TRUE(report.has_value());
+    EXPECT_EQ(report->fromCompleted, 3);
+    EXPECT_EQ(report->toCompleted, 0);
+    EXPECT_TRUE(f.backend.restored.empty());
+    EXPECT_EQ(f.session.finished(), 0);
+    EXPECT_EQ(f.session.injected(), 0);
+    EXPECT_DOUBLE_EQ(f.session.secOffset(), 1.0 + 2.0);
+    EXPECT_DOUBLE_EQ(f.session.busyOffset(), 0.0);
+
+    EXPECT_FALSE(f.drive(8));
+    RunResult r = f.session.collect(10.0, 1.0);
+    EXPECT_EQ(r.metrics.faultsInjected, 0);
+    EXPECT_EQ(r.metrics.recoveries, 1);
+    EXPECT_EQ(r.metrics.subnetsReplayed, 3);
+    EXPECT_DOUBLE_EQ(r.metrics.recoverySeconds, 2.0);
+    EXPECT_DOUBLE_EQ(r.metrics.lostComputeSeconds, 0.5);
+    EXPECT_EQ(r.supernetHash, want);
+}
+
+TEST(TrainingSessionCore, ResumeAdoptsTheFileClockAndCount)
+{
+    SearchSpace space = makeSpaceByName("NLP.c1");
+    RuntimeConfig c = config(8, 4);
+    c.ckptInterval = 4;
+    std::uint64_t want = faultFreeHash(space, c);
+
+    RuntimeConfig producing = c;
+    producing.ckptPath =
+        ::testing::TempDir() + "naspipe_session_resume.ckpt";
+    {
+        Fixture producer(space, producing);
+        EXPECT_FALSE(producer.drive(4));  // one barrier, on disk
+    }
+
+    Fixture f(space, c);
+    ASSERT_TRUE(f.session.resume(producing.ckptPath));
+    EXPECT_EQ(f.backend.restored,
+              (std::vector<SubnetId>{0, 1, 2, 3}));
+    EXPECT_EQ(f.session.finished(), 4);
+    EXPECT_DOUBLE_EQ(f.session.secOffset(), 0.1 * 4);
+    EXPECT_DOUBLE_EQ(f.session.busyOffset(), 0.05 * 4);
+    EXPECT_FALSE(f.session.lastCheckpoint().empty());
+
+    EXPECT_FALSE(f.drive(8));
+    RunResult r = f.session.collect(10.0, 1.0);
+    // The producer's one checkpoint plus this run's barrier at 8.
+    EXPECT_EQ(r.metrics.checkpointsWritten, 2);
+    EXPECT_EQ(r.supernetHash, want);
+
+    RuntimeConfig other = c;
+    other.seed = c.seed + 1;
+    Fixture stranger(space, other);
+    EXPECT_FALSE(stranger.session.resume(producing.ckptPath));
+    EXPECT_TRUE(stranger.backend.restored.empty());
+    EXPECT_EQ(stranger.session.finished(), 0);
+    std::remove(producing.ckptPath.c_str());
 }
 
 TEST(TrainingSessionCore, AdmissibleAgreesWithPumpOne)
