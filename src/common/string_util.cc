@@ -1,9 +1,29 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 
 namespace naspipe {
+
+namespace {
+
+/** std::from_chars is exactly the strict contract: no whitespace, no
+ *  '+', no '-' for unsigned types, and range-checked. */
+template <typename T>
+bool
+parseWhole(const std::string &text, T &out)
+{
+    const char *last = text.data() + text.size();
+    T value{};
+    auto [end, ec] = std::from_chars(text.data(), last, value);
+    if (ec != std::errc() || end != last)
+        return false;
+    out = value;
+    return true;
+}
+
+} // namespace
 
 std::string
 formatFixed(double value, int digits)
@@ -107,6 +127,18 @@ joinStrings(const std::vector<std::string> &items, const std::string &sep)
         out += items[i];
     }
     return out;
+}
+
+bool
+parseWholeNumber(const std::string &text, int &out)
+{
+    return parseWhole(text, out);
+}
+
+bool
+parseWholeNumber(const std::string &text, std::uint64_t &out)
+{
+    return parseWhole(text, out);
 }
 
 } // namespace naspipe

@@ -44,6 +44,16 @@ bool startsWith(const std::string &text, const std::string &prefix);
 std::string joinStrings(const std::vector<std::string> &items,
                         const std::string &sep);
 
+/**
+ * Strict base-10 whole-number parse for outside input (command lines,
+ * job specs, fault specs): all of @p text or nothing. Rejects empty
+ * input, whitespace, trailing characters, a '+' sign, a '-' sign on
+ * the unsigned overload and values outside the target type's range.
+ * @p out is written only on success.
+ */
+bool parseWholeNumber(const std::string &text, int &out);
+bool parseWholeNumber(const std::string &text, std::uint64_t &out);
+
 } // namespace naspipe
 
 #endif // NASPIPE_COMMON_STRING_UTIL_H

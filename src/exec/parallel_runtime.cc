@@ -148,7 +148,6 @@ ParallelRuntime::Impl::buildPhase()
         std::max(2 * model.effectiveInflight(numStages), 8));
     pc.context.mode = model.memory;
     pc.context.predictor = model.predictor;
-    pc.context.prefetchDepth = model.prefetchDepth;
     // The §4.2 memory-limit check, same cap as the simulator: the
     // planned footprint covers the ~3 moving contexts of §3.3;
     // contexts awaiting their backward pass also linger, so the
@@ -314,26 +313,10 @@ ParallelRuntime::Impl::collect()
     m.gateCommits = gate->commits();
     m.retriesExhausted = retriesExhausted ? 1 : 0;
 
-    // Real per-worker context-cache accounting (the port of the
-    // simulator's ContextManager); AllResident systems have no cache
-    // and report N/A.
-    if (model.memory != MemoryMode::AllResident) {
-        std::uint64_t hits = 0, misses = 0;
-        for (int k = 0; k < numStages; k++) {
-            const ExecContextCache &cache = pool->worker(k).cache();
-            hits += cache.memory().hitStats().hits();
-            misses += cache.memory().hitStats().misses();
-            m.prefetchedBytes += cache.stats().prefetchedBytes;
-            m.syncFetchedBytes += cache.stats().syncFetchedBytes;
-            m.cachePeakBytes = std::max(m.cachePeakBytes,
-                                        cache.memory().peakBytes());
-            m.cacheBudgetBytes = cache.budgetBytes();
-        }
-        m.cacheHitRate =
-            (hits + misses)
-                ? static_cast<double>(hits) / (hits + misses)
-                : 0.0;
-    }
+    std::vector<const ContextManager *> contexts;
+    for (int k = 0; k < numStages; k++)
+        contexts.push_back(&pool->worker(k).ctx());
+    reportCacheMetrics(contexts, m);
 
     if (config.traceEnabled) {
         std::vector<TraceRecord> merged;

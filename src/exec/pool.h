@@ -38,7 +38,7 @@ class SharedStagePool
         /** Stage-inbox and completion-queue capacity; size to at
          *  least the bound jobs' summed in-flight windows. */
         std::size_t inboxCapacity = 16;
-        /** Per-worker context cache and predictor. */
+        /** Per-worker context manager and predictor. */
         StageContextConfig context;
         /** Watchdog heartbeat scan cadence (--watchdog-interval-ms). */
         int watchdogPollMs = 2;
@@ -49,7 +49,7 @@ class SharedStagePool
     };
 
     /**
-     * @param space the search space the workers' context caches size
+     * @param space the search space the workers' context managers size
      *        against (must outlive the pool)
      */
     SharedStagePool(const SearchSpace &space, Config config);

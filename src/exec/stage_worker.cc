@@ -8,12 +8,23 @@
 
 namespace naspipe {
 
+namespace {
+
+/**
+ * Queued forwards prefetched before each task (Algorithm 3 lines 4-8
+ * and 16-18). The cache budget plans for the ~3 moving contexts of
+ * §3.3: the task being executed plus the two that run after it.
+ */
+constexpr std::size_t kPrefetchDepth = 2;
+
+} // namespace
+
 StageWorker::StageWorker(int stage, int numStages,
                          const SearchSpace &space,
-                         std::size_t inboxCapacity, ContextConfig ctx)
+                         std::size_t inboxCapacity, ContextConfig context)
     : _stage(stage), _numStages(numStages), _inbox(inboxCapacity),
-      _cache(space, ctx.mode, ctx.budgetBytes),
-      _predictor(ctx.predictor, ctx.prefetchDepth)
+      _ctx(space, context.mode, context.budgetBytes),
+      _predictor(context.predictor)
 {
     NASPIPE_ASSERT(stage >= 0 && stage < numStages,
                    "stage index out of range");
@@ -106,34 +117,19 @@ StageWorker::prefetchRun(const SubnetRun &run)
 {
     auto [lo, hi] = blockRange(run);
     if (lo <= hi)
-        _cache.prefetch(run.subnet, lo, hi);
-}
-
-std::vector<SubnetId>
-StageWorker::queuedForwardIds() const
-{
-    std::vector<SubnetId> ids;
-    ids.reserve(_fwd.size());
-    for (const Pending &p : _fwd)
-        ids.push_back(p.run->subnet.id());
-    return ids;
+        _ctx.prefetch(run.subnet, lo, hi, ++_clock);
 }
 
 void
-StageWorker::prefetchPredicted(const std::vector<SubnetId> &picks)
+StageWorker::prefetchQueued()
 {
-    // Predictor paths are solo-only (the service's pool runs with
-    // the predictor off), so _fwd's ticket order is sequence-ID
-    // order here and the binary search stays valid.
-    for (SubnetId id : picks) {
-        auto at = std::lower_bound(
-            _fwd.begin(), _fwd.end(), id,
-            [](const Pending &p, SubnetId v) {
-                return p.run->subnet.id() < v;
-            });
-        if (at != _fwd.end() && at->run->subnet.id() == id)
-            prefetchRun(*at->run);
-    }
+    if (!_predictor)
+        return;
+    // The task about to run has already left _fwd, so the head of the
+    // sorted queue is exactly the forwards that run next.
+    std::size_t depth = std::min(kPrefetchDepth, _fwd.size());
+    for (std::size_t i = 0; i < depth; i++)
+        prefetchRun(*_fwd[i].run);
 }
 
 void
@@ -150,7 +146,7 @@ StageWorker::drainInbox()
         // are gated to ~3 queued contexts like the simulator's entry
         // retrieval, so a backed-up entry queue does not balloon the
         // cache.
-        if (_predictor.enabled() &&
+        if (_predictor &&
             (task.kind == ExecTask::Kind::Backward || _stage > 0 ||
              _fwd.size() < 3)) {
             prefetchRun(*pending.run);
@@ -227,10 +223,9 @@ StageWorker::execForward(Pending pending)
     // Algorithm 1 line 21: predictor runs after the pop, before the
     // forward executes — the forwards queued next get their context
     // fetched while this one computes (Algorithm 3 lines 16-18).
-    prefetchPredicted(_predictor.beforeForward(run.subnet.id(),
-                                               queuedForwardIds()));
+    prefetchQueued();
     if (lo <= hi)
-        _cache.ensureResident(run.subnet, lo, hi);
+        _ctx.ensureResident(run.subnet, lo, hi, ++_clock);
     NumericExecutor *exec = run.job->exec;
     double start = secondsSinceEpoch();
     // CSP systems only (ParallelRuntime::supported): every update
@@ -272,9 +267,9 @@ StageWorker::execBackward(Pending pending)
     // commit this backward is about to publish unblocks the lowest
     // queued forwards (Algorithm 3 lines 4-8) — re-fetch their
     // contexts if the budget evicted them.
-    prefetchPredicted(_predictor.beforeBackward(queuedForwardIds()));
+    prefetchQueued();
     if (lo <= hi)
-        _cache.ensureResident(run.subnet, lo, hi);
+        _ctx.ensureResident(run.subnet, lo, hi, ++_clock);
     NumericExecutor *exec = run.job->exec;
     double start = secondsSinceEpoch();
     if (exec && lo <= hi)
@@ -305,7 +300,7 @@ StageWorker::execBackward(Pending pending)
     // evict it so the resident set stays at the ~3 moving contexts
     // the budget plans for.
     if (lo <= hi)
-        _cache.evictSubnet(run.subnet, lo, hi);
+        _ctx.evictSubnet(run.subnet, lo, hi, _clock);
 
     if (_stage > 0) {
         _prev->submit(

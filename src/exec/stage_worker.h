@@ -39,11 +39,10 @@
 #include "exec/commit_gate.h"
 #include "exec/task_queue.h"
 #include "fault/heartbeat.h"
-#include "memory/exec_context_cache.h"
+#include "memory/context_manager.h"
 #include "obs/run_observations.h"
 #include "obs/wall_clock.h"
 #include "partition/partitioner.h"
-#include "schedule/exec_predictor.h"
 #include "sim/trace.h"
 #include "supernet/subnet.h"
 #include "train/numeric_executor.h"
@@ -94,7 +93,6 @@ struct ExecTask {
 struct StageContextConfig {
     MemoryMode mode = MemoryMode::AllResident;
     bool predictor = false;  ///< Algorithm-3 prediction enabled
-    int prefetchDepth = 2;   ///< predicted tasks to prefetch
     std::uint64_t budgetBytes = 0;  ///< §4.2 cap; 0 = unlimited
 };
 
@@ -120,13 +118,13 @@ class StageWorker
     /**
      * @param stage this worker's stage index
      * @param numStages pipeline depth D
-     * @param space the search space the context cache sizes against
+     * @param space the search space the context manager sizes against
      * @param inboxCapacity bounded-inbox capacity (>= in-flight limit)
-     * @param ctx context cache/predictor configuration
+     * @param context context manager/predictor configuration
      */
     StageWorker(int stage, int numStages, const SearchSpace &space,
                 std::size_t inboxCapacity,
-                ContextConfig ctx = ContextConfig());
+                ContextConfig context = ContextConfig());
 
     StageWorker(const StageWorker &) = delete;
     StageWorker &operator=(const StageWorker &) = delete;
@@ -179,11 +177,8 @@ class StageWorker
     /** Post-join accounting. */
     const Stats &stats() const { return _stats; }
 
-    /** Post-join context-cache accounting. */
-    const ExecContextCache &cache() const { return _cache; }
-
-    /** Post-join prediction accounting. */
-    const ExecPredictor &predictor() const { return _predictor; }
+    /** Post-join context-manager accounting. */
+    const ContextManager &ctx() const { return _ctx; }
 
     /** Post-join trace records (empty unless recordTrace). */
     const std::vector<TraceRecord> &traceRecords() const
@@ -218,10 +213,8 @@ class StageWorker
     double secondsSinceEpoch() const;
     /** Prefetch @p run's stage context (predictor paths). */
     void prefetchRun(const SubnetRun &run);
-    /** The sorted forward queue as sequence IDs (predictor input). */
-    std::vector<SubnetId> queuedForwardIds() const;
-    /** Prefetch the queued forwards the predictor named. */
-    void prefetchPredicted(const std::vector<SubnetId> &picks);
+    /** Algorithm 3: prefetch the forwards queued to run next. */
+    void prefetchQueued();
 
     const int _stage;
     const int _numStages;
@@ -250,8 +243,11 @@ class StageWorker
     std::vector<Pending> _fwd;  ///< sorted by ascending sequence ID
 
     // Context management (worker thread only; read after join()).
-    ExecContextCache _cache;
-    ExecPredictor _predictor;
+    ContextManager _ctx;
+    const bool _predictor;  ///< Algorithm-3 prediction enabled
+    /// Logical clock of _ctx: advances once per prefetch and once per
+    /// executed task, standing in for the simulator's time.
+    Tick _clock = 0;
 
     std::thread _thread;
     obs::TimePoint _epoch;

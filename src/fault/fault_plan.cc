@@ -62,16 +62,6 @@ kindByName(const std::string &name, FaultKind &out)
 }
 
 bool
-parseWholeInt(const std::string &text, long &out)
-{
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtol(text.c_str(), &end, 10);
-    return end && *end == '\0';
-}
-
-bool
 parseWholeDouble(const std::string &text, double &out)
 {
     if (text.empty())
@@ -109,10 +99,8 @@ parseFaultSpec(const std::string &text, FaultSpec &out,
         splitString(text.substr(at + 1), ',');
     if (parts.empty())
         return fail(error, "missing step in fault spec '" + text + "'");
-    long step = 0;
-    if (!parseWholeInt(parts[0], step) || step < 0)
+    if (!parseWholeNumber(parts[0], spec.atStep) || spec.atStep < 0)
         return fail(error, "bad fault step '" + parts[0] + "'");
-    spec.atStep = static_cast<int>(step);
     for (std::size_t i = 1; i < parts.size(); i++) {
         auto eq = parts[i].find('=');
         if (eq == std::string::npos) {
@@ -121,12 +109,10 @@ parseFaultSpec(const std::string &text, FaultSpec &out,
         }
         std::string key = parts[i].substr(0, eq);
         std::string value = parts[i].substr(eq + 1);
-        long n = 0;
         double d = 0.0;
         if (key == "stage") {
-            if (!parseWholeInt(value, n) || n < 0)
+            if (!parseWholeNumber(value, spec.stage) || spec.stage < 0)
                 return fail(error, "bad stage '" + value + "'");
-            spec.stage = static_cast<int>(n);
         } else if (key == "ms") {
             if (!parseWholeDouble(value, d) || d < 0.0)
                 return fail(error, "bad duration '" + value + "'");

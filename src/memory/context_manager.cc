@@ -2,20 +2,18 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
+#include "runtime/metrics.h"
 
 namespace naspipe {
 
-ContextManager::ContextManager(Simulator &sim, const SearchSpace &space,
-                               Gpu &gpu, MemoryMode mode,
-                               std::uint64_t budgetBytes)
-    : _sim(sim), _space(space), _gpu(gpu), _mode(mode),
-      _budgetBytes(budgetBytes)
+ContextManager::ContextManager(const SearchSpace &space, MemoryMode mode,
+                               std::uint64_t budgetBytes, Gpu *gpu)
+    : _space(space), _mode(mode), _budgetBytes(budgetBytes), _gpu(gpu)
 {
 }
 
 void
-ContextManager::enforceBudget(std::uint64_t incomingBytes)
+ContextManager::enforceBudget(std::uint64_t incomingBytes, Tick now)
 {
     if (_budgetBytes == 0)
         return;
@@ -24,40 +22,43 @@ ContextManager::enforceBudget(std::uint64_t incomingBytes)
     // not in use at this instant.
     while (_memory.residentBytes() + incomingBytes > _budgetBytes) {
         LayerId victim;
-        if (!_memory.lruVictim(victim, _sim.now())) {
+        if (!_memory.lruVictim(victim, now)) {
             // Everything resident is in use right now; admit over
             // budget rather than deadlock (the runtime's retry path).
             _stats.overBudgetFetches++;
             return;
         }
-        evictLayer(victim);
+        evictLayer(victim, now);
         _stats.forcedEvictions++;
     }
 }
 
 Tick
-ContextManager::fetchLayer(const LayerId &layer, std::uint64_t bytes)
+ContextManager::fetchLayer(const LayerId &layer, std::uint64_t bytes,
+                           Tick now)
 {
-    enforceBudget(bytes);
+    enforceBudget(bytes, now);
     // Queue the copy on the H2D engine; pinned CPU memory makes it
-    // asynchronous with compute (§4.2).
-    Tick done = _gpu.h2d().transferFrom(_sim.now(), bytes);
+    // asynchronous with compute (§4.2). Without copy engines the
+    // layer is usable at once.
+    Tick done = _gpu ? _gpu->h2d().transferFrom(now, bytes) : now;
     return _memory.admit(layer, bytes, done);
 }
 
 void
-ContextManager::evictLayer(const LayerId &layer)
+ContextManager::evictLayer(const LayerId &layer, Tick now)
 {
     std::uint64_t bytes = _memory.evict(layer);
     if (bytes) {
         // Dirty parameters are copied back to pinned CPU storage.
-        _gpu.d2h().transferFrom(_sim.now(), bytes);
+        if (_gpu)
+            _gpu->d2h().transferFrom(now, bytes);
         _stats.evictedBytes += bytes;
     }
 }
 
 void
-ContextManager::prefetch(const Subnet &subnet, int lo, int hi)
+ContextManager::prefetch(const Subnet &subnet, int lo, int hi, Tick now)
 {
     if (_mode != MemoryMode::PredictivePrefetch)
         return;
@@ -70,17 +71,17 @@ ContextManager::prefetch(const Subnet &subnet, int lo, int hi)
         LayerId layer = subnet.layer(b);
         if (_memory.tracked(layer))
             continue;
-        fetchLayer(layer, bytes);
+        fetchLayer(layer, bytes, now);
         _stats.prefetchedBytes += bytes;
     }
 }
 
 Tick
 ContextManager::ensureResident(const Subnet &subnet, int lo, int hi,
-                               bool countStats)
+                               Tick now)
 {
     if (_mode == MemoryMode::AllResident)
-        return _sim.now();
+        return now;
 
     // VPipe behaviour: before switching to the new task's context,
     // push out the previous task's layers that it does not reuse.
@@ -96,13 +97,13 @@ ContextManager::ensureResident(const Subnet &subnet, int lo, int hi,
                 LayerId layer{
                     static_cast<std::uint32_t>(key >> 32),
                     static_cast<std::uint32_t>(key & 0xffffffffULL)};
-                evictLayer(layer);
+                evictLayer(layer, now);
             }
         }
         _lastTaskKeys.clear();
     }
 
-    Tick ready = _sim.now();
+    Tick ready = now;
     for (int b = lo; b <= hi; b++) {
         std::uint64_t bytes =
             _space.spec(b, subnet.choice(b)).paramBytes;
@@ -116,16 +117,16 @@ ContextManager::ensureResident(const Subnet &subnet, int lo, int hi,
             // is resident or its asynchronous copy is in flight, so
             // no *synchronous* swap-in stalls the stage — the event
             // the cache-hit metric counts (§3.3).
-            if (countStats)
-                _memory.hitStats().hit();
+            _memory.hitStats().hit();
         } else {
-            if (countStats)
-                _memory.hitStats().miss();
-            available = fetchLayer(layer, bytes);
+            _memory.hitStats().miss();
+            available = fetchLayer(layer, bytes, now);
             _stats.syncFetches++;
             _stats.syncFetchedBytes += bytes;
         }
-        _memory.touch(layer, std::max(available, _sim.now()));
+        // Every layer of the task carries the same instant, so none
+        // of them can be evicted to make room for a sibling.
+        _memory.touch(layer, std::max(available, now));
         ready = std::max(ready, available);
     }
 
@@ -139,13 +140,14 @@ ContextManager::ensureResident(const Subnet &subnet, int lo, int hi,
 }
 
 void
-ContextManager::evictSubnet(const Subnet &subnet, int lo, int hi)
+ContextManager::evictSubnet(const Subnet &subnet, int lo, int hi,
+                            Tick now)
 {
     if (_mode != MemoryMode::PredictivePrefetch)
         return;
     for (int b = lo; b <= hi; b++) {
         if (_space.spec(b, subnet.choice(b)).paramBytes > 0)
-            evictLayer(subnet.layer(b));
+            evictLayer(subnet.layer(b), now);
     }
 }
 
@@ -155,6 +157,27 @@ ContextManager::reset()
     _memory.reset();
     _stats = ContextStats();
     _lastTaskKeys.clear();
+}
+
+void
+reportCacheMetrics(const std::vector<const ContextManager *> &stages,
+                   RunMetrics &m)
+{
+    if (stages.empty() || stages[0]->mode() == MemoryMode::AllResident)
+        return;
+    std::uint64_t hits = 0, misses = 0;
+    for (const ContextManager *ctx : stages) {
+        hits += ctx->memory().hitStats().hits();
+        misses += ctx->memory().hitStats().misses();
+        m.prefetchedBytes += ctx->stats().prefetchedBytes;
+        m.syncFetchedBytes += ctx->stats().syncFetchedBytes;
+        m.cachePeakBytes =
+            std::max(m.cachePeakBytes, ctx->memory().peakBytes());
+        m.cacheBudgetBytes = ctx->budgetBytes();
+    }
+    m.cacheHitRate = (hits + misses)
+                         ? static_cast<double>(hits) / (hits + misses)
+                         : 0.0;
 }
 
 } // namespace naspipe

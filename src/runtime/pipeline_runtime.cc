@@ -157,7 +157,7 @@ PipelineRuntime::Impl::buildPhase()
                 ? 0
                 : 3 * session.plan().residentParamBytesPerGpu;
         stages.push_back(std::make_unique<Stage>(
-            sim, space, cluster->gpu(k), k, numStages, model.memory,
+            space, cluster->gpu(k), k, numStages, model.memory,
             std::move(hooks), cacheBudget));
     }
 }
@@ -298,7 +298,7 @@ PipelineRuntime::Impl::admit(SubnetId id)
     if (model.predictor && stages[0]->fwdCandidates().size() < 3) {
         auto [lo, hi] = blockRange(0, sn.id());
         if (lo <= hi)
-            stages[0]->ctx().prefetch(sn, lo, hi);
+            stages[0]->ctx().prefetch(sn, lo, hi, sim.now());
     }
 
     stages[0]->pushFwd(sn.id());
@@ -386,7 +386,8 @@ PipelineRuntime::Impl::startForward(int k, SubnetId id)
                 if (plo <= phi) {
                     stages[static_cast<std::size_t>(t.stage)]
                         ->ctx()
-                        .prefetch(subnetOf(t.subnet), plo, phi);
+                        .prefetch(subnetOf(t.subnet), plo, phi,
+                                  sim.now());
                 }
             });
     }
@@ -399,13 +400,14 @@ PipelineRuntime::Impl::startForward(int k, SubnetId id)
         auto [nlo, nhi] = blockRange(k + 1, id);
         if (nlo <= nhi) {
             stages[static_cast<std::size_t>(k) + 1]->ctx().prefetch(
-                sn, nlo, nhi);
+                sn, nlo, nhi, sim.now());
         }
     }
 
     Tick ready = sim.now();
     if (lo <= hi)
-        ready = std::max(ready, st.ctx().ensureResident(sn, lo, hi));
+        ready = std::max(ready, st.ctx().ensureResident(sn, lo, hi,
+                                                     sim.now()));
     if (model.policy == PolicyKind::Csp && lo <= hi) {
         // CSP: a read of a shared layer must see the precedent
         // subnet's write, including the mirror push when the writer
@@ -488,14 +490,16 @@ PipelineRuntime::Impl::startBackward(int k, SubnetId id)
                 if (plo <= phi) {
                     stages[static_cast<std::size_t>(t.stage)]
                         ->ctx()
-                        .prefetch(subnetOf(t.subnet), plo, phi);
+                        .prefetch(subnetOf(t.subnet), plo, phi,
+                                  sim.now());
                 }
             });
     }
 
     Tick ready = sim.now();
     if (lo <= hi)
-        ready = std::max(ready, st.ctx().ensureResident(sn, lo, hi));
+        ready = std::max(ready, st.ctx().ensureResident(sn, lo, hi,
+                                                     sim.now()));
 
     Tick duration = taskDuration(sn, lo, hi, TaskType::Backward);
     Tick start = st.gpu().compute().reserveFrom(ready, duration);
@@ -537,7 +541,7 @@ PipelineRuntime::Impl::startBackward(int k, SubnetId id)
 
             stage.mutableDeps().markFinished(id);
             if (lo <= hi)
-                stage.ctx().evictSubnet(subnet, lo, hi);
+                stage.ctx().evictSubnet(subnet, lo, hi, sim.now());
 
             if (k > 0) {
                 Tick arrival = cluster->link(k, k - 1).sendFrom(
@@ -749,23 +753,10 @@ PipelineRuntime::Impl::collect()
             cluster->gpu(s).aluUtilization(phaseSec) * eff);
     }
 
-    if (model.memory != MemoryMode::AllResident) {
-        std::uint64_t hits = 0, misses = 0;
-        for (const auto &stage : stages) {
-            hits += stage->ctx().memory().hitStats().hits();
-            misses += stage->ctx().memory().hitStats().misses();
-            m.prefetchedBytes += stage->ctx().stats().prefetchedBytes;
-            m.syncFetchedBytes +=
-                stage->ctx().stats().syncFetchedBytes;
-            m.cachePeakBytes = std::max(
-                m.cachePeakBytes, stage->ctx().memory().peakBytes());
-            m.cacheBudgetBytes = stage->ctx().budgetBytes();
-        }
-        m.cacheHitRate =
-            (hits + misses)
-                ? static_cast<double>(hits) / (hits + misses)
-                : 0.0;
-    }
+    std::vector<const ContextManager *> contexts;
+    for (const auto &stage : stages)
+        contexts.push_back(&stage->ctx());
+    reportCacheMetrics(contexts, m);
     if (model.mirroring) {
         m.mirrorSyncBytes = mirrors->stats().syncBytes;
         m.mirrorsCreated = mirrors->stats().mirrorsCreated;

@@ -6,13 +6,12 @@
 
 namespace naspipe {
 
-Stage::Stage(Simulator &sim, const SearchSpace &space, Gpu &gpu,
-             int index, int numStages, MemoryMode memory, Hooks hooks,
+Stage::Stage(const SearchSpace &space, Gpu &gpu, int index,
+             int numStages, MemoryMode memory, Hooks hooks,
              std::uint64_t cacheBudgetBytes)
-    : _sim(sim), _gpu(gpu), _index(index), _numStages(numStages),
+    : _gpu(gpu), _index(index), _numStages(numStages),
       _hooks(std::move(hooks)), _deps(&space),
-      _ctx(std::make_unique<ContextManager>(sim, space, gpu, memory,
-                                            cacheBudgetBytes))
+      _ctx(space, memory, cacheBudgetBytes, &gpu)
 {
     NASPIPE_ASSERT(index >= 0 && index < numStages,
                    "stage index out of range");

@@ -12,7 +12,6 @@
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "hw/gpu.h"
@@ -20,7 +19,6 @@
 #include "schedule/dependency.h"
 #include "schedule/predictor.h"
 #include "schedule/scheduler.h"
-#include "sim/simulator.h"
 
 namespace naspipe {
 
@@ -40,7 +38,6 @@ class Stage : public StageInfo
     };
 
     /**
-     * @param sim owning simulator
      * @param space the search space
      * @param gpu the GPU serving this stage
      * @param index stage index
@@ -49,8 +46,8 @@ class Stage : public StageInfo
      * @param hooks runtime callbacks
      * @param cacheBudgetBytes context-manager budget (0: unlimited)
      */
-    Stage(Simulator &sim, const SearchSpace &space, Gpu &gpu, int index,
-          int numStages, MemoryMode memory, Hooks hooks,
+    Stage(const SearchSpace &space, Gpu &gpu, int index, int numStages,
+          MemoryMode memory, Hooks hooks,
           std::uint64_t cacheBudgetBytes = 0);
 
     // --- StageInfo interface (what policies may see). ---
@@ -100,8 +97,8 @@ class Stage : public StageInfo
     /** Mutable dependency tracker (markFinished on backward). */
     DependencyTracker &mutableDeps() { return _deps; }
 
-    ContextManager &ctx() { return *_ctx; }
-    const ContextManager &ctx() const { return *_ctx; }
+    ContextManager &ctx() { return _ctx; }
+    const ContextManager &ctx() const { return _ctx; }
 
     Predictor &predictor() { return _predictor; }
 
@@ -115,13 +112,12 @@ class Stage : public StageInfo
     }
 
   private:
-    Simulator &_sim;
     Gpu &_gpu;
     int _index;
     int _numStages;
     Hooks _hooks;
     DependencyTracker _deps;
-    std::unique_ptr<ContextManager> _ctx;
+    ContextManager _ctx;
     Predictor _predictor;
     std::vector<SubnetId> _fwdQueue;
     std::vector<SubnetId> _bwdQueue;

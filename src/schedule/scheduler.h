@@ -129,7 +129,6 @@ struct SystemModel {
     bool recompute = true;           ///< activation recomputation
     bool predictor = true;           ///< context predictor enabled
     int maxInflight = 0;             ///< concurrent subnets (0: 2*D)
-    int prefetchDepth = 2;           ///< predicted tasks to prefetch
 
     /** Effective bulk size at pipeline depth @p numStages. */
     int effectiveBulk(int numStages) const;

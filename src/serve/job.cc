@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/logging.h"
+#include "common/string_util.h"
 #include "schedule/scheduler.h"
 #include "supernet/search_space.h"
 
@@ -116,45 +117,42 @@ parseJobSpec(const std::string &text, JobSpec &out,
         if (value.empty())
             return reject("job spec key '" + key +
                           "' has an empty value");
-        try {
-            if (key == "name") {
-                spec.name = value;
-            } else if (key == "space") {
-                spec.space = value;
-            } else if (key == "seed") {
-                spec.seed = std::stoull(value);
-            } else if (key == "steps") {
-                spec.steps = std::stoi(value);
-            } else if (key == "priority") {
-                spec.priority = std::stoi(value);
-            } else if (key == "ckpt") {
-                spec.ckptInterval = std::stoi(value);
-            } else if (key == "ckpt-path") {
-                spec.ckptPath = value;
-            } else if (key == "retries") {
-                spec.recoveryRetries = std::stoi(value);
-            } else if (key == "window") {
-                spec.maxInflight = std::stoi(value);
-            } else if (key == "precision") {
-                if (!kernels::parsePrecisionMode(value,
-                                                 spec.precision))
-                    return reject("bad precision '" + value +
-                                  "' (want fp32 or fp16)");
-            } else if (key == "fault") {
-                FaultSpec f;
-                std::string err;
-                if (!parseFaultSpec(value, f, &err))
-                    return reject("bad fault '" + value + "': " +
-                                  err);
-                spec.faults.push_back(f);
-            } else {
-                return reject("unknown job spec key '" + key + "'");
-            }
-        } catch (const std::exception &) {
-            return reject("job spec key '" + key +
-                          "' has a non-numeric value '" + value +
-                          "'");
+        bool numeric = true;
+        if (key == "name") {
+            spec.name = value;
+        } else if (key == "space") {
+            spec.space = value;
+        } else if (key == "seed") {
+            numeric = parseWholeNumber(value, spec.seed);
+        } else if (key == "steps") {
+            numeric = parseWholeNumber(value, spec.steps);
+        } else if (key == "priority") {
+            numeric = parseWholeNumber(value, spec.priority);
+        } else if (key == "ckpt") {
+            numeric = parseWholeNumber(value, spec.ckptInterval);
+        } else if (key == "ckpt-path") {
+            spec.ckptPath = value;
+        } else if (key == "retries") {
+            numeric = parseWholeNumber(value, spec.recoveryRetries);
+        } else if (key == "window") {
+            numeric = parseWholeNumber(value, spec.maxInflight);
+        } else if (key == "precision") {
+            if (!kernels::parsePrecisionMode(value, spec.precision))
+                return reject("bad precision '" + value +
+                              "' (want fp32 or fp16)");
+        } else if (key == "fault") {
+            FaultSpec f;
+            std::string err;
+            if (!parseFaultSpec(value, f, &err))
+                return reject("bad fault '" + value + "': " + err);
+            spec.faults.push_back(f);
+        } else {
+            return reject("unknown job spec key '" + key + "'");
         }
+        if (!numeric)
+            return reject("job spec key '" + key +
+                          "' has a non-numeric or out-of-range value '" +
+                          value + "'");
     }
     out = std::move(spec);
     return true;

@@ -85,5 +85,47 @@ TEST(JoinStrings, Basic)
     EXPECT_EQ(joinStrings({"solo"}, ", "), "solo");
 }
 
+TEST(ParseWholeNumber, AcceptsWholeNumbers)
+{
+    int i = 0;
+    EXPECT_TRUE(parseWholeNumber("32", i));
+    EXPECT_EQ(i, 32);
+    EXPECT_TRUE(parseWholeNumber("-7", i));
+    EXPECT_EQ(i, -7);
+    EXPECT_TRUE(parseWholeNumber("2147483647", i));
+    EXPECT_EQ(i, 2147483647);
+    std::uint64_t u = 0;
+    EXPECT_TRUE(parseWholeNumber("18446744073709551615", u));
+    EXPECT_EQ(u, 18446744073709551615ULL);
+    EXPECT_TRUE(parseWholeNumber("0", u));
+    EXPECT_EQ(u, 0u);
+}
+
+TEST(ParseWholeNumber, RejectsMalformedInput)
+{
+    int i = 99;
+    EXPECT_FALSE(parseWholeNumber("", i));
+    EXPECT_FALSE(parseWholeNumber("32x", i));
+    EXPECT_FALSE(parseWholeNumber("2.5", i));
+    EXPECT_FALSE(parseWholeNumber("0x10", i));
+    EXPECT_FALSE(parseWholeNumber(" 4", i));
+    EXPECT_FALSE(parseWholeNumber("4 ", i));
+    EXPECT_FALSE(parseWholeNumber("+4", i));
+    EXPECT_FALSE(parseWholeNumber("-", i));
+    // Beyond the target type: 2^32 + 1 must not wrap to 1.
+    EXPECT_FALSE(parseWholeNumber("4294967297", i));
+    EXPECT_FALSE(parseWholeNumber("2147483648", i));
+    EXPECT_FALSE(parseWholeNumber("-2147483649", i));
+    EXPECT_FALSE(parseWholeNumber("99999999999999999999", i));
+    EXPECT_EQ(i, 99);  // untouched on failure
+
+    std::uint64_t u = 99;
+    EXPECT_FALSE(parseWholeNumber("-1", u));
+    EXPECT_FALSE(parseWholeNumber("+1", u));
+    EXPECT_FALSE(parseWholeNumber("18446744073709551616", u));
+    EXPECT_FALSE(parseWholeNumber("7 ", u));
+    EXPECT_EQ(u, 99u);
+}
+
 } // namespace
 } // namespace naspipe

@@ -184,6 +184,36 @@ TEST(FaultPlan, SeededPlanIsAPureFunctionOfItsArguments)
     EXPECT_NE(seqA, seqC);
 }
 
+TEST(FaultPlan, ParseAcceptsWellFormedSpecs)
+{
+    FaultSpec spec;
+    std::string error;
+    ASSERT_TRUE(parseFaultSpec("crash@13,stage=2", spec, &error))
+        << error;
+    EXPECT_EQ(spec.kind, FaultKind::GpuCrash);
+    EXPECT_EQ(spec.atStep, 13);
+    EXPECT_EQ(spec.stage, 2);
+    ASSERT_TRUE(parseFaultSpec("stall@0,ms=2.5", spec, &error))
+        << error;
+    EXPECT_EQ(spec.atStep, 0);
+    EXPECT_DOUBLE_EQ(spec.durationMs, 2.5);
+}
+
+TEST(FaultPlan, ParseRejectsMalformed)
+{
+    // 2^32 + 1 used to wrap to a crash at step 1.
+    for (const char *text :
+         {"crash@4294967297", "crash@2147483648", "crash@3x",
+          "crash@2.5", "crash@0x10", "crash@-1", "crash@",
+          "crash@4,stage=1x", "crash@4,stage=4294967297",
+          "crash@4,stage=-1"}) {
+        FaultSpec spec;
+        std::string error;
+        EXPECT_FALSE(parseFaultSpec(text, spec, &error)) << text;
+        EXPECT_FALSE(error.empty()) << text;
+    }
+}
+
 TEST(FaultPlan, InjectorFiresEachSpecExactlyOnce)
 {
     FaultSpec crash;

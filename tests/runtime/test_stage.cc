@@ -19,7 +19,7 @@ struct StageFixture : ::testing::Test {
             return std::pair<int, int>{0, 1};
         };
         hooks.upstreamWritesDone = [](SubnetId) { return true; };
-        stage = std::make_unique<Stage>(sim, space, gpu, 0, 4,
+        stage = std::make_unique<Stage>(space, gpu, 0, 4,
                                         MemoryMode::PredictivePrefetch,
                                         std::move(hooks));
     }
@@ -93,7 +93,7 @@ TEST(StageHooks, MissingHooksPanic)
     SearchSpace space = makeTinySpace();
     Gpu gpu(sim, 0, GpuConfig{});
     Stage::Hooks empty;
-    EXPECT_THROW(Stage(sim, space, gpu, 0, 2,
+    EXPECT_THROW(Stage(space, gpu, 0, 2,
                        MemoryMode::AllResident, std::move(empty)),
                  std::logic_error);
 }

@@ -78,6 +78,21 @@ TEST(ServeJobSpec, ParseErrors)
     EXPECT_NE(why.find("bad fault"), std::string::npos);
 }
 
+TEST(ServeJobSpec, ParseRejectsMalformed)
+{
+    // Each of these used to be accepted with a silently changed value
+    // (32, 2, 0, 2^64 - 1 and a crash at step 1 respectively).
+    for (const char *text :
+         {"steps=32x", "priority=2.5", "window=0x10", "seed=-1",
+          "fault=crash@4294967297", "steps=4294967297", "ckpt= 4",
+          "retries=+2"}) {
+        JobSpec spec;
+        std::string why;
+        EXPECT_FALSE(parseJobSpec(text, spec, &why)) << text;
+        EXPECT_FALSE(why.empty()) << text;
+    }
+}
+
 TEST(ServeJobSpec, ValidateAcceptsDefaults)
 {
     JobSpec spec;

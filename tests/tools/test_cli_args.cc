@@ -1,16 +1,17 @@
 /**
  * @file
- * naspipe_cli argument-parsing and exit-code contract tests. Each
- * case launches the real binary (path injected by CMake as
- * NASPIPE_CLI_PATH) and checks the documented exit codes: 0 success,
- * 2 argument error / OOM, 3 run failure, 4 CSP verification failure,
- * 5 recovery retries exhausted.
+ * naspipe_cli and naspipe_serve argument-parsing and exit-code
+ * contract tests. Each case launches the real binary (paths injected
+ * by CMake as NASPIPE_CLI_PATH and NASPIPE_SERVE_PATH) and checks the
+ * documented exit codes: 0 success, 2 argument error / OOM, 3 run
+ * failure, 4 CSP verification failure, 5 recovery retries exhausted.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdio>
+#include <fstream>
 #include <string>
 
 namespace {
@@ -21,10 +22,9 @@ struct CliResult {
 };
 
 CliResult
-runCli(const std::string &args)
+runBinary(const char *path, const std::string &args)
 {
-    std::string command =
-        std::string(NASPIPE_CLI_PATH) + " " + args + " 2>&1";
+    std::string command = std::string(path) + " " + args + " 2>&1";
     CliResult result;
     FILE *pipe = popen(command.c_str(), "r");
     EXPECT_NE(pipe, nullptr) << command;
@@ -36,6 +36,18 @@ runCli(const std::string &args)
     int status = pclose(pipe);
     result.exitCode = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
     return result;
+}
+
+CliResult
+runCli(const std::string &args)
+{
+    return runBinary(NASPIPE_CLI_PATH, args);
+}
+
+CliResult
+runServe(const std::string &args)
+{
+    return runBinary(NASPIPE_SERVE_PATH, args);
 }
 
 } // namespace
@@ -212,4 +224,47 @@ TEST(CliArgs, ThreadsMissingResumeCheckpointExitsThree)
                          "--resume /nonexistent/run.ckpt");
     EXPECT_EQ(r.exitCode, 3);
     EXPECT_NE(r.output.find("error:"), std::string::npos);
+}
+
+TEST(ServeArgs, HelpExitsZero)
+{
+    CliResult r = runServe("--help");
+    EXPECT_EQ(r.exitCode, 0);
+    EXPECT_NE(r.output.find("usage:"), std::string::npos);
+}
+
+TEST(ServeArgs, MalformedJobValueExitsTwo)
+{
+    CliResult r = runServe("--job steps=32x");
+    EXPECT_EQ(r.exitCode, 2) << r.output;
+    EXPECT_NE(r.output.find("steps"), std::string::npos);
+}
+
+TEST(ServeArgs, TruncatedJobsFileExitsTwoNamingTheLine)
+{
+    std::string path = ::testing::TempDir() + "naspipe_serve_jobs.txt";
+    {
+        std::ofstream out(path, std::ios::trunc);
+        out << "name=a,space=CV.c1,seed=3,steps=8\n"
+            << "name=b,space=CV.c1,se";  // cut mid-spec
+    }
+    CliResult r = runServe("--gpus 2 --jobs " + path);
+    EXPECT_EQ(r.exitCode, 2) << r.output;
+    EXPECT_NE(r.output.find("line 2"), std::string::npos) << r.output;
+    std::remove(path.c_str());
+}
+
+TEST(ServeArgs, MissingJobsFileExitsTwo)
+{
+    CliResult r = runServe("--jobs /nonexistent/jobs.txt");
+    EXPECT_EQ(r.exitCode, 2) << r.output;
+    EXPECT_NE(r.output.find("cannot open"), std::string::npos);
+}
+
+TEST(ServeArgs, TransientJobFaultExitsTwo)
+{
+    // Stalls slow a shared worker and so every tenant: only fail-stop
+    // faults are job-scoped.
+    CliResult r = runServe("--job fault=stall@3");
+    EXPECT_EQ(r.exitCode, 2) << r.output;
 }

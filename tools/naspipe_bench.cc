@@ -606,12 +606,20 @@ main(int argc, char **argv)
                 fatal("missing value for ", arg);
             return argv[++i];
         };
+        auto intValue = [&](int lo) {
+            const char *text = value();
+            int n = 0;
+            if (!parseWholeNumber(text, n) || n < lo)
+                fatal("bad value '", text, "' for ", arg, " (want >= ",
+                      lo, ")");
+            return n;
+        };
         if (arg == "--out")
             opt.outPath = value();
         else if (arg == "--pr")
-            opt.pr = std::atoi(value());
+            opt.pr = intValue(0);
         else if (arg == "--steps")
-            opt.steps = std::atoi(value());
+            opt.steps = intValue(1);
         else if (arg == "--smoke")
             opt.smoke = true;
         else if (arg == "--quiet")

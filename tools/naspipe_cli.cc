@@ -118,27 +118,6 @@ argError(const char *argv0, const std::string &message)
     std::exit(2);
 }
 
-/** Strict base-10 integer parse: the whole string or nothing. */
-bool
-parseWholeLong(const char *text, long &out)
-{
-    if (!text || *text == '\0')
-        return false;
-    char *end = nullptr;
-    out = std::strtol(text, &end, 10);
-    return end && *end == '\0';
-}
-
-bool
-parseWholeU64(const char *text, std::uint64_t &out)
-{
-    if (!text || *text == '\0' || *text == '-')
-        return false;
-    char *end = nullptr;
-    out = std::strtoull(text, &end, 10);
-    return end && *end == '\0';
-}
-
 SystemModel
 systemByName(const std::string &name, int staleness)
 {
@@ -190,10 +169,10 @@ main(int argc, char **argv)
                 argError(argv[0], "missing value for " + arg);
             return argv[++i];
         };
-        auto intValue = [&](long lo, long hi) -> long {
+        auto intValue = [&](int lo, int hi) -> int {
             const char *text = value();
-            long n = 0;
-            if (!parseWholeLong(text, n) || n < lo || n > hi) {
+            int n = 0;
+            if (!parseWholeNumber(text, n) || n < lo || n > hi) {
                 argError(argv[0], "bad value '" + std::string(text) +
                                       "' for " + arg + " (want " +
                                       std::to_string(lo) + ".." +
@@ -206,21 +185,21 @@ main(int argc, char **argv)
         else if (arg == "--system")
             systemName = value();
         else if (arg == "--gpus")
-            gpus = static_cast<int>(intValue(1, 1024));
+            gpus = intValue(1, 1024);
         else if (arg == "--steps")
-            steps = static_cast<int>(intValue(1, 1000000));
+            steps = intValue(1, 1000000);
         else if (arg == "--seed") {
             const char *text = value();
-            if (!parseWholeU64(text, seed)) {
+            if (!parseWholeNumber(text, seed)) {
                 argError(argv[0], "bad value '" + std::string(text) +
                                       "' for --seed");
             }
         } else if (arg == "--batch")
-            batch = static_cast<int>(intValue(0, 1 << 20));
+            batch = intValue(0, 1 << 20);
         else if (arg == "--staleness")
-            staleness = static_cast<int>(intValue(0, 1 << 20));
+            staleness = intValue(0, 1 << 20);
         else if (arg == "--hybrid")
-            hybrid = static_cast<int>(intValue(0, 1 << 20));
+            hybrid = intValue(0, 1 << 20);
         else if (arg == "--executor") {
             executorName = value();
             if (executorName != "sim" && executorName != "threads") {
@@ -238,12 +217,11 @@ main(int argc, char **argv)
             }
         }
         else if (arg == "--ckpt-interval")
-            ckptInterval = static_cast<int>(intValue(0, 1000000));
+            ckptInterval = intValue(0, 1000000);
         else if (arg == "--recovery-retries")
-            recoveryRetries = static_cast<int>(intValue(0, 1000));
+            recoveryRetries = intValue(0, 1000);
         else if (arg == "--watchdog-interval-ms")
-            watchdogIntervalMs =
-                static_cast<int>(intValue(1, 60000));
+            watchdogIntervalMs = intValue(1, 60000);
         else if (arg == "--inject-fault") {
             FaultSpec spec;
             std::string why;

@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "common/string_util.h"
 #include "common/table.h"
 #include "obs/metrics_registry.h"
 #include "serve/service.h"
@@ -76,16 +77,6 @@ argError(const char *argv0, const std::string &message)
     std::fprintf(stderr, "error: %s\n", message.c_str());
     usage(argv0);
     std::exit(2);
-}
-
-bool
-parseWholeLong(const char *text, long &out)
-{
-    if (!text || *text == '\0')
-        return false;
-    char *end = nullptr;
-    out = std::strtol(text, &end, 10);
-    return end && *end == '\0';
 }
 
 std::string
@@ -130,9 +121,9 @@ main(int argc, char **argv)
                 argError(argv[0], arg + " needs a value");
             return argv[++i];
         };
-        auto intValue = [&](long lo, long hi) {
-            long v = 0;
-            if (!parseWholeLong(nextValue(), v) || v < lo ||
+        auto intValue = [&](int lo, int hi) {
+            int v = 0;
+            if (!parseWholeNumber(nextValue(), v) || v < lo ||
                 v > hi) {
                 argError(argv[0], arg + " needs an integer in [" +
                                       std::to_string(lo) + ", " +
@@ -144,11 +135,11 @@ main(int argc, char **argv)
             usage(argv[0]);
             return 0;
         } else if (arg == "--gpus") {
-            gpus = static_cast<int>(intValue(1, 512));
+            gpus = intValue(1, 512);
         } else if (arg == "--max-inflight") {
-            maxInflight = static_cast<int>(intValue(0, 100000));
+            maxInflight = intValue(0, 100000);
         } else if (arg == "--watchdog-interval-ms") {
-            watchdogIntervalMs = static_cast<int>(intValue(1, 60000));
+            watchdogIntervalMs = intValue(1, 60000);
         } else if (arg == "--job") {
             serve::JobSpec spec;
             std::string why;
