@@ -1,9 +1,10 @@
 /**
  * @file
  * google-benchmark micro-benchmarks of the numeric training plane:
- * the per-layer surrogate math, whole-subnet training steps and
- * checkpoint serialization. The numeric plane must stay cheap next
- * to the event simulation so full evaluation sweeps run in seconds.
+ * the per-layer surrogate math, whole-subnet training steps,
+ * checkpoint serialization and the post-run search. The numeric
+ * plane must stay cheap next to the event simulation so full
+ * evaluation sweeps run in seconds.
  */
 
 #include <benchmark/benchmark.h>
@@ -13,6 +14,7 @@
 
 #include "supernet/sampler.h"
 #include "tensor/kernels/reduce.h"
+#include "train/convergence.h"
 #include "train/numeric_executor.h"
 
 namespace naspipe {
@@ -29,8 +31,36 @@ BM_LayerForward(benchmark::State &state)
         layerForward(params, in, out);
         benchmark::DoNotOptimize(out.data().data());
     }
+    state.SetItemsProcessed(state.iterations());  // columns
 }
 BENCHMARK(BM_LayerForward);
+
+void
+BM_LayerForward4(benchmark::State &state)
+{
+    // Items are columns, so items_per_second compares directly with
+    // BM_LayerForward's.
+    LayerParams params;
+    initLayerParams(params, 3, 0, 0);
+    float in[kForwardColumns][kLayerDim];
+    float out[kForwardColumns][kLayerDim];
+    const float *inCols[kForwardColumns];
+    float *outCols[kForwardColumns];
+    for (std::size_t c = 0; c < kForwardColumns; c++) {
+        for (std::size_t i = 0; i < kLayerDim; i++)
+            in[c][i] = 0.25f + 0.125f * static_cast<float>(c);
+        inCols[c] = in[c];
+        outCols[c] = out[c];
+    }
+    for (auto _ : state) {
+        layerForward4(params, inCols, outCols);
+        benchmark::DoNotOptimize(outCols);
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(kForwardColumns));
+}
+BENCHMARK(BM_LayerForward4);
 
 void
 BM_LayerBackward(benchmark::State &state)
@@ -80,6 +110,33 @@ BM_EvaluateSubnet(benchmark::State &state)
         benchmark::DoNotOptimize(exec.evaluate(sn, 42));
 }
 BENCHMARK(BM_EvaluateSubnet);
+
+void
+BM_Search(benchmark::State &state)
+{
+    // The post-run search of a 4096-subnet NLP.c1 run on range(0)
+    // threads. The weights' values do not change the cost, so the
+    // store is materialized untrained.
+    SearchSpace space = makeSpaceByName("NLP.c1");
+    ParameterStore store(space, 7);
+    store.materializeAll();
+    NumericExecutor exec(store, NumericExecutor::Config{});
+    UniformSampler sampler(space, 13);
+    std::vector<Subnet> candidates;
+    for (int i = 0; i < 4096; i++)
+        candidates.push_back(sampler.next());
+    const int threads = static_cast<int>(state.range(0));
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            searchBestSubnet(exec, candidates, 24.0, 4242, threads));
+    }
+    state.SetItemsProcessed(state.iterations() * 4096);  // candidates
+}
+BENCHMARK(BM_Search)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void
 BM_SupernetHash(benchmark::State &state)

@@ -191,7 +191,7 @@ float
 Philox4x32::uniformFloat(std::uint64_t counter, unsigned lane) const
 {
     NASPIPE_ASSERT(lane < 4, "Philox lane out of range");
-    return static_cast<float>(block(counter)[lane] >> 8) * 0x1.0p-24f;
+    return toUniformFloat(block(counter)[lane]);
 }
 
 std::uint64_t

@@ -111,6 +111,16 @@ class Philox4x32
     /** Uniform float in [0,1) derived from (counter, lane). */
     float uniformFloat(std::uint64_t counter, unsigned lane = 0) const;
 
+    /**
+     * The uniform float in [0,1) of one block word: uniformFloat(c, l)
+     * is toUniformFloat(block(c)[l]), so a caller that needs several
+     * lanes of one counter runs the 10 rounds once.
+     */
+    static float toUniformFloat(std::uint32_t word)
+    {
+        return static_cast<float>(word >> 8) * 0x1.0p-24f;
+    }
+
   private:
     std::uint64_t _key;
 };

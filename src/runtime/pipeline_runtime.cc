@@ -89,6 +89,8 @@ struct PipelineRuntime::Impl : ExecutionBackend {
     bool canAdmit(SubnetId next) const override;
     void admit(SubnetId id) override;
     void restoreCompleted(SubnetId id) override;
+    /** The modelled stages own no cores: search on this thread. */
+    int searchThreads(int) const override { return 1; }
 
     void buildPhase();
     bool upstreamWritesDone(int stage, SubnetId id) const;

@@ -157,6 +157,11 @@ class ServeJob : public ExecutionBackend
     bool canAdmit(SubnetId next) const override;
     void admit(SubnetId id) override;
     void restoreCompleted(SubnetId id) override;
+    /**
+     * The stage pool keeps serving other tenants while this job
+     * finishes, so its search runs on the coordinator alone.
+     */
+    int searchThreads(int) const override { return 1; }
     /** @} */
 
     /**

@@ -518,9 +518,11 @@ TrainingSession::collect(double totalSeconds, double busyTotal)
         }
         m.causalViolations = violations;
 
+        NASPIPE_ASSERT(_backend, "no execution backend attached");
         SearchResult search =
             searchBestSubnet(*_exec, out.sampled, _scoreScale,
-                             deriveSeed(_config.seed, "search"));
+                             deriveSeed(_config.seed, "search"),
+                             _backend->searchThreads(_numStages));
         out.bestSubnet = search.best.id();
         out.searchAccuracy = search.accuracy;
     }

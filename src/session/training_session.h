@@ -82,6 +82,20 @@ class ExecutionBackend
      * updates; the backend must NOT re-execute anything.
      */
     virtual void restoreCompleted(SubnetId id) = 0;
+
+    /**
+     * Threads collect()'s post-run search may fan candidates out
+     * over. collect() runs after the executor drained, so by default
+     * the search borrows one thread per idle stage plus the
+     * coordinator's own. A backend whose stages are not cores it
+     * owns — the simulator's modelled GPUs, a serve job's shared
+     * pool — returns 1. The search result is the same at any count.
+     */
+    virtual int
+    searchThreads(int numStages) const
+    {
+        return numStages + 1;
+    }
 };
 
 /**
@@ -248,7 +262,8 @@ class TrainingSession
      * losses, sampled subnets, store, trace, throughput, memory
      * plan figures, checkpoint accounting, the trailing-window final
      * loss, the convergence curve, the supernet hash, the causal
-     * audit, the fault counters, and the post-training search.
+     * audit, the fault counters, and the post-training search (on
+     * the attached backend's searchThreads()).
      * @p totalSeconds and @p busyTotal are absolute run totals; the
      * executor then fills in its own timing and cache specifics.
      */

@@ -83,6 +83,28 @@ layerForward(LayerParamsView params, ConstTensorView input,
 }
 
 void
+layerForward4(LayerParamsView params,
+              const float *const input[kForwardColumns],
+              float *const output[kForwardColumns])
+{
+    NASPIPE_ASSERT(params.weight.size() == kLayerDim &&
+                       params.bias.size() == kLayerDim,
+                   "layer forward shape mismatch");
+    const float *weight = params.weight.data();
+    const float *bias = params.bias.data();
+    for (std::size_t i = 0; i < kLayerDim; i++) {
+        float w = weight[i];
+        float mix = kMixCoeff * weight[(i + 1) % kLayerDim];
+        float b = bias[i];
+        for (std::size_t c = 0; c < kForwardColumns; c++) {
+            float a = input[c][i];
+            float z = w * a + mix + b;
+            output[c][i] = a + kResidual * std::tanh(z);
+        }
+    }
+}
+
+void
 layerBackward(LayerParamsView params, ConstTensorView input,
               ConstTensorView gradOutput, TensorView gradInput,
               LayerGradsView grads)

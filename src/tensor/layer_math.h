@@ -119,6 +119,24 @@ void initLayerParams(LayerParams &params, std::uint64_t seed,
 void layerForward(LayerParamsView params, ConstTensorView input,
                   TensorView output);
 
+/** Columns layerForward4 pushes through a layer in one call. */
+constexpr std::size_t kForwardColumns = 4;
+
+/**
+ * layerForward over kForwardColumns independent activation columns at
+ * once: each weight and bias is read once and the mixing term
+ * kMix * w_{i+1} is computed once for all columns. Every column is
+ * bitwise equal to layerForward on that column alone — z_i keeps
+ * layerForward's association, (w_i * a_i + kMix * w_{i+1}) + b_i, so
+ * no partial sum (such as mix + b) may be hoisted out of the column
+ * loop.
+ * @param input kLayerDim floats per column
+ * @param output kLayerDim floats per column; must not alias any input
+ */
+void layerForward4(LayerParamsView params,
+                   const float *const input[kForwardColumns],
+                   float *const output[kForwardColumns]);
+
 /**
  * Backward pass: exact gradients of layerForward.
  * @param params parameters used for the recomputation

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/fan_out.h"
 #include "common/logging.h"
 #include "tensor/loss.h"
 
@@ -101,15 +102,39 @@ defaultScoreScale(SpaceFamily family)
 SearchResult
 searchBestSubnet(NumericExecutor &executor,
                  const std::vector<Subnet> &candidates,
-                 double scoreScale, std::uint64_t evalSeed)
+                 double scoreScale, std::uint64_t evalSeed, int threads)
 {
     NASPIPE_ASSERT(!candidates.empty(),
                    "search needs at least one candidate");
+    NASPIPE_ASSERT(threads >= 1, "search needs at least one thread");
+    // Workers only find() layers, which never inserts, so every
+    // candidate layer is materialized first, sequentially — unless
+    // the whole supernet already is, as after a run (collect() hashes
+    // every layer).
+    ParameterStore &store = executor.store();
+    if (!store.fullyMaterialized()) {
+        for (const Subnet &candidate : candidates)
+            store.materializeLayers(candidate);
+    }
+    const NumericExecutor::EvalSet evalSet =
+        executor.makeEvalSet(evalSeed);
+    std::vector<float> losses(candidates.size());
+    fanOutRanges(candidates.size(), threads,
+                 [&](std::size_t lo, std::size_t hi) {
+                     for (std::size_t i = lo; i < hi; i++) {
+                         losses[i] =
+                             executor.evaluate(candidates[i], evalSet);
+                     }
+                 });
+
+    // The argmin reduces in candidate order on the caller, exactly
+    // as a single sequential loop would.
     SearchResult out;
     out.allEvalLosses.reserve(candidates.size());
     bool haveBest = false;
-    for (const Subnet &candidate : candidates) {
-        float loss = executor.evaluate(candidate, evalSeed);
+    for (std::size_t i = 0; i < candidates.size(); i++) {
+        const Subnet &candidate = candidates[i];
+        float loss = losses[i];
         out.allEvalLosses.push_back(loss);
         bool better =
             !haveBest || loss < out.bestEvalLoss ||

@@ -86,12 +86,16 @@ struct SearchResult {
 /**
  * Evaluate @p candidates against the trained store and return the
  * best (lowest held-out loss); ties break on the lower sequence ID so
- * the search itself is deterministic.
+ * the search itself is deterministic. Candidates fan out over
+ * @p threads threads in contiguous ID ranges (the caller runs the
+ * first); the result is bitwise the same at every thread count. The
+ * store must not be written during the call.
  */
 SearchResult searchBestSubnet(NumericExecutor &executor,
                               const std::vector<Subnet> &candidates,
                               double scoreScale,
-                              std::uint64_t evalSeed = 4242);
+                              std::uint64_t evalSeed = 4242,
+                              int threads = 1);
 
 } // namespace naspipe
 

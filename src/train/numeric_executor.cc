@@ -52,6 +52,13 @@ NumericExecutor::NumericExecutor(ParameterStore &store,
                    "gradient noise must be non-negative");
     NASPIPE_ASSERT(config.precision == store.precision(),
                    "executor/store precision mismatch");
+    // Lanes 0 and 1 of one Philox block per element.
+    Philox4x32 philox(deriveSeed(config.dataSeed, "teacher"));
+    for (std::size_t i = 0; i < kLayerDim; i++) {
+        Philox4x32::Block block = philox.block(i);
+        _teacherA[i] = 0.5f + Philox4x32::toUniformFloat(block[0]);
+        _teacherB[i] = Philox4x32::toUniformFloat(block[1]) - 0.5f;
+    }
 }
 
 void
@@ -65,28 +72,22 @@ NumericExecutor::fillDigest(TensorView out, SubnetId id,
         out[i] = 2.0f * philox.uniformFloat(base + i) - 1.0f;
 }
 
-namespace {
-
 /**
  * The fixed "teacher": targets are a deterministic elementwise map
  * of the input, shared across every training step. All subnets
  * therefore learn toward the same underlying function and shared
  * layers accumulate consistent signal — the supernet genuinely
- * converges instead of chasing per-step random targets.
+ * converges instead of chasing per-step random targets. The
+ * coefficients a_i in (0.5, 1.5) and b_i in (-0.5, 0.5) are drawn in
+ * the constructor.
  */
 void
-fillTeacherTarget(TensorView out, ConstTensorView input,
-                  std::uint64_t dataSeed)
+NumericExecutor::fillTeacherTarget(TensorView out,
+                                   ConstTensorView input) const
 {
-    Philox4x32 philox(deriveSeed(dataSeed, "teacher"));
-    for (std::size_t i = 0; i < kLayerDim; i++) {
-        float a = 0.5f + philox.uniformFloat(i, 0);         // (0.5,1.5)
-        float b = philox.uniformFloat(i, 1) - 0.5f;         // (-.5,.5)
-        out[i] = std::tanh(a * input[i] + b);
-    }
+    for (std::size_t i = 0; i < kLayerDim; i++)
+        out[i] = std::tanh(_teacherA[i] * input[i] + _teacherB[i]);
 }
-
-} // namespace
 
 void
 NumericExecutor::beginSubnet(const Subnet &subnet)
@@ -109,7 +110,7 @@ NumericExecutor::beginSubnet(const Subnet &subnet)
                                     ctx.arena.allocVector(kLayerDim));
     fillDigest(ctx.act[0], subnet.id(), "input", 0);
     quantizeStored(ctx.act[0]);
-    fillTeacherTarget(ctx.target, ctx.act[0], _config.dataSeed);
+    fillTeacherTarget(ctx.target, ctx.act[0]);
     quantizeStored(ctx.target);
     ctx.bwdProgress = subnet.size() - 1;
     std::unique_lock<RankedSharedMutex> lock(_ctxMu);
@@ -324,39 +325,70 @@ NumericExecutor::trainSequential(const Subnet &subnet)
     return finishSubnet(subnet);
 }
 
-float
-NumericExecutor::evaluate(const Subnet &subnet, std::uint64_t evalSeed,
-                          int evalBatches)
+NumericExecutor::EvalSet
+NumericExecutor::makeEvalSet(std::uint64_t evalSeed) const
 {
-    NASPIPE_ASSERT(evalBatches > 0, "need >= 1 eval batch");
     Philox4x32 philox(deriveSeed(evalSeed, "eval"));
-    std::vector<float> losses(static_cast<std::size_t>(evalBatches));
-    Tensor act(kLayerDim);
-    Tensor next(kLayerDim);
-    Tensor target(kLayerDim);
-    for (int e = 0; e < evalBatches; e++) {
-        std::uint64_t base = static_cast<std::uint64_t>(e) * 2 *
-                             kLayerDim;
+    EvalSet set{};
+    for (std::size_t e = 0; e < kEvalBatches; e++) {
+        TensorView input(set.input[e].data(), kLayerDim);
+        TensorView target(set.target[e].data(), kLayerDim);
+        std::uint64_t base = e * 2 * kLayerDim;
         for (std::size_t i = 0; i < kLayerDim; i++)
-            act[i] = 2.0f * philox.uniformFloat(base + i) - 1.0f;
-        quantizeStored(act);
+            input[i] = 2.0f * philox.uniformFloat(base + i) - 1.0f;
+        quantizeStored(input);
         // Held-out inputs, same teacher: a real generalization probe.
-        fillTeacherTarget(target, act, _config.dataSeed);
+        fillTeacherTarget(target, input);
         quantizeStored(target);
-        for (int b = 0; b < subnet.size(); b++) {
-            if (!_store.space().parameterized(b, subnet.choice(b)))
-                continue;  // identity passthrough
-            layerForward(_store.peek(subnet.layer(b)), act, next);
-            quantizeStored(next);
-            std::swap(act.data(), next.data());
+    }
+    return set;
+}
+
+float
+NumericExecutor::evaluate(const Subnet &subnet,
+                          const EvalSet &evalSet) const
+{
+    static_assert(kEvalBatches == kForwardColumns,
+                  "one layerForward4 call carries every eval batch");
+    // Each batch ping-pongs between two stack buffers; before the
+    // first parameterized layer the activations are the eval inputs.
+    float buffers[2][kEvalBatches][kLayerDim];
+    const float *act[kEvalBatches];
+    float *next[kEvalBatches];
+    for (std::size_t e = 0; e < kEvalBatches; e++)
+        act[e] = evalSet.input[e].data();
+    int side = 0;
+    for (int b = 0; b < subnet.size(); b++) {
+        if (!_store.space().parameterized(b, subnet.choice(b)))
+            continue;  // identity passthrough
+        for (std::size_t e = 0; e < kEvalBatches; e++)
+            next[e] = buffers[side][e];
+        layerForward4(_store.find(subnet.layer(b)), act, next);
+        for (std::size_t e = 0; e < kEvalBatches; e++) {
+            quantizeStored(TensorView(next[e], kLayerDim));
+            act[e] = next[e];
         }
-        losses[static_cast<std::size_t>(e)] = kernels::quantize(
-            _config.precision, mseLoss(act, target));
+        side ^= 1;
+    }
+    float losses[kEvalBatches];
+    for (std::size_t e = 0; e < kEvalBatches; e++) {
+        losses[e] = kernels::quantize(
+            _config.precision,
+            mseLoss(ConstTensorView(act[e], kLayerDim),
+                    ConstTensorView(evalSet.target[e].data(),
+                                    kLayerDim)));
     }
     // Batch losses combine in the same fixed tree as every other
     // reduction; no raw float accumulation outside the kernel layer.
-    return kernels::treeSum(losses.data(), losses.size()) /
-           static_cast<float>(evalBatches);
+    return kernels::treeSum(losses, kEvalBatches) /
+           static_cast<float>(kEvalBatches);
+}
+
+float
+NumericExecutor::evaluate(const Subnet &subnet, std::uint64_t evalSeed)
+{
+    _store.materializeLayers(subnet);
+    return evaluate(subnet, makeEvalSet(evalSeed));
 }
 
 double

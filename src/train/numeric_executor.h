@@ -34,6 +34,7 @@
 #ifndef NASPIPE_TRAIN_NUMERIC_EXECUTOR_H
 #define NASPIPE_TRAIN_NUMERIC_EXECUTOR_H
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <shared_mutex>
@@ -139,12 +140,35 @@ class NumericExecutor
      */
     float trainSequential(const Subnet &subnet);
 
+    /** Held-out batches every candidate is scored on. */
+    static constexpr std::size_t kEvalBatches = 4;
+
     /**
-     * Evaluation-only loss of @p subnet on @p evalBatches held-out
-     * digests (no logging, no updates). Used for subnet scoring.
+     * The held-out data of one search: kEvalBatches quantized inputs
+     * and their teacher targets. It depends on the eval seed, the
+     * data seed and the precision, never on the candidate, so a
+     * search builds it once and scores every candidate against it.
      */
-    float evaluate(const Subnet &subnet, std::uint64_t evalSeed,
-                   int evalBatches = 4);
+    struct EvalSet {
+        std::array<std::array<float, kLayerDim>, kEvalBatches> input;
+        std::array<std::array<float, kLayerDim>, kEvalBatches> target;
+    };
+
+    /** Build the eval set of @p evalSeed. */
+    EvalSet makeEvalSet(std::uint64_t evalSeed) const;
+
+    /**
+     * Evaluation-only loss of @p subnet on @p evalSet (no logging, no
+     * updates): the mean of the per-batch losses, all batches pushed
+     * through each layer by one layerForward4 call. The subnet's
+     * layers must already be materialized (ParameterStore::
+     * materializeLayers); the store is only read through the const
+     * find(), so concurrent calls are safe while nothing writes it.
+     */
+    float evaluate(const Subnet &subnet, const EvalSet &evalSet) const;
+
+    /** Single-candidate wrapper: materialize, build, evaluate. */
+    float evaluate(const Subnet &subnet, std::uint64_t evalSeed);
 
     /** Losses of finished subnets in completion order. */
     const std::vector<float> &lossHistory() const
@@ -200,6 +224,8 @@ class NumericExecutor
     };
 
     SubnetContext &context(SubnetId id);
+    /** The teacher map of @p input: tanh(a_i * input_i + b_i). */
+    void fillTeacherTarget(TensorView out, ConstTensorView input) const;
     void fillDigest(TensorView out, SubnetId id, const char *tag,
                     std::uint64_t salt) const;
     void applyUpdate(const Subnet &subnet, int block,
@@ -215,6 +241,10 @@ class NumericExecutor
     ParameterStore &_store;
     Config _config;
     SgdOptimizer _optimizer;
+    /// The teacher's per-element coefficients, drawn once from the
+    /// data seed (see fillTeacherTarget).
+    std::array<float, kLayerDim> _teacherA{};
+    std::array<float, kLayerDim> _teacherB{};
     /// Guards the _contexts *map structure* (begin/finish insert and
     /// erase; stage workers look contexts up concurrently). A context
     /// body needs no lock: the pipeline token moves a subnet between

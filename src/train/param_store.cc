@@ -89,6 +89,24 @@ ParameterStore::peek(const LayerId &layer)
     return materialize(layer);
 }
 
+const LayerParams &
+ParameterStore::find(const LayerId &layer) const
+{
+    auto it = _params.find(layer.key());
+    NASPIPE_ASSERT(it != _params.end(), "layer (", layer.block, ",",
+                   layer.choice, ") read before it was materialized");
+    return it->second;
+}
+
+void
+ParameterStore::materializeLayers(const Subnet &subnet)
+{
+    for (int b = 0; b < subnet.size(); b++) {
+        if (_space.parameterized(b, subnet.choice(b)))
+            materialize(subnet.layer(b));
+    }
+}
+
 void
 ParameterStore::materializeAll()
 {

@@ -61,8 +61,19 @@ class ParameterStore
     LayerParams &write(const LayerId &layer, SubnetId writer,
                        int stage = -1);
 
-    /** Peek without logging (evaluation, tests). */
+    /** Peek without logging (recompute backward, tests). */
     const LayerParams &peek(const LayerId &layer);
+
+    /**
+     * Peek that never materializes: a plain lookup of a layer that
+     * must already exist. It leaves the map structure untouched, so
+     * any number of threads may call it while no thread mutates the
+     * store (the post-run search's candidate fan-out).
+     */
+    const LayerParams &find(const LayerId &layer) const;
+
+    /** Materialize every parameterized layer of @p subnet. */
+    void materializeLayers(const Subnet &subnet);
 
     /**
      * Materialize every layer of the space (and pre-fill its version
@@ -93,6 +104,14 @@ class ParameterStore
 
     /** Number of materialized layers. */
     std::size_t materializedLayers() const { return _params.size(); }
+
+    /** Whether every layer of the space is materialized. */
+    bool fullyMaterialized() const
+    {
+        return _params.size() ==
+               static_cast<std::size_t>(_space.numBlocks()) *
+                   static_cast<std::size_t>(_space.choicesPerBlock());
+    }
 
     /** @name Checkpointing
      * Persist the trained supernet for post-training analysis (the

@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cfloat>
 #include <cmath>
+#include <cstring>
 
+#include "common/rng.h"
+#include "tensor/kernels/precision.h"
 #include "tensor/layer_math.h"
 
 namespace naspipe {
@@ -176,6 +181,164 @@ TEST(LayerMath, ScalarCount)
 {
     LayerParams p;
     EXPECT_EQ(p.scalarCount(), 2 * kLayerDim);
+}
+
+// --- layerForward4: every column bitwise equal to layerForward -----
+
+using Columns = std::array<std::array<float, kLayerDim>, kForwardColumns>;
+
+std::uint32_t
+bitsOf(float value)
+{
+    std::uint32_t bits;
+    std::memcpy(&bits, &value, sizeof bits);
+    return bits;
+}
+
+/** Uniform float in [lo, hi) from @p rng. */
+float
+draw(Xoshiro256StarStar &rng, float lo, float hi)
+{
+    return lo + (hi - lo) * rng.nextFloat();
+}
+
+/** Random layer: weights in ±wMax, biases in ±bMax. */
+LayerParams
+randomLayer(Xoshiro256StarStar &rng, float wMax, float bMax)
+{
+    LayerParams p;
+    for (std::size_t i = 0; i < kLayerDim; i++) {
+        p.weight[i] = draw(rng, -wMax, wMax);
+        p.bias[i] = draw(rng, -bMax, bMax);
+    }
+    return p;
+}
+
+Columns
+randomColumns(Xoshiro256StarStar &rng, float aMax)
+{
+    Columns cols;
+    for (auto &col : cols) {
+        for (float &a : col)
+            a = draw(rng, -aMax, aMax);
+    }
+    return cols;
+}
+
+/**
+ * Push @p cols through layerForward4 and each column alone through
+ * layerForward; every output float must carry the same bits (so +0
+ * and -0 count as different).
+ */
+void
+expectColumnsMatch(const LayerParams &params, const Columns &cols)
+{
+    Columns got;
+    const float *in[kForwardColumns];
+    float *out[kForwardColumns];
+    for (std::size_t c = 0; c < kForwardColumns; c++) {
+        in[c] = cols[c].data();
+        out[c] = got[c].data();
+    }
+    layerForward4(params, in, out);
+    for (std::size_t c = 0; c < kForwardColumns; c++) {
+        Tensor want(kLayerDim);
+        layerForward(params, ConstTensorView(cols[c].data(), kLayerDim),
+                     want);
+        for (std::size_t i = 0; i < kLayerDim; i++) {
+            ASSERT_EQ(bitsOf(got[c][i]), bitsOf(want[i]))
+                << "column " << c << " element " << i << ": "
+                << got[c][i] << " vs " << want[i];
+        }
+    }
+}
+
+TEST(LayerForward4, MatchesLayerForwardOnRandomLayers)
+{
+    Xoshiro256StarStar rng(41);
+    for (int trial = 0; trial < 200; trial++) {
+        LayerParams params = randomLayer(rng, 1.5f, 0.5f);
+        expectColumnsMatch(params, randomColumns(rng, 2.0f));
+    }
+}
+
+TEST(LayerForward4, MatchesLayerForwardWhenSaturating)
+{
+    Xoshiro256StarStar rng(42);
+    int saturated = 0;
+    for (int trial = 0; trial < 100; trial++) {
+        LayerParams params = randomLayer(rng, 30.0f, 5.0f);
+        Columns cols = randomColumns(rng, 4.0f);
+        for (const auto &col : cols) {
+            for (std::size_t i = 0; i < kLayerDim; i++) {
+                float z = params.weight[i] * col[i] +
+                          kMixCoeff * params.weight[(i + 1) % kLayerDim] +
+                          params.bias[i];
+                saturated += std::fabs(z) > 10.0f;
+            }
+        }
+        expectColumnsMatch(params, cols);
+    }
+    // Most elements land deep in tanh's flat tails.
+    EXPECT_GT(saturated, 100 * 4 * static_cast<int>(kLayerDim) / 2);
+}
+
+TEST(LayerForward4, MatchesLayerForwardOnSignedZerosAndSubnormals)
+{
+    const float specials[] = {0.0f,
+                              -0.0f,
+                              FLT_TRUE_MIN,
+                              -FLT_TRUE_MIN,
+                              FLT_MIN / 2.0f,
+                              -FLT_MIN / 3.0f,
+                              FLT_MIN,
+                              1e-40f};
+    constexpr std::size_t kSpecials = std::size(specials);
+    Xoshiro256StarStar rng(43);
+    for (int trial = 0; trial < 50; trial++) {
+        LayerParams params = randomLayer(rng, 1.0f, 0.5f);
+        // Zero and subnormal weights and biases too, so w * a and
+        // the bias add both see them.
+        for (std::size_t i = 0; i < kLayerDim; i += 3) {
+            params.weight[i] = specials[rng.nextBelow(kSpecials)];
+            params.bias[i] = specials[rng.nextBelow(kSpecials)];
+        }
+        Columns cols;
+        for (auto &col : cols) {
+            for (float &a : col)
+                a = specials[rng.nextBelow(kSpecials)];
+        }
+        expectColumnsMatch(params, cols);
+    }
+}
+
+TEST(LayerForward4, MatchesLayerForwardUnderFp16Rounding)
+{
+    constexpr auto kHalf = kernels::PrecisionMode::Fp16Rne;
+    Xoshiro256StarStar rng(44);
+    for (int trial = 0; trial < 100; trial++) {
+        LayerParams params = randomLayer(rng, 1.5f, 0.5f);
+        kernels::quantizeInPlace(kHalf, params.weight.data().data(),
+                                 kLayerDim);
+        kernels::quantizeInPlace(kHalf, params.bias.data().data(),
+                                 kLayerDim);
+        Columns cols = randomColumns(rng, 2.0f);
+        for (auto &col : cols)
+            kernels::quantizeInPlace(kHalf, col.data(), kLayerDim);
+        expectColumnsMatch(params, cols);
+    }
+}
+
+TEST(LayerForward4, IdenticalColumnsGiveIdenticalOutputs)
+{
+    Xoshiro256StarStar rng(45);
+    for (int trial = 0; trial < 50; trial++) {
+        LayerParams params = randomLayer(rng, 1.5f, 0.5f);
+        Columns cols = randomColumns(rng, 2.0f);
+        for (std::size_t c = 1; c < kForwardColumns; c++)
+            cols[c] = cols[0];
+        expectColumnsMatch(params, cols);
+    }
 }
 
 } // namespace
