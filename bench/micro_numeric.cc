@@ -80,6 +80,69 @@ BM_LayerBackward(benchmark::State &state)
 BENCHMARK(BM_LayerBackward);
 
 void
+BM_LayerBackwardKept(benchmark::State &state)
+{
+    // The backward of a layer whose forward kept tanh(z): the same
+    // bits as BM_LayerBackward's, without the recompute.
+    LayerParams params;
+    initLayerParams(params, 3, 0, 0);
+    Tensor in(kLayerDim), out(kLayerDim), kept(kLayerDim);
+    Tensor gradOut(kLayerDim), gradIn(kLayerDim);
+    in.fill(0.25f);
+    gradOut.fill(0.1f);
+    layerForwardKeepTanh(params, in, out, kept);
+    LayerGrads grads;
+    for (auto _ : state) {
+        grads.clear();
+        layerBackwardKeptTanh(params, in, kept, gradOut, gradIn, grads);
+        benchmark::DoNotOptimize(grads.weight.data().data());
+    }
+}
+BENCHMARK(BM_LayerBackwardKept);
+
+void
+BM_PhiloxPerElement(benchmark::State &state)
+{
+    // One update's grad noise drawn the per-element way: one
+    // uniformFloat call per (element, lane).
+    Philox4x32 philox(11);
+    float lane0[kLayerDim], lane1[kLayerDim];
+    std::uint64_t base = 0;
+    for (auto _ : state) {
+        for (std::size_t i = 0; i < kLayerDim; i++) {
+            lane0[i] = philox.uniformFloat(base + i, 0);
+            lane1[i] = philox.uniformFloat(base + i, 1);
+        }
+        benchmark::DoNotOptimize(lane0);
+        benchmark::DoNotOptimize(lane1);
+        benchmark::ClobberMemory();
+        base += kLayerDim;
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(kLayerDim));
+}
+BENCHMARK(BM_PhiloxPerElement);
+
+void
+BM_PhiloxFill(benchmark::State &state)
+{
+    // The same draws, bitwise, from one batched fillUniform pass.
+    Philox4x32 philox(11);
+    float lane0[kLayerDim], lane1[kLayerDim];
+    std::uint64_t base = 0;
+    for (auto _ : state) {
+        philox.fillUniform(base, kLayerDim, lane0, lane1);
+        benchmark::DoNotOptimize(lane0);
+        benchmark::DoNotOptimize(lane1);
+        benchmark::ClobberMemory();
+        base += kLayerDim;
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(kLayerDim));
+}
+BENCHMARK(BM_PhiloxFill);
+
+void
 BM_TrainSequentialSubnet(benchmark::State &state)
 {
     SearchSpace space("bench", SpaceFamily::Nlp, 48, 72, 7, 0.37);
@@ -149,6 +212,24 @@ BM_SupernetHash(benchmark::State &state)
         benchmark::DoNotOptimize(store.supernetHash());
 }
 BENCHMARK(BM_SupernetHash)->Arg(24)->Arg(72);
+
+void
+BM_MaterializeAll(benchmark::State &state)
+{
+    // A fresh NLP.c1 store initialized layer by layer: the set-up
+    // cost every threaded run and serve job pays once.
+    SearchSpace space = makeSpaceByName("NLP.c1");
+    for (auto _ : state) {
+        ParameterStore store(space, 7);
+        store.materializeAll();
+        benchmark::DoNotOptimize(store.materializedLayers());
+    }
+    state.SetItemsProcessed(
+        state.iterations() *
+        static_cast<std::int64_t>(space.numBlocks()) *
+        static_cast<std::int64_t>(space.choicesPerBlock()));
+}
+BENCHMARK(BM_MaterializeAll)->Unit(benchmark::kMillisecond);
 
 /** Operand vector for the reduction benchmarks: varied, bounded. */
 std::vector<float>

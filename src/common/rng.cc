@@ -194,6 +194,51 @@ Philox4x32::uniformFloat(std::uint64_t counter, unsigned lane) const
     return toUniformFloat(block(counter)[lane]);
 }
 
+void
+Philox4x32::fillUniform(std::uint64_t counter0, std::size_t n,
+                        float *lane0, float *lane1) const
+{
+    // A full chunk is always computed (surplus counters are dropped),
+    // so every loop below has a constant trip count.
+    constexpr std::size_t kChunk = 64;
+    const std::uint32_t key0 = static_cast<std::uint32_t>(_key);
+    const std::uint32_t key1 = static_cast<std::uint32_t>(_key >> 32);
+    for (std::size_t start = 0; start < n; start += kChunk) {
+        std::uint32_t x0[kChunk], x1[kChunk], x2[kChunk], x3[kChunk];
+        for (std::size_t i = 0; i < kChunk; i++) {
+            std::uint64_t counter = counter0 + start + i;
+            x0[i] = static_cast<std::uint32_t>(counter);
+            x1[i] = static_cast<std::uint32_t>(counter >> 32);
+            x2[i] = 0u;
+            x3[i] = 0u;
+        }
+        std::uint32_t k0 = key0;
+        std::uint32_t k1 = key1;
+        for (int round = 0; round < 10; round++) {
+            // philoxRound, one lane of the chunk per i.
+            for (std::size_t i = 0; i < kChunk; i++) {
+                std::uint64_t p0 =
+                    static_cast<std::uint64_t>(kPhiloxM0) * x0[i];
+                std::uint64_t p1 =
+                    static_cast<std::uint64_t>(kPhiloxM1) * x2[i];
+                x0[i] = static_cast<std::uint32_t>(p1 >> 32) ^ x1[i] ^ k0;
+                x1[i] = static_cast<std::uint32_t>(p1);
+                x2[i] = static_cast<std::uint32_t>(p0 >> 32) ^ x3[i] ^ k1;
+                x3[i] = static_cast<std::uint32_t>(p0);
+            }
+            k0 += kPhiloxW0;
+            k1 += kPhiloxW1;
+        }
+        std::size_t count = n - start < kChunk ? n - start : kChunk;
+        for (std::size_t i = 0; i < count; i++)
+            lane0[start + i] = toUniformFloat(x0[i]);
+        if (lane1 != nullptr) {
+            for (std::size_t i = 0; i < count; i++)
+                lane1[start + i] = toUniformFloat(x1[i]);
+        }
+    }
+}
+
 std::uint64_t
 deriveSeed(std::uint64_t parent, std::uint64_t tag)
 {

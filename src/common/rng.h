@@ -112,6 +112,18 @@ class Philox4x32
     float uniformFloat(std::uint64_t counter, unsigned lane = 0) const;
 
     /**
+     * Batched uniformFloat over the @p n consecutive counters
+     * counter0, counter0 + 1, ...: lane0[i] == uniformFloat(counter0
+     * + i, 0) bit for bit, including where counter0 + i carries into
+     * the high 32-bit word, and lane1[i] likewise for lane 1 when
+     * @p lane1 is non-null. The 10 rounds run over a chunk of
+     * counters at once in struct-of-arrays form — plain integer code
+     * the compiler vectorizes, so the result cannot depend on it.
+     */
+    void fillUniform(std::uint64_t counter0, std::size_t n, float *lane0,
+                     float *lane1 = nullptr) const;
+
+    /**
      * The uniform float in [0,1) of one block word: uniformFloat(c, l)
      * is toUniformFloat(block(c)[l]), so a caller that needs several
      * lanes of one counter runs the 10 rounds once.

@@ -74,6 +74,15 @@ CommitGate::commit(const Claim &claim, int stage)
 {
     auto *chain = const_cast<LayerChain *>(
         static_cast<const LayerChain *>(claim.chain));
+    if (_eventHook) {
+        // Fired before the commit is published: the next rank of this
+        // chain cannot read (let alone commit) until the fetch_add
+        // below, so one chain's events reach the observer in chain
+        // order. The subnet ID comes from the claim, captured under
+        // the table lock at resolve() time — reading activators[]
+        // here would race the coordinator growing the vector.
+        _eventHook(claim.layerKey, claim.subnet, claim.rank, stage);
+    }
     // The release store publishes the parameter bytes the worker
     // wrote before committing; the order assertion catches scheduler
     // bugs (a commit may only extend the chain by exactly one).
@@ -86,12 +95,6 @@ CommitGate::commit(const Claim &claim, int stage)
     // acq_rel (not relaxed) so commits() observed from another thread
     // is ordered with the per-chain counters it summarizes.
     _commits.fetch_add(1, std::memory_order_acq_rel);
-    if (_eventHook) {
-        // The subnet ID comes from the claim, captured under the
-        // table lock at resolve() time — reading activators[] here
-        // would race the coordinator growing the vector.
-        _eventHook(claim.layerKey, claim.subnet, claim.rank, stage);
-    }
     {
         // An empty critical section orders the notify after any
         // concurrent waiter's predicate check, so no wakeup is lost.

@@ -109,8 +109,10 @@ class CommitGate
      * Commit *event* observer: called on every commit with
      * (layerKey, committing subnet, chain rank, stage) — the
      * determinism audit layer's CspOracle attaches here to check
-     * commit monotonicity live. Called from worker threads; the
-     * observer must be thread-safe. Install before workers start.
+     * commit monotonicity live. Called from worker threads just
+     * before the commit is published, so the events of one layer's
+     * chain arrive in chain order; the observer must be thread-safe.
+     * Install before workers start.
      */
     using CommitEventHook = std::function<void(
         std::uint64_t layerKey, SubnetId subnet, std::size_t rank,

@@ -241,10 +241,11 @@ ParallelRuntime::Impl::recover()
                                    [this] { buildPhase(); });
     if (!rolled)
         return false;
-    // restore() drops version-map entries of layers restored at
-    // version 0; re-materialize so the hot path stays structurally
-    // read-only for the respawned workers.
-    session.store()->materializeAll();
+    // buildPhase() materialized the fresh store and restore() never
+    // un-materializes a slot: the respawned workers' hot path stays
+    // read-only on the store's structure.
+    NASPIPE_ASSERT(session.store()->fullyMaterialized(),
+                   "rolled-back store lost materialized layers");
     // initRun() reset the trace (the simulator loses its pre-crash
     // trace the same way) — the recovery span opens the new phase.
     session.trace()->add(TraceRecord{
@@ -378,10 +379,8 @@ ParallelRuntime::run()
             return im.failure("cannot resume from checkpoint '" +
                               im.config.resumePath + "'");
         }
-        // ParameterStore::load drops the version-map entries of
-        // layers restored at version 0; re-materialize so the hot
-        // path stays structurally read-only for the workers.
-        session.store()->materializeAll();
+        NASPIPE_ASSERT(session.store()->fullyMaterialized(),
+                       "resumed store lost materialized layers");
     }
 
     im.pool->start();

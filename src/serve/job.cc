@@ -377,6 +377,8 @@ ServeJob::recover(double nowSeconds)
         fail("recovery from the last checkpoint failed");
         return false;
     }
+    // rollback() rebuilt the session around a fresh store, which the
+    // restore leaves unmaterialized when no checkpoint was taken yet.
     _session.store()->materializeAll();
     // Fresh job gate: this job's causal chains restart at rank 0.
     // The shared workers and every other tenant's gate are untouched.

@@ -58,14 +58,54 @@ initLayerParams(LayerParams &params, std::uint64_t seed,
     std::uint64_t base =
         (static_cast<std::uint64_t>(block) << 40) |
         (static_cast<std::uint64_t>(choice) << 20);
+    float *weight = params.weight.data().data();
+    float *bias = params.bias.data().data();
+    philox.fillUniform(base, kLayerDim, weight, bias);
     for (std::size_t i = 0; i < kLayerDim; i++) {
         // Small symmetric init in (-0.5, 0.5).
-        params.weight[i] =
-            philox.uniformFloat(base + i, 0) - 0.5f;
-        params.bias[i] =
-            0.1f * (philox.uniformFloat(base + i, 1) - 0.5f);
+        weight[i] = weight[i] - 0.5f;
+        bias[i] = 0.1f * (bias[i] - 0.5f);
     }
 }
+
+namespace {
+
+/** z_i of the surrogate layer; the one expression every pass uses. */
+inline float
+preActivation(LayerParamsView params, ConstTensorView input,
+              std::size_t i)
+{
+    std::size_t j = (i + 1) % kLayerDim;
+    return params.weight[i] * input[i] + kMixCoeff * params.weight[j] +
+           params.bias[i];
+}
+
+/**
+ * The backward after tanh: dz from t_i = tanh(z_i), then the
+ * parameter and input gradients. dz lives on the stack — the
+ * backward path allocates nothing.
+ */
+inline void
+backwardFromTanh(LayerParamsView params, ConstTensorView input,
+                 const float *t, ConstTensorView gradOutput,
+                 TensorView gradInput, LayerGradsView grads)
+{
+    float dz[kLayerDim];
+    for (std::size_t i = 0; i < kLayerDim; i++)
+        dz[i] = gradOutput[i] * kResidual * (1.0f - t[i] * t[i]);
+
+    for (std::size_t i = 0; i < kLayerDim; i++) {
+        std::size_t prev = (i + kLayerDim - 1) % kLayerDim;
+        // w_i appears in z_i (times input_i) and in z_{i-1} (times
+        // kMixCoeff).
+        grads.weight[i] += dz[i] * input[i] + kMixCoeff * dz[prev];
+        grads.bias[i] += dz[i];
+        // The identity path contributes gradOutput directly.
+        gradInput[i] = gradOutput[i] + dz[i] * params.weight[i];
+    }
+}
+
+} // namespace
 
 void
 layerForward(LayerParamsView params, ConstTensorView input,
@@ -75,10 +115,23 @@ layerForward(LayerParamsView params, ConstTensorView input,
                        output.size() == kLayerDim,
                    "layer forward shape mismatch");
     for (std::size_t i = 0; i < kLayerDim; i++) {
-        std::size_t j = (i + 1) % kLayerDim;
-        float z = params.weight[i] * input[i] +
-                  kMixCoeff * params.weight[j] + params.bias[i];
-        output[i] = input[i] + kResidual * std::tanh(z);
+        output[i] = input[i] +
+                    kResidual * std::tanh(preActivation(params, input, i));
+    }
+}
+
+void
+layerForwardKeepTanh(LayerParamsView params, ConstTensorView input,
+                     TensorView output, TensorView keptTanh)
+{
+    NASPIPE_ASSERT(input.size() == kLayerDim &&
+                       output.size() == kLayerDim &&
+                       keptTanh.size() == kLayerDim,
+                   "layer forward shape mismatch");
+    for (std::size_t i = 0; i < kLayerDim; i++) {
+        float t = std::tanh(preActivation(params, input, i));
+        keptTanh[i] = t;
+        output[i] = input[i] + kResidual * t;
     }
 }
 
@@ -116,26 +169,26 @@ layerBackward(LayerParamsView params, ConstTensorView input,
 
     // Recompute z (activation recomputation semantics): the backward
     // uses the parameter values *current at backward time*, exactly
-    // like PyTorch's checkpoint utility the paper uses. dz lives on
-    // the stack — the backward path allocates nothing.
-    float dz[kLayerDim];
-    for (std::size_t i = 0; i < kLayerDim; i++) {
-        std::size_t j = (i + 1) % kLayerDim;
-        float z = params.weight[i] * input[i] +
-                  kMixCoeff * params.weight[j] + params.bias[i];
-        float t = std::tanh(z);
-        dz[i] = gradOutput[i] * kResidual * (1.0f - t * t);
-    }
+    // like PyTorch's checkpoint utility the paper uses.
+    float t[kLayerDim];
+    for (std::size_t i = 0; i < kLayerDim; i++)
+        t[i] = std::tanh(preActivation(params, input, i));
+    backwardFromTanh(params, input, t, gradOutput, gradInput, grads);
+}
 
-    for (std::size_t i = 0; i < kLayerDim; i++) {
-        std::size_t prev = (i + kLayerDim - 1) % kLayerDim;
-        // w_i appears in z_i (times input_i) and in z_{i-1} (times
-        // kMixCoeff).
-        grads.weight[i] += dz[i] * input[i] + kMixCoeff * dz[prev];
-        grads.bias[i] += dz[i];
-        // The identity path contributes gradOutput directly.
-        gradInput[i] = gradOutput[i] + dz[i] * params.weight[i];
-    }
+void
+layerBackwardKeptTanh(LayerParamsView params, ConstTensorView input,
+                      ConstTensorView keptTanh,
+                      ConstTensorView gradOutput, TensorView gradInput,
+                      LayerGradsView grads)
+{
+    NASPIPE_ASSERT(input.size() == kLayerDim &&
+                       keptTanh.size() == kLayerDim &&
+                       gradOutput.size() == kLayerDim &&
+                       gradInput.size() == kLayerDim,
+                   "layer backward shape mismatch");
+    backwardFromTanh(params, input, keptTanh.data(), gradOutput,
+                     gradInput, grads);
 }
 
 } // namespace naspipe

@@ -138,6 +138,15 @@ void layerForward4(LayerParamsView params,
                    float *const output[kForwardColumns]);
 
 /**
+ * layerForward that also writes tanh(z_i) into @p keptTanh
+ * (pre-sized kLayerDim), so a backward over the same parameters and
+ * input can skip the recompute (layerBackwardKeptTanh). @p output is
+ * bitwise equal to layerForward's.
+ */
+void layerForwardKeepTanh(LayerParamsView params, ConstTensorView input,
+                          TensorView output, TensorView keptTanh);
+
+/**
  * Backward pass: exact gradients of layerForward.
  * @param params parameters used for the recomputation
  * @param input the forward input activation
@@ -150,6 +159,17 @@ void layerForward4(LayerParamsView params,
 void layerBackward(LayerParamsView params, ConstTensorView input,
                    ConstTensorView gradOutput, TensorView gradInput,
                    LayerGradsView grads);
+
+/**
+ * layerBackward with tanh(z_i) taken from @p keptTanh instead of
+ * recomputed. Bitwise equal to layerBackward(params, input, ...)
+ * whenever @p keptTanh came from layerForwardKeepTanh over the same
+ * @p params bits and @p input bits; the caller owns that guarantee.
+ */
+void layerBackwardKeptTanh(LayerParamsView params, ConstTensorView input,
+                           ConstTensorView keptTanh,
+                           ConstTensorView gradOutput,
+                           TensorView gradInput, LayerGradsView grads);
 
 } // namespace naspipe
 

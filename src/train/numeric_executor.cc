@@ -45,31 +45,34 @@ effectiveSgd(const NumericExecutor::Config &config,
 NumericExecutor::NumericExecutor(ParameterStore &store,
                                  const Config &config)
     : _store(store), _config(config),
-      _optimizer(effectiveSgd(config, store.space()))
+      _optimizer(effectiveSgd(config, store.space())),
+      _inputRng(deriveSeed(config.dataSeed, "input")),
+      _gradNoiseRng(deriveSeed(config.dataSeed, "grad-noise")),
+      _gradNoiseScale(static_cast<float>(
+          config.gradNoise /
+          std::sqrt(static_cast<double>(config.batch))))
 {
     NASPIPE_ASSERT(config.batch >= 1, "batch must be >= 1");
     NASPIPE_ASSERT(config.gradNoise >= 0.0,
                    "gradient noise must be non-negative");
     NASPIPE_ASSERT(config.precision == store.precision(),
                    "executor/store precision mismatch");
-    // Lanes 0 and 1 of one Philox block per element.
-    Philox4x32 philox(deriveSeed(config.dataSeed, "teacher"));
+    // Lanes 0 and 1 of counters 0 .. kLayerDim - 1.
+    Philox4x32(deriveSeed(config.dataSeed, "teacher"))
+        .fillUniform(0, kLayerDim, _teacherA.data(), _teacherB.data());
     for (std::size_t i = 0; i < kLayerDim; i++) {
-        Philox4x32::Block block = philox.block(i);
-        _teacherA[i] = 0.5f + Philox4x32::toUniformFloat(block[0]);
-        _teacherB[i] = Philox4x32::toUniformFloat(block[1]) - 0.5f;
+        _teacherA[i] = 0.5f + _teacherA[i];
+        _teacherB[i] = _teacherB[i] - 0.5f;
     }
 }
 
 void
-NumericExecutor::fillDigest(TensorView out, SubnetId id,
-                            const char *tag, std::uint64_t salt) const
+NumericExecutor::fillDigest(TensorView out, SubnetId id) const
 {
-    Philox4x32 philox(deriveSeed(_config.dataSeed, tag));
-    std::uint64_t base =
-        static_cast<std::uint64_t>(id) * kLayerDim + salt * (1ULL << 40);
+    _inputRng.fillUniform(static_cast<std::uint64_t>(id) * kLayerDim,
+                          kLayerDim, out.data());
     for (std::size_t i = 0; i < kLayerDim; i++)
-        out[i] = 2.0f * philox.uniformFloat(base + i) - 1.0f;
+        out[i] = 2.0f * out[i] - 1.0f;
 }
 
 /**
@@ -103,12 +106,18 @@ NumericExecutor::beginSubnet(const Subnet &subnet)
     ctx.act.reserve(blocks + 1);
     for (std::size_t b = 0; b <= blocks; b++)
         ctx.act.push_back(ctx.arena.allocVector(kLayerDim));
+    ctx.kept.resize(blocks);
+    for (std::size_t b = 0; b < blocks; b++) {
+        int block = static_cast<int>(b);
+        if (_store.space().parameterized(block, subnet.choice(block)))
+            ctx.kept[b].tanh = ctx.arena.allocVector(kLayerDim);
+    }
     ctx.target = ctx.arena.allocVector(kLayerDim);
     ctx.gradCursor = ctx.arena.allocVector(kLayerDim);
     ctx.gradScratch = ctx.arena.allocVector(kLayerDim);
     ctx.blockGrads = LayerGradsView(ctx.arena.allocVector(kLayerDim),
                                     ctx.arena.allocVector(kLayerDim));
-    fillDigest(ctx.act[0], subnet.id(), "input", 0);
+    fillDigest(ctx.act[0], subnet.id());
     quantizeStored(ctx.act[0]);
     fillTeacherTarget(ctx.target, ctx.act[0]);
     quantizeStored(ctx.target);
@@ -146,6 +155,8 @@ NumericExecutor::forwardStage(const Subnet &subnet, int lo, int hi,
         LayerId layer = subnet.layer(b);
         const LayerParams &params =
             _store.read(layer, subnet.id(), stage);
+        KeptTanh &kept = ctx.kept[bi];
+        kept.stamp = _store.stamp(layer);
         if (semantics == UpdateSemantics::WeightStash &&
             ctx.stashed.find(b) == ctx.stashed.end()) {
             // Snapshot the version into the subnet's arena.
@@ -155,7 +166,8 @@ NumericExecutor::forwardStage(const Subnet &subnet, int lo, int hi,
             bia.copyFrom(params.bias);
             ctx.stashed.emplace(b, LayerParamsView(w, bia));
         }
-        layerForward(params, ctx.act[bi], ctx.act[bi + 1]);
+        layerForwardKeepTanh(params, ctx.act[bi], ctx.act[bi + 1],
+                             kept.tanh);
         quantizeStored(ctx.act[bi + 1]);
     }
     ctx.fwdProgress = hi + 1;
@@ -189,25 +201,18 @@ NumericExecutor::applyUpdate(const Subnet &subnet, int block,
         // Mini-batch gradient noise: standard error ~ 1/sqrt(batch).
         // The noisy gradients live on the stack — applyUpdate runs
         // concurrently on different layers from different stage
-        // workers, and must not allocate.
-        float scale = static_cast<float>(
-            _config.gradNoise /
-            std::sqrt(static_cast<double>(_config.batch)));
-        Philox4x32 philox(deriveSeed(_config.dataSeed, "grad-noise"));
+        // workers, and must not allocate. One batched Philox pass
+        // draws lane 0 (weights) and lane 1 (biases) of every counter.
         std::uint64_t base =
             (static_cast<std::uint64_t>(subnet.id()) << 24) ^
             (static_cast<std::uint64_t>(block) << 12);
         float noisyW[kLayerDim];
         float noisyB[kLayerDim];
+        _gradNoiseRng.fillUniform(base, kLayerDim, noisyW, noisyB);
+        const float scale = _gradNoiseScale;
         for (std::size_t i = 0; i < kLayerDim; i++) {
-            noisyW[i] =
-                gradWeight[i] +
-                scale *
-                    (2.0f * philox.uniformFloat(base + i, 0) - 1.0f);
-            noisyB[i] =
-                gradBias[i] +
-                scale *
-                    (2.0f * philox.uniformFloat(base + i, 1) - 1.0f);
+            noisyW[i] = gradWeight[i] + scale * (2.0f * noisyW[i] - 1.0f);
+            noisyB[i] = gradBias[i] + scale * (2.0f * noisyB[i] - 1.0f);
         }
         _optimizer.stepView(params.weight, params.bias,
                             ConstTensorView(noisyW, kLayerDim),
@@ -250,22 +255,35 @@ NumericExecutor::backwardStage(const Subnet &subnet, int lo, int hi,
         }
         grads.clear();
 
+        const auto bi = static_cast<std::size_t>(b);
         LayerParamsView gradSource{ConstTensorView(),
                                    ConstTensorView()};
+        bool keptValid = false;
         if (semantics == UpdateSemantics::WeightStash) {
             auto it = ctx.stashed.find(b);
             NASPIPE_ASSERT(it != ctx.stashed.end(),
                            "missing stashed weights for block ", b);
             gradSource = it->second;
+            // The stash is the version the forward read.
+            keptValid = true;
         } else {
             // Recompute semantics: gradients use the parameters
-            // current at backward time (PyTorch checkpoint).
+            // current at backward time (PyTorch checkpoint). While no
+            // write() or load() touched the layer since the forward
+            // read, those are the forward's parameters and the
+            // recompute would reproduce the kept tanh(z) bit for bit.
             gradSource = LayerParamsView(_store.peek(layer));
+            keptValid = ctx.kept[bi].stamp == _store.stamp(layer);
         }
 
-        layerBackward(gradSource,
-                      ctx.act[static_cast<std::size_t>(b)],
-                      ctx.gradCursor, ctx.gradScratch, grads);
+        if (keptValid) {
+            layerBackwardKeptTanh(gradSource, ctx.act[bi],
+                                  ctx.kept[bi].tanh, ctx.gradCursor,
+                                  ctx.gradScratch, grads);
+        } else {
+            layerBackward(gradSource, ctx.act[bi], ctx.gradCursor,
+                          ctx.gradScratch, grads);
+        }
         quantizeStored(ctx.gradScratch);
         if (_config.precision != kernels::PrecisionMode::Fp32) {
             quantizeStored(grads.weight);
@@ -333,9 +351,9 @@ NumericExecutor::makeEvalSet(std::uint64_t evalSeed) const
     for (std::size_t e = 0; e < kEvalBatches; e++) {
         TensorView input(set.input[e].data(), kLayerDim);
         TensorView target(set.target[e].data(), kLayerDim);
-        std::uint64_t base = e * 2 * kLayerDim;
+        philox.fillUniform(e * 2 * kLayerDim, kLayerDim, input.data());
         for (std::size_t i = 0; i < kLayerDim; i++)
-            input[i] = 2.0f * philox.uniformFloat(base + i) - 1.0f;
+            input[i] = 2.0f * input[i] - 1.0f;
         quantizeStored(input);
         // Held-out inputs, same teacher: a real generalization probe.
         fillTeacherTarget(target, input);

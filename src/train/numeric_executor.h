@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "common/lock_rank.h"
+#include "common/rng.h"
 #include "memory/arena.h"
 #include "tensor/kernels/precision.h"
 #include "tensor/sgd.h"
@@ -202,6 +203,12 @@ class NumericExecutor
     }
 
   private:
+    /** One block's forward tanh(z) and the layer stamp it read. */
+    struct KeptTanh {
+        TensorView tanh;
+        ParameterStore::LayerStamp stamp;
+    };
+
     /**
      * Per-in-flight-subnet training state. Every view points into
      * the context's own arena; the whole context (arena included)
@@ -211,6 +218,12 @@ class NumericExecutor
         Subnet subnet;
         Arena arena;
         std::vector<TensorView> act; ///< act[b] = input to block b
+        /**
+         * kept[b]: tanh(z) of block b's forward and the stamp of the
+         * parameters it read (parameterized blocks only; a skip
+         * block's view is empty).
+         */
+        std::vector<KeptTanh> kept;
         TensorView gradCursor;   ///< dL/d act at the backward front
         TensorView gradScratch;  ///< backward ping-pong buffer
         TensorView target;
@@ -226,8 +239,8 @@ class NumericExecutor
     SubnetContext &context(SubnetId id);
     /** The teacher map of @p input: tanh(a_i * input_i + b_i). */
     void fillTeacherTarget(TensorView out, ConstTensorView input) const;
-    void fillDigest(TensorView out, SubnetId id, const char *tag,
-                    std::uint64_t salt) const;
+    /** The training input of subnet @p id, in [-1, 1). */
+    void fillDigest(TensorView out, SubnetId id) const;
     void applyUpdate(const Subnet &subnet, int block,
                      ConstTensorView gradWeight,
                      ConstTensorView gradBias, int stage);
@@ -241,6 +254,9 @@ class NumericExecutor
     ParameterStore &_store;
     Config _config;
     SgdOptimizer _optimizer;
+    Philox4x32 _inputRng;      ///< training-input digests
+    Philox4x32 _gradNoiseRng;  ///< per-update gradient noise
+    float _gradNoiseScale;     ///< gradNoise / sqrt(batch)
     /// The teacher's per-element coefficients, drawn once from the
     /// data seed (see fillTeacherTarget).
     std::array<float, kLayerDim> _teacherA{};

@@ -41,20 +41,28 @@ writeTensor(std::ostream &out, const Tensor &t)
 ParameterStore::ParameterStore(const SearchSpace &space,
                                std::uint64_t seed,
                                kernels::PrecisionMode precision)
-    : _space(space), _seed(seed), _precision(precision)
+    : _space(space), _seed(seed), _precision(precision),
+      _params(static_cast<std::size_t>(space.numBlocks()) *
+              static_cast<std::size_t>(space.choicesPerBlock())),
+      _versions(_params.size(), 0)
 {
+}
+
+LayerId
+ParameterStore::layerAt(std::size_t index) const
+{
+    const auto choices =
+        static_cast<std::size_t>(_space.choicesPerBlock());
+    return LayerId{static_cast<std::uint32_t>(index / choices),
+                   static_cast<std::uint32_t>(index % choices)};
 }
 
 LayerParams &
 ParameterStore::materialize(const LayerId &layer)
 {
-    NASPIPE_ASSERT(static_cast<int>(layer.block) < _space.numBlocks() &&
-                       static_cast<int>(layer.choice) <
-                           _space.choicesPerBlock(),
-                   "layer outside the space");
-    auto it = _params.find(layer.key());
-    if (it == _params.end()) {
-        LayerParams fresh;
+    std::optional<LayerParams> &params = _params[slot(layer)];
+    if (!params) {
+        LayerParams &fresh = params.emplace();
         initLayerParams(fresh, _seed, layer.block, layer.choice);
         // Storage rounding: fp16 runs start from fp16 weights.
         kernels::quantizeInPlace(_precision,
@@ -63,9 +71,9 @@ ParameterStore::materialize(const LayerId &layer)
         kernels::quantizeInPlace(_precision,
                                  fresh.bias.data().data(),
                                  fresh.bias.size());
-        it = _params.emplace(layer.key(), std::move(fresh)).first;
+        _materialized++;
     }
-    return it->second;
+    return *params;
 }
 
 const LayerParams &
@@ -79,7 +87,7 @@ LayerParams &
 ParameterStore::write(const LayerId &layer, SubnetId writer, int stage)
 {
     _log.record(layer, writer, AccessKind::Write, stage);
-    _versions[layer.key()]++;
+    _versions[slot(layer)]++;
     return materialize(layer);
 }
 
@@ -92,10 +100,10 @@ ParameterStore::peek(const LayerId &layer)
 const LayerParams &
 ParameterStore::find(const LayerId &layer) const
 {
-    auto it = _params.find(layer.key());
-    NASPIPE_ASSERT(it != _params.end(), "layer (", layer.block, ",",
+    const std::optional<LayerParams> &params = _params[slot(layer)];
+    NASPIPE_ASSERT(params.has_value(), "layer (", layer.block, ",",
                    layer.choice, ") read before it was materialized");
-    return it->second;
+    return *params;
 }
 
 void
@@ -110,35 +118,17 @@ ParameterStore::materializeLayers(const Subnet &subnet)
 void
 ParameterStore::materializeAll()
 {
-    for (int b = 0; b < _space.numBlocks(); b++) {
-        for (int c = 0; c < _space.choicesPerBlock(); c++) {
-            LayerId layer{static_cast<std::uint32_t>(b),
-                          static_cast<std::uint32_t>(c)};
-            materialize(layer);
-            _versions.emplace(layer.key(), 0);
-        }
-    }
-}
-
-std::uint64_t
-ParameterStore::version(const LayerId &layer) const
-{
-    auto it = _versions.find(layer.key());
-    return it == _versions.end() ? 0 : it->second;
+    for (std::size_t i = 0; i < _params.size(); i++)
+        materialize(layerAt(i));
 }
 
 std::uint64_t
 ParameterStore::supernetHash()
 {
     std::uint64_t hash = 0xcbf29ce484222325ULL;
-    for (int b = 0; b < _space.numBlocks(); b++) {
-        for (int c = 0; c < _space.choicesPerBlock(); c++) {
-            LayerId layer{static_cast<std::uint32_t>(b),
-                          static_cast<std::uint32_t>(c)};
-            std::uint64_t h = materialize(layer).contentHash();
-            hash ^= h + 0x9e3779b97f4a7c15ULL + (hash << 6) +
-                    (hash >> 2);
-        }
+    for (std::size_t i = 0; i < _params.size(); i++) {
+        std::uint64_t h = materialize(layerAt(i)).contentHash();
+        hash ^= h + 0x9e3779b97f4a7c15ULL + (hash << 6) + (hash >> 2);
     }
     return hash;
 }
@@ -147,14 +137,13 @@ bool
 ParameterStore::save(std::ostream &out) const
 {
     std::ostringstream payload(std::ios::binary);
-    for (const auto &[key, params] : _params) {
-        writePod(payload, key);
-        auto vit = _versions.find(key);
-        writePod(payload, vit == _versions.end()
-                              ? std::uint64_t{0}
-                              : vit->second);
-        writeTensor(payload, params.weight);
-        writeTensor(payload, params.bias);
+    for (std::size_t i = 0; i < _params.size(); i++) {
+        if (!_params[i])
+            continue;
+        writePod(payload, layerAt(i).key());
+        writePod(payload, _versions[i]);
+        writeTensor(payload, _params[i]->weight);
+        writeTensor(payload, _params[i]->bias);
     }
     const std::string bytes = payload.str();
 
@@ -164,7 +153,7 @@ ParameterStore::save(std::ostream &out) const
     writePod(out, static_cast<std::uint32_t>(
                       _space.choicesPerBlock()));
     writePod(out, _seed);
-    writePod(out, static_cast<std::uint64_t>(_params.size()));
+    writePod(out, static_cast<std::uint64_t>(_materialized));
     writePod(out, static_cast<std::uint64_t>(bytes.size()));
     writePod(out, hashBytes(bytes.data(), bytes.size()));
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
@@ -244,7 +233,10 @@ ParameterStore::load(std::istream &in)
 
     // Checksum verified: the payload is byte-identical to what a
     // same-shape store saved, so parsing below mutates this store
-    // only with data that will parse to completion.
+    // only with data that will parse to completion. Every layer may
+    // now hold older bits under a version seen before: a new epoch
+    // tells stamp() readers apart.
+    _epoch++;
     std::size_t off = 0;
     auto take = [&bytes, &off](void *dst, std::size_t n) {
         if (bytes.size() - off < n)
@@ -279,10 +271,7 @@ ParameterStore::load(std::istream &in)
                  layer.block, ", ", layer.choice, ")");
             return false;
         }
-        if (layerVersion != 0)
-            _versions[key] = layerVersion;
-        else
-            _versions.erase(key);
+        _versions[slot(layer)] = layerVersion;
     }
     if (off != bytes.size()) {
         warn("parameter checkpoint: ", bytes.size() - off,
@@ -307,9 +296,11 @@ std::uint64_t
 ParameterStore::touchedHash() const
 {
     std::uint64_t hash = 0xcbf29ce484222325ULL;
-    // std::map iterates in key order: deterministic.
-    for (const auto &[key, params] : _params) {
-        std::uint64_t h = params.contentHash() ^ key;
+    // Table order is key order: deterministic.
+    for (std::size_t i = 0; i < _params.size(); i++) {
+        if (!_params[i])
+            continue;
+        std::uint64_t h = _params[i]->contentHash() ^ layerAt(i).key();
         hash ^= h + 0x9e3779b97f4a7c15ULL + (hash << 6) + (hash >> 2);
     }
     return hash;

@@ -7,6 +7,11 @@
  * and the global access log. All systems — CSP, BSP, ASP — train
  * against the same store; what differs is *when* each system reads
  * and writes, which is precisely what reproducibility is about.
+ *
+ * The layers live in a dense table indexed by block *
+ * choicesPerBlock + choice, which is also LayerId::key() order, so
+ * every walk over the table (save, touchedHash, supernetHash) visits
+ * layers in key order.
  */
 
 #ifndef NASPIPE_TRAIN_PARAM_STORE_H
@@ -14,9 +19,11 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <map>
+#include <optional>
 #include <string>
+#include <vector>
 
+#include "common/logging.h"
 #include "supernet/search_space.h"
 #include "tensor/kernels/precision.h"
 #include "tensor/layer_math.h"
@@ -30,6 +37,19 @@ namespace naspipe {
 class ParameterStore
 {
   public:
+    /**
+     * A value that changes whenever a layer's parameters may have:
+     * load() bumps the epoch, write() bumps the layer's version. A
+     * version alone can repeat — load() restores old ones — so the
+     * pair is what never repeats for one layer of one store.
+     */
+    struct LayerStamp {
+        std::uint64_t epoch = 0;
+        std::uint64_t version = 0;
+
+        bool operator==(const LayerStamp &) const = default;
+    };
+
     /**
      * @param space the search space (defines the layer universe)
      * @param seed initialization seed (the "fixed random seeds" of
@@ -76,16 +96,26 @@ class ParameterStore
     void materializeLayers(const Subnet &subnet);
 
     /**
-     * Materialize every layer of the space (and pre-fill its version
-     * counter) up front. The threaded executor calls this before
-     * starting workers so the hot path never mutates the store's map
-     * structure: read()/write() only find existing nodes, and all
-     * cross-thread ordering is the CommitGate's job.
+     * Materialize every layer of the space up front. The threaded
+     * executor calls this before starting workers so the hot path
+     * never initializes a layer: read()/write() only index existing
+     * slots, and all cross-thread ordering is the CommitGate's job.
+     * load() never un-materializes a slot, so a restored store stays
+     * fully materialized.
      */
     void materializeAll();
 
     /** Number of WRITEs applied to @p layer so far. */
-    std::uint64_t version(const LayerId &layer) const;
+    std::uint64_t version(const LayerId &layer) const
+    {
+        return _versions[slot(layer)];
+    }
+
+    /** The layer's current (load epoch, version) stamp. */
+    LayerStamp stamp(const LayerId &layer) const
+    {
+        return LayerStamp{_epoch, _versions[slot(layer)]};
+    }
 
     /** The global access log (Table 4 / sequential-equivalence). */
     AccessLog &accessLog() { return _log; }
@@ -103,14 +133,12 @@ class ParameterStore
     std::uint64_t touchedHash() const;
 
     /** Number of materialized layers. */
-    std::size_t materializedLayers() const { return _params.size(); }
+    std::size_t materializedLayers() const { return _materialized; }
 
     /** Whether every layer of the space is materialized. */
     bool fullyMaterialized() const
     {
-        return _params.size() ==
-               static_cast<std::size_t>(_space.numBlocks()) *
-                   static_cast<std::size_t>(_space.choicesPerBlock());
+        return _materialized == _params.size();
     }
 
     /** @name Checkpointing
@@ -147,13 +175,32 @@ class ParameterStore
     /** @} */
 
   private:
+    /** Table index of @p layer (asserts it lies in the space). */
+    std::size_t slot(const LayerId &layer) const
+    {
+        NASPIPE_ASSERT(static_cast<int>(layer.block) <
+                               _space.numBlocks() &&
+                           static_cast<int>(layer.choice) <
+                               _space.choicesPerBlock(),
+                       "layer outside the space");
+        return static_cast<std::size_t>(layer.block) *
+                   static_cast<std::size_t>(_space.choicesPerBlock()) +
+               layer.choice;
+    }
+
+    /** The layer of table index @p index. */
+    LayerId layerAt(std::size_t index) const;
+
     LayerParams &materialize(const LayerId &layer);
 
     const SearchSpace &_space;
     std::uint64_t _seed;
     kernels::PrecisionMode _precision;
-    std::map<std::uint64_t, LayerParams> _params;
-    std::map<std::uint64_t, std::uint64_t> _versions;
+    /// Dense layer table; an empty slot is not materialized yet.
+    std::vector<std::optional<LayerParams>> _params;
+    std::vector<std::uint64_t> _versions;  ///< parallel to _params
+    std::size_t _materialized = 0;         ///< filled slots
+    std::uint64_t _epoch = 0;              ///< load() count
     AccessLog _log;
 };
 

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -171,6 +173,81 @@ TEST(Philox, UniformFloatRange)
         sum += v;
     }
     EXPECT_NEAR(sum / 10000.0, 0.5, 0.02);
+}
+
+/** Bits of @p value, so +0/-0 and every NaN payload count. */
+std::uint32_t
+bitsOf(float value)
+{
+    std::uint32_t bits;
+    std::memcpy(&bits, &value, sizeof bits);
+    return bits;
+}
+
+/**
+ * fillUniform over n counters from counter0 must equal per-counter
+ * uniformFloat bit for bit in both lanes, and a lane-0-only call must
+ * equal lane 0 of the two-lane call.
+ */
+void
+expectFillMatches(const Philox4x32 &p, std::uint64_t counter0,
+                  std::size_t n)
+{
+    // Sentinels past n catch a fill that writes beyond its range.
+    constexpr float kSentinel = -7.0f;
+    std::vector<float> lane0(n + 3, kSentinel), lane1(n + 3, kSentinel);
+    std::vector<float> only0(n + 3, kSentinel);
+    p.fillUniform(counter0, n, lane0.data(), lane1.data());
+    p.fillUniform(counter0, n, only0.data());
+    for (std::size_t i = 0; i < n; i++) {
+        ASSERT_EQ(bitsOf(lane0[i]), bitsOf(p.uniformFloat(counter0 + i, 0)))
+            << "lane 0, counter0 " << counter0 << " + " << i;
+        ASSERT_EQ(bitsOf(lane1[i]), bitsOf(p.uniformFloat(counter0 + i, 1)))
+            << "lane 1, counter0 " << counter0 << " + " << i;
+        ASSERT_EQ(bitsOf(only0[i]), bitsOf(lane0[i]))
+            << "lane-0-only call, counter0 " << counter0 << " + " << i;
+    }
+    for (std::size_t i = n; i < n + 3; i++) {
+        ASSERT_EQ(lane0[i], kSentinel) << "lane 0 written past n=" << n;
+        ASSERT_EQ(lane1[i], kSentinel) << "lane 1 written past n=" << n;
+        ASSERT_EQ(only0[i], kSentinel) << "lane 0 written past n=" << n;
+    }
+}
+
+TEST(PhiloxFill, MatchesUniformFloatBitForBit)
+{
+    const std::uint64_t keys[] = {0, 0x9e3779b97f4a7c15ULL,
+                                  deriveSeed(99, "grad-noise")};
+    const std::size_t sizes[] = {0, 1, 63, 64, 65, 200};
+    const std::uint64_t starts[] = {
+        0,
+        12345,
+        (1ULL << 32) - 100,  // every size above straddles 2^32...
+        (1ULL << 32) - 1,    // ...from one below the carry...
+        1ULL << 32,          // ...and from right on it
+        ~0ULL - 64,          // and the 64-bit wrap
+    };
+    for (std::uint64_t key : keys) {
+        Philox4x32 p(key);
+        for (std::uint64_t counter0 : starts) {
+            for (std::size_t n : sizes) {
+                SCOPED_TRACE(testing::Message()
+                             << "key " << key << " n " << n);
+                expectFillMatches(p, counter0, n);
+            }
+        }
+    }
+}
+
+TEST(PhiloxFill, CarryReachesTheHighWord)
+{
+    // Counters 2^32 - 1 and 2^32 differ only through the carry; a
+    // fill that dropped it would repeat counter 0's block.
+    Philox4x32 p(5);
+    float lane0[2];
+    p.fillUniform((1ULL << 32) - 1, 2, lane0);
+    EXPECT_EQ(bitsOf(lane0[1]), bitsOf(p.uniformFloat(1ULL << 32)));
+    EXPECT_NE(bitsOf(lane0[1]), bitsOf(p.uniformFloat(0)));
 }
 
 TEST(DeriveSeed, TagSeparation)

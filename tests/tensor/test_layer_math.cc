@@ -341,5 +341,145 @@ TEST(LayerForward4, IdenticalColumnsGiveIdenticalOutputs)
     }
 }
 
+// --- kept tanh: forward keeps tanh(z), backward skips the recompute --
+
+/**
+ * Run layerForwardKeepTanh and layerForward, then layerBackward and
+ * layerBackwardKeptTanh, on the same operands: the outputs, input
+ * gradients and accumulated parameter gradients must carry the same
+ * bits.
+ */
+void
+expectKeptMatches(const LayerParams &params, const Tensor &input,
+                  const Tensor &gradOutput)
+{
+    Tensor out(kLayerDim), outKept(kLayerDim), kept(kLayerDim);
+    layerForward(params, input, out);
+    layerForwardKeepTanh(params, input, outKept, kept);
+    for (std::size_t i = 0; i < kLayerDim; i++)
+        ASSERT_EQ(bitsOf(outKept[i]), bitsOf(out[i])) << "output " << i;
+
+    // Non-zero starting grads: both must accumulate the same way.
+    LayerGrads want, got;
+    for (std::size_t i = 0; i < kLayerDim; i++) {
+        want.weight[i] = got.weight[i] = 0.01f * static_cast<float>(i);
+        want.bias[i] = got.bias[i] = -0.02f * static_cast<float>(i);
+    }
+    Tensor gradInWant(kLayerDim), gradInGot(kLayerDim);
+    layerBackward(params, input, gradOutput, gradInWant, want);
+    layerBackwardKeptTanh(params, input, kept, gradOutput, gradInGot,
+                          got);
+    for (std::size_t i = 0; i < kLayerDim; i++) {
+        ASSERT_EQ(bitsOf(gradInGot[i]), bitsOf(gradInWant[i]))
+            << "grad input " << i;
+        ASSERT_EQ(bitsOf(got.weight[i]), bitsOf(want.weight[i]))
+            << "grad weight " << i;
+        ASSERT_EQ(bitsOf(got.bias[i]), bitsOf(want.bias[i]))
+            << "grad bias " << i;
+    }
+}
+
+Tensor
+randomVector(Xoshiro256StarStar &rng, float aMax)
+{
+    Tensor t(kLayerDim);
+    for (std::size_t i = 0; i < kLayerDim; i++)
+        t[i] = draw(rng, -aMax, aMax);
+    return t;
+}
+
+TEST(LayerKeptTanh, MatchesRecomputeOnRandomLayers)
+{
+    Xoshiro256StarStar rng(51);
+    for (int trial = 0; trial < 200; trial++) {
+        LayerParams params = randomLayer(rng, 1.5f, 0.5f);
+        expectKeptMatches(params, randomVector(rng, 2.0f),
+                          randomVector(rng, 1.0f));
+    }
+}
+
+TEST(LayerKeptTanh, MatchesRecomputeWhenSaturating)
+{
+    Xoshiro256StarStar rng(52);
+    int saturated = 0;
+    for (int trial = 0; trial < 100; trial++) {
+        LayerParams params = randomLayer(rng, 30.0f, 5.0f);
+        Tensor input = randomVector(rng, 4.0f);
+        for (std::size_t i = 0; i < kLayerDim; i++) {
+            float z = params.weight[i] * input[i] +
+                      kMixCoeff * params.weight[(i + 1) % kLayerDim] +
+                      params.bias[i];
+            saturated += std::fabs(z) > 10.0f;
+        }
+        expectKeptMatches(params, input, randomVector(rng, 1.0f));
+    }
+    // Most elements sit where 1 - tanh^2 underflows toward zero.
+    EXPECT_GT(saturated, 100 * static_cast<int>(kLayerDim) / 2);
+}
+
+TEST(LayerKeptTanh, MatchesRecomputeOnSignedZerosAndSubnormals)
+{
+    const float specials[] = {0.0f,          -0.0f,          FLT_TRUE_MIN,
+                              -FLT_TRUE_MIN, FLT_MIN / 2.0f, -FLT_MIN / 3.0f,
+                              FLT_MIN,       1e-40f};
+    constexpr std::size_t kSpecials = std::size(specials);
+    Xoshiro256StarStar rng(53);
+    for (int trial = 0; trial < 50; trial++) {
+        LayerParams params = randomLayer(rng, 1.0f, 0.5f);
+        for (std::size_t i = 0; i < kLayerDim; i += 3) {
+            params.weight[i] = specials[rng.nextBelow(kSpecials)];
+            params.bias[i] = specials[rng.nextBelow(kSpecials)];
+        }
+        Tensor input(kLayerDim), gradOutput(kLayerDim);
+        for (std::size_t i = 0; i < kLayerDim; i++) {
+            input[i] = specials[rng.nextBelow(kSpecials)];
+            gradOutput[i] = specials[rng.nextBelow(kSpecials)];
+        }
+        expectKeptMatches(params, input, gradOutput);
+    }
+}
+
+TEST(LayerKeptTanh, MatchesRecomputeUnderFp16Rounding)
+{
+    constexpr auto kHalf = kernels::PrecisionMode::Fp16Rne;
+    Xoshiro256StarStar rng(54);
+    for (int trial = 0; trial < 100; trial++) {
+        LayerParams params = randomLayer(rng, 1.5f, 0.5f);
+        Tensor input = randomVector(rng, 2.0f);
+        Tensor gradOutput = randomVector(rng, 1.0f);
+        kernels::quantizeInPlace(kHalf, params.weight.data().data(),
+                                 kLayerDim);
+        kernels::quantizeInPlace(kHalf, params.bias.data().data(),
+                                 kLayerDim);
+        kernels::quantizeInPlace(kHalf, input.data().data(), kLayerDim);
+        kernels::quantizeInPlace(kHalf, gradOutput.data().data(),
+                                 kLayerDim);
+        expectKeptMatches(params, input, gradOutput);
+    }
+}
+
+TEST(LayerMath, InitMatchesPerElementDraws)
+{
+    // initLayerParams draws through one batched Philox pass; pin it to
+    // the per-element formula it replaced.
+    for (std::uint32_t block : {0u, 7u, 47u}) {
+        for (std::uint32_t choice : {0u, 5u, 71u}) {
+            LayerParams p;
+            initLayerParams(p, 11, block, choice);
+            Philox4x32 philox(deriveSeed(11, "layer-init"));
+            std::uint64_t base =
+                (static_cast<std::uint64_t>(block) << 40) |
+                (static_cast<std::uint64_t>(choice) << 20);
+            for (std::size_t i = 0; i < kLayerDim; i++) {
+                ASSERT_EQ(bitsOf(p.weight[i]),
+                          bitsOf(philox.uniformFloat(base + i, 0) - 0.5f));
+                ASSERT_EQ(bitsOf(p.bias[i]),
+                          bitsOf(0.1f * (philox.uniformFloat(base + i, 1) -
+                                         0.5f)));
+            }
+        }
+    }
+}
+
 } // namespace
 } // namespace naspipe

@@ -89,6 +89,57 @@ TEST_F(StoreFixture, TouchedHashOnlyDependsOnTouched)
     EXPECT_NE(a.touchedHash(), b.touchedHash());
 }
 
+TEST_F(StoreFixture, FreshStoreMaterializesNothing)
+{
+    EXPECT_EQ(store.materializedLayers(), 0u);
+    EXPECT_EQ(store.version(LayerId{2, 1}), 0u);
+    store.write(LayerId{2, 1}, 0);
+    EXPECT_EQ(store.materializedLayers(), 1u);
+    EXPECT_FALSE(store.fullyMaterialized());
+}
+
+TEST_F(StoreFixture, LoadKeepsAFullyMaterializedStoreFull)
+{
+    // The threaded executor materializes every layer before its
+    // workers start and restores checkpoints afterwards: a load must
+    // leave every slot materialized and put every version, zero
+    // included, back to the checkpoint's.
+    store.materializeAll();
+    store.write(LayerId{1, 2}, 0).weight[3] = 0.5f;
+    std::stringstream buffer;
+    ASSERT_TRUE(store.save(buffer));
+
+    ParameterStore restored(space, 7);
+    restored.materializeAll();
+    restored.write(LayerId{0, 0}, 1).bias[1] = 2.0f;
+    restored.write(LayerId{1, 2}, 1);
+    restored.write(LayerId{1, 2}, 2);
+    ASSERT_TRUE(restored.load(buffer));
+    EXPECT_TRUE(restored.fullyMaterialized());
+    EXPECT_EQ(restored.version(LayerId{0, 0}), 0u);
+    EXPECT_EQ(restored.version(LayerId{1, 2}), 1u);
+    EXPECT_EQ(restored.supernetHash(), store.supernetHash());
+}
+
+TEST_F(StoreFixture, StampChangesOnWriteAndLoad)
+{
+    LayerId layer{1, 1};
+    store.materializeAll();
+    std::stringstream before;
+    ASSERT_TRUE(store.save(before));
+    ParameterStore::LayerStamp fresh = store.stamp(layer);
+    store.write(layer, 0);
+    ParameterStore::LayerStamp written = store.stamp(layer);
+    EXPECT_NE(written, fresh);
+    EXPECT_EQ(store.stamp(LayerId{1, 0}), fresh);  // other layers keep
+    // The load restores version 0, the fresh version: only the epoch
+    // keeps the stamp from repeating.
+    ASSERT_TRUE(store.load(before));
+    EXPECT_EQ(store.version(layer), fresh.version);
+    EXPECT_NE(store.stamp(layer), fresh);
+    EXPECT_NE(store.stamp(layer), written);
+}
+
 TEST_F(StoreFixture, CheckpointRoundTripsBitwise)
 {
     // Train a little, checkpoint, restore into a fresh store.
