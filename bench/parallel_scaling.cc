@@ -2,7 +2,7 @@
  * @file
  * Threaded-executor scaling: throughput vs worker count.
  *
- * Runs the same training configuration on the ParallelRuntime with
+ * Runs the same training configuration on the threaded executor with
  * 1..hardware_concurrency workers and reports real wall-clock
  * throughput next to the simulator's predicted throughput at the
  * same stage count, plus the per-stage busy/gate-wait/idle breakdown

@@ -1,9 +1,9 @@
 /**
  * @file
- * ParallelRuntime: the CSP schedule on real OS threads.
+ * The CSP schedule on real OS threads.
  *
- * A second runtime layer next to PipelineRuntime: instead of a
- * discrete-event simulation of D GPUs, it launches one StageWorker
+ * The threaded executor next to PipelineRuntime: instead of a
+ * discrete-event simulation of D GPUs, it runs one StageWorker
  * thread per pipeline stage plus a coordinator (the calling thread),
  * and executes the numeric training run with genuine concurrency.
  * The CommitGate enforces the exact causal read/write order CSP
@@ -13,50 +13,32 @@
  * equivalence harness in tests/integration/test_parallel_equivalence
  * asserts this on the paper spaces.
  *
- * Shares RuntimeConfig and RunResult with the simulator so the two
- * executors are drop-in interchangeable (`naspipe_cli
- * --executor=threads|sim`); both drive the shared TrainingSession
- * coordinator core (src/session), which owns sampling, score
- * delivery and the drained-checkpoint/resume cadence. The feature
- * matrix of what each executor supports (systems, faults,
- * checkpoint/resume, context cache, oracle hooks) lives in
- * README.md's "Choosing an executor" table; supported() is the
- * programmatic form of that matrix and names the feature in its
- * rejection reason.
+ * runTrainingThreaded is the search service (src/serve) with one
+ * in-process job: the service's coordinator loop injects, applies
+ * completions, checkpoints and rolls back, exactly as it does for
+ * each of many tenants. It shares RuntimeConfig and RunResult with
+ * the simulator so the two executors are drop-in interchangeable
+ * (`naspipe_cli --executor=threads|sim`). The feature matrix of what
+ * each executor supports (systems, faults, checkpoint/resume,
+ * context cache, oracle hooks) lives in README.md's "Choosing an
+ * executor" table; supported() is the programmatic form of that
+ * matrix and names the feature in its rejection reason.
  */
 
 #ifndef NASPIPE_EXEC_PARALLEL_RUNTIME_H
 #define NASPIPE_EXEC_PARALLEL_RUNTIME_H
 
-#include <memory>
+#include <string>
 
 #include "runtime/pipeline_runtime.h"
 
 namespace naspipe {
 
-/**
- * Executes one training run on worker threads.
- */
+/** The threaded executor's support matrix. */
 class ParallelRuntime
 {
   public:
-    /**
-     * @param space the search space (must outlive the runtime)
-     * @param config run configuration (numStages == worker threads)
-     */
-    ParallelRuntime(const SearchSpace &space,
-                    const RuntimeConfig &config);
-
-    ~ParallelRuntime();
-
-    ParallelRuntime(const ParallelRuntime &) = delete;
-    ParallelRuntime &operator=(const ParallelRuntime &) = delete;
-
-    /** Execute the run to completion and collect the results. */
-    RunResult run();
-
-    /** Effective score scale (family default applied). */
-    double scoreScale() const;
+    ParallelRuntime() = delete;
 
     /**
      * Whether @p config can run on the threaded executor; fills
@@ -64,13 +46,15 @@ class ParallelRuntime
      */
     static bool supported(const RuntimeConfig &config,
                           std::string *why = nullptr);
-
-  private:
-    struct Impl;
-    std::unique_ptr<Impl> _impl;
 };
 
-/** Convenience wrapper: configure and run on threads in one call. */
+/**
+ * Run @p config (numStages == worker threads) on threads: a
+ * single-job SearchService over @p space. An unsupported config
+ * returns a failed result; a pool incident (a worker died, or hung
+ * past the opt-in wall deadline) fails the run with the incident
+ * named in the error.
+ */
 RunResult runTrainingThreaded(const SearchSpace &space,
                               const RuntimeConfig &config);
 

@@ -46,9 +46,9 @@ void
 SharedStagePool::start()
 {
     NASPIPE_ASSERT(!_started, "pool already started");
-    _epoch = obs::now();
+    obs::TimePoint epoch = obs::now();
     for (auto &worker : _workers)
-        worker->start(_epoch, _config.recordTrace);
+        worker->start(epoch, _config.recordTrace);
 
     // Crash detection is state-based (deterministic); the wall hang
     // deadline is opt-in.
@@ -129,13 +129,6 @@ SharedStagePool::incidentDescription() const
         return "no incident";
     return "stage " + std::to_string(_incidentStage) + ": " +
            _incidentReason;
-}
-
-int
-SharedStagePool::incidentStage() const
-{
-    std::lock_guard<RankedMutex> lock(_poolIncidentMu);
-    return _incidentStage;
 }
 
 } // namespace naspipe

@@ -5,11 +5,11 @@
  * D worker threads (one per pipeline stage), one completion queue and
  * one watchdog. Tasks carry their job's binding, so a worker resolves
  * the right search space / commit gate / numeric executor per task
- * and holds no job state itself. The solo threaded executor
- * (ParallelRuntime) runs one single-job pool per recovery phase; the
- * search service (src/serve) runs one pool for every tenant, which
- * makes a tenant's crash recovery a pure coordinator-side operation
- * (no thread is ever torn down on a job fault).
+ * and holds no job state itself. The search service (src/serve) runs
+ * one pool for all its jobs — every tenant, or the solo threaded
+ * executor's single in-process job — which makes a job's crash
+ * recovery a pure coordinator-side operation (no thread is ever torn
+ * down on a job fault).
  *
  * The watchdog reports the first worker incident by pushing the
  * nullptr sentinel into the completion queue — the coordinator
@@ -59,7 +59,7 @@ class SharedStagePool
     SharedStagePool(const SharedStagePool &) = delete;
     SharedStagePool &operator=(const SharedStagePool &) = delete;
 
-    /** Start the workers and the watchdog; sets epoch(). */
+    /** Start the workers and the watchdog (the trace origin). */
     void start();
 
     /** Submit a bound forward into stage 0 (coordinator thread). */
@@ -82,9 +82,8 @@ class SharedStagePool
     /** Quiesce: abandon queued work and join (also after a crash). */
     void abort();
 
-    /** @name Per-stage fault latches (StageWorker::inject*)
+    /** @name Per-stage transient fault latches (StageWorker::inject*)
      * @{ */
-    void injectCrash(int stage) { workerAt(stage).injectCrash(); }
     void injectStall(int stage, int ticks)
     {
         workerAt(stage).injectStall(ticks);
@@ -97,11 +96,6 @@ class SharedStagePool
 
     /** Last watchdog incident (valid after the nullptr sentinel). */
     std::string incidentDescription() const;
-    /** Victim stage of the last incident, -1 when none. */
-    int incidentStage() const;
-
-    /** Trace and wall-clock origin of the workers. */
-    obs::TimePoint epoch() const { return _epoch; }
 
     /** Post-join per-stage accounting. */
     const StageWorker &worker(int stage) const
@@ -129,7 +123,6 @@ class SharedStagePool
     int _incidentStage = -1;
     std::string _incidentReason;
 
-    obs::TimePoint _epoch;
     bool _started = false;
     bool _joined = false;
 };

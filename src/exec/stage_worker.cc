@@ -340,15 +340,9 @@ StageWorker::runLoop()
             stopping = _stop;
             aborting = _abort;
         }
-        // Fault latches first: a crashed worker abandons everything
-        // (its inbox closes so no peer blocks pushing to it); an
-        // aborted worker exits the same way but counts as a clean
+        // An aborted worker abandons everything (its inbox closes so
+        // no peer blocks pushing to it) and exits as a clean
         // supervised shutdown.
-        if (_crashLatch.exchange(false)) {
-            _inbox.close();
-            _hb.setState(fault::WorkerState::Crashed);
-            return;
-        }
         if (aborting) {
             _inbox.close();
             _hb.setState(fault::WorkerState::Exited);

@@ -157,12 +157,10 @@ class StageWorker
     /** Join the worker thread. */
     void join();
 
-    /** @name Fault injection (supervision layer)
+    /** @name Transient fault injection
      * Latches armed by the coordinator at task boundaries; the worker
-     * thread consumes them at the top of its scheduling loop (crash,
-     * stall) or per executed task (degrade). @{ */
-    /** Fail-stop: the loop abandons its inbox and exits. */
-    void injectCrash() { _crashLatch = true; notify(); }
+     * thread consumes them at the top of its scheduling loop (stall)
+     * or per executed task (degrade). @{ */
     /** Sleep through @p ticks bounded waits before the next task. */
     void injectStall(int ticks) { _stallTicks = ticks; notify(); }
     /** Slow down the next @p tasks executed tasks. */
@@ -233,7 +231,6 @@ class StageWorker
     bool _abort = false;
 
     // Fault latches (coordinator writes, worker thread consumes).
-    std::atomic<bool> _crashLatch{false};
     std::atomic<int> _stallTicks{0};
     std::atomic<int> _degradeTasks{0};
     fault::WorkerHeartbeat _hb;

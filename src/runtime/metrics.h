@@ -68,7 +68,7 @@ struct RunMetrics {
     std::uint64_t checkpointBytes = 0;  ///< size of the last one
     double checkpointSeconds = 0.0;     ///< total time spent writing
 
-    // Threaded executor (ParallelRuntime). wallSeconds is real
+    // Threaded executor (runTrainingThreaded). wallSeconds is real
     // wall-clock time; for threaded runs simSeconds is set to it so
     // throughput consumers work unchanged. The per-stage vectors are
     // indexed by stage and the gate numbers come from the CommitGate.

@@ -174,21 +174,40 @@ buildConfig(const JobSpec &spec, int numStages)
     config.faults = spec.faults;
     config.recoveryMaxRetries = spec.recoveryRetries;
     config.precision = spec.precision;
+    // Resume-from-file: a ckpt-path that already holds a checkpoint
+    // (a previous submission of this job was interrupted after a
+    // drained barrier) restarts the trajectory from that barrier. A
+    // missing file is a fresh start.
+    if (!spec.ckptPath.empty() && std::ifstream(spec.ckptPath).good())
+        config.resumePath = spec.ckptPath;
     return config;
+}
+
+fault::RecoveryPolicy::Config
+policyConfig(const RuntimeConfig &config)
+{
+    return {config.recoveryMaxRetries, config.recoveryBackoffSeconds,
+            60.0};
 }
 
 } // namespace
 
 ServeJob::ServeJob(int id, JobSpec spec, int numStages)
     : _id(id), _spec(std::move(spec)),
-      _space(makeSpaceByName(_spec.space)),
-      _config(buildConfig(_spec, numStages)),
-      _session(_space, _config),
-      _policy(fault::RecoveryPolicy::Config{
-          _spec.recoveryRetries, _config.recoveryBackoffSeconds,
-          60.0})
+      _ownedSpace(
+          std::make_unique<SearchSpace>(makeSpaceByName(_spec.space))),
+      _space(*_ownedSpace), _config(buildConfig(_spec, numStages)),
+      _session(_space, _config), _policy(policyConfig(_config))
 {
-    NASPIPE_ASSERT(numStages >= 1, "job needs >= 1 pool stage");
+    _session.attach(this);
+}
+
+ServeJob::ServeJob(int id, JobSpec identity, const SearchSpace &space,
+                   RuntimeConfig config)
+    : _id(id), _spec(std::move(identity)), _space(space),
+      _config(std::move(config)), _session(_space, _config),
+      _policy(policyConfig(_config))
+{
     _session.attach(this);
 }
 
@@ -229,10 +248,19 @@ ServeJob::admit(SubnetId id)
 void
 ServeJob::restoreCompleted(SubnetId id)
 {
-    // Same contract as the solo threaded executor: restored subnets
-    // are deliberately NOT registered in the gate, so the new phase's
-    // chains start fresh at rank 0.
+    // Restored subnets are deliberately NOT registered in the gate,
+    // so the live run's causal chains start fresh at rank 0 — which
+    // keeps a live CspOracle's commit-monotonicity check valid across
+    // a resume and a rollback. The restored store already holds
+    // their weight updates, and the drained barrier guarantees they
+    // hold no pipeline token.
     (void)id;
+}
+
+int
+ServeJob::searchThreads(int numStages) const
+{
+    return _hooks.poolIdle && _hooks.poolIdle() ? numStages + 1 : 1;
 }
 
 bool
@@ -243,25 +271,22 @@ ServeJob::start(PoolHooks hooks, double nowSeconds)
     NASPIPE_ASSERT(hooks.dispatch, "job needs a pool dispatch hook");
     _hooks = std::move(hooks);
     if (!_session.initRun()) {
+        _result.oom = true;
         fail("capacity planner rejected the job (space " +
              _spec.space + " does not fit " +
              std::to_string(_config.numStages) + " stages)");
         return false;
     }
-    // Resume-from-file: a ckpt-path that already holds a checkpoint
-    // (a previous submission of this job was interrupted after a
-    // drained barrier) restarts the trajectory from that barrier. A
-    // missing file is a fresh start; an unreadable or mismatched one
-    // fails the job rather than silently retraining from subnet 0.
-    if (!_spec.ckptPath.empty() &&
-        std::ifstream(_spec.ckptPath).good()) {
-        if (!_session.resume(_spec.ckptPath)) {
-            fail("cannot resume from checkpoint '" + _spec.ckptPath +
-                 "'");
+    // An unreadable or mismatched checkpoint fails the job rather
+    // than silently retraining from subnet 0.
+    const std::string &resumePath = _config.resumePath;
+    if (!resumePath.empty()) {
+        if (!_session.resume(resumePath)) {
+            fail("cannot resume from checkpoint '" + resumePath + "'");
             return false;
         }
-        inform("job ", _id, ": resumed from '", _spec.ckptPath,
-               "' at ", _session.finished(), " completed subnets");
+        inform("job ", _id, ": resumed from '", resumePath, "' at ",
+               _session.finished(), " completed subnets");
     }
     // Pre-materialize so the shared workers' hot path stays
     // structurally read-only on this job's private store.
@@ -270,6 +295,11 @@ ServeJob::start(PoolHooks hooks, double nowSeconds)
     _startedAt = nowSeconds;
     _phaseStart = nowSeconds;
     setState(JobState::Admitted);
+    if (_session.finished() == _session.totalSubnets()) {
+        // Resumed from the final barrier: nothing left to inject.
+        setState(JobState::Running);
+        finish(nowSeconds);
+    }
     return true;
 }
 
@@ -314,10 +344,33 @@ ServeJob::applyCompletion(
 
     // The job's fault plan runs on the job's own logical clock (its
     // completion count) — neighbors never advance it.
+    const int numStages = _config.numStages;
     for (const FaultSpec &f :
          _session.dueFaults(ticksFromSec(nowSeconds - _phaseStart))) {
-        if (faultIsFailStop(f.kind))
-            beginFailStop("injected fault: " + f.describe());
+        int stage = std::clamp(f.stage, 0, numStages - 1);
+        // A link fault hits the link below `link`; a one-stage
+        // pipeline has no links (the simulator ignores it too).
+        int link = std::min(stage, numStages - 2);
+        int ticks = std::max(1, static_cast<int>(f.durationMs));
+        switch (f.kind) {
+          case FaultKind::GpuCrash:
+            beginFailStop("injected fault: " + f.describe(), stage);
+            break;
+          case FaultKind::LinkDrop:
+            // The downstream end of the dropped link loses its
+            // traffic — fail-stop for the stage behind it.
+            if (numStages >= 2)
+                beginFailStop("injected fault: " + f.describe(),
+                              link + 1);
+            break;
+          case FaultKind::StageStall:
+            _hooks.perturb(f.kind, stage, ticks);
+            break;
+          case FaultKind::LinkDegrade:
+            if (numStages >= 2)
+                _hooks.perturb(f.kind, link, ticks);
+            break;
+        }
     }
     if (_failStopPending)
         return;  // no checkpoint at a crash-coincident barrier
@@ -371,15 +424,23 @@ ServeJob::recover(double nowSeconds)
     double backoff = _policy.nextBackoffSeconds();
     inform("job ", _id, " recovering (", _failStopReason,
            "), attempt ", _policy.consecutiveFailures());
-    if (!_session.rollback(wallAtCrash, _session.busyOffset(),
-                           _config.recoverySeconds + backoff,
-                           nullptr)) {
+    auto rolled = _session.rollback(wallAtCrash, _session.busyOffset(),
+                                    _config.recoverySeconds + backoff,
+                                    nullptr);
+    if (!rolled) {
         fail("recovery from the last checkpoint failed");
         return false;
     }
     // rollback() rebuilt the session around a fresh store, which the
     // restore leaves unmaterialized when no checkpoint was taken yet.
     _session.store()->materializeAll();
+    // initRun() reset the trace (the simulator loses its pre-crash
+    // trace the same way): the recovery span opens the new phase.
+    _session.trace()->add(TraceRecord{
+        0, 0, _failStopStage, TraceKind::Recovery, -1,
+        "rollback to " + std::to_string(rolled->toCompleted) +
+            ", attempt " +
+            std::to_string(_policy.consecutiveFailures())});
     // Fresh job gate: this job's causal chains restart at rank 0.
     // The shared workers and every other tenant's gate are untouched.
     rebuildGate();
@@ -404,7 +465,7 @@ ServeJob::requestCancel()
         _cancelRequested = true;
         // Drain like a fail-stop: in-flight stragglers are dropped,
         // then recover() observes the cancel and fails the job.
-        beginFailStop("cancelled");
+        beginFailStop("cancelled", 0);
         return;
     case JobState::Recovering:
         _cancelRequested = true;
@@ -470,10 +531,13 @@ ServeJob::rebuildGate()
 }
 
 void
-ServeJob::beginFailStop(const std::string &reason)
+ServeJob::beginFailStop(const std::string &reason, int stage)
 {
+    if (_failStopPending)
+        return;  // already draining for an earlier fail-stop
     _failStopPending = true;
     _failStopReason = reason;
+    _failStopStage = stage;
     _pendingDrain = _session.inflight();
     setState(JobState::Recovering);
 }

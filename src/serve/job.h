@@ -1,16 +1,20 @@
 /**
  * @file
- * ServeJob — one tenant of the multi-tenant search service.
+ * ServeJob — one training run on the shared stage pool.
  *
- * A job wraps everything that must be *private* for per-job bitwise
- * reproducibility and fault isolation: a TrainingSession (sampler,
- * score delivery, checkpoint cadence), a CommitGate (the job's own
- * causal chains — CSP's guarantee is per supernet, so chains never
- * cross jobs), a ParameterStore/NumericExecutor pair, a seeded fault
- * plan and a bounded-retry recovery policy. What it does NOT own is
- * compute: admitted subnets are dispatched into the shared
- * StageWorker pool, tagged with this job's JobBinding so the workers
- * resolve the right gate and executor per task.
+ * A job is the per-run coordinator core of every threaded run: a
+ * tenant of the multi-tenant search service and, as the service's
+ * only in-process job, the solo threaded executor
+ * (runTrainingThreaded). It wraps everything that must be *private*
+ * for per-run bitwise reproducibility and fault isolation: a
+ * TrainingSession (sampler, score delivery, checkpoint cadence), a
+ * CommitGate (the run's own causal chains — CSP's guarantee is per
+ * supernet, so chains never cross jobs), a ParameterStore /
+ * NumericExecutor pair, a seeded fault plan and a bounded-retry
+ * recovery policy. What it does NOT own is compute: admitted subnets
+ * are dispatched into the shared StageWorker pool, tagged with this
+ * job's JobBinding so the workers resolve the right gate and
+ * executor per task.
  *
  * Lifecycle (the serve state machine):
  *
@@ -140,14 +144,37 @@ class ServeJob : public ExecutionBackend
          * cursors here.
          */
         std::function<void(int)> recovered;
+        /**
+         * Apply a transient fault to the pool: a StageStall of stage
+         * @p target or a LinkDegrade of link @p target (the link
+         * below stage @p target), lasting @p ticks.
+         */
+        std::function<void(FaultKind, int target, int ticks)> perturb;
+        /**
+         * Whether this job is the only live one and no submission is
+         * pending — then every pool stage idles once it drains.
+         */
+        std::function<bool()> poolIdle;
     };
 
     /**
+     * A job submitted as text: the named space, run configuration
+     * from buildConfig().
      * @param id service-assigned job ID (also the metric namespace)
      * @param spec validated job description
      * @param numStages shared pool depth (== every job's stages)
      */
     ServeJob(int id, JobSpec spec, int numStages);
+
+    /**
+     * An in-process job: the caller's own space and configuration
+     * (sampler factory, resume path, trace flag, transient faults).
+     * @param identity name, space name, seed and steps for status
+     *        and metrics
+     * @param space must outlive the job
+     */
+    ServeJob(int id, JobSpec identity, const SearchSpace &space,
+             RuntimeConfig config);
 
     ServeJob(const ServeJob &) = delete;
     ServeJob &operator=(const ServeJob &) = delete;
@@ -158,16 +185,18 @@ class ServeJob : public ExecutionBackend
     void admit(SubnetId id) override;
     void restoreCompleted(SubnetId id) override;
     /**
-     * The stage pool keeps serving other tenants while this job
-     * finishes, so its search runs on the coordinator alone.
+     * While other tenants keep the stage pool busy, the search runs
+     * on the coordinator alone; a lone job borrows the idle stages.
      */
-    int searchThreads(int) const override { return 1; }
+    int searchThreads(int numStages) const override;
     /** @} */
 
     /**
      * Queued -> Admitted: build this phase's commit gate, initialize
-     * the session and pre-materialize the store. Returns false (and
-     * fails the job) when the capacity planner rejects the spec.
+     * the session, resume from config().resumePath when set and
+     * pre-materialize the store; a job resumed at its last subnet is
+     * Done on return. Returns false (and fails the job) when the
+     * capacity planner rejects the spec or the resume fails.
      * @p nowSeconds is the service clock (the job's time origin).
      */
     bool start(PoolHooks hooks, double nowSeconds);
@@ -184,9 +213,10 @@ class ServeJob : public ExecutionBackend
 
     /**
      * Apply one completed subnet: compute the loss, record it, fire
-     * due faults (fail-stop flips the job to Recovering), take the
-     * drained checkpoint at a barrier, and finish the job when this
-     * was the last subnet. @p nowSeconds is the service wall clock.
+     * due faults (fail-stop flips the job to Recovering; stall and
+     * degrade go to the pool), take the drained checkpoint at a
+     * barrier, and finish the job when this was the last subnet.
+     * @p nowSeconds is the service wall clock.
      */
     void applyCompletion(const std::shared_ptr<const SubnetRun> &run,
                          double nowSeconds);
@@ -216,8 +246,10 @@ class ServeJob : public ExecutionBackend
      *  the admission gates already stop the pump). */
     void refreshDrainState();
 
-    /** Collect the run result (valid once Done). */
+    /** Collect the run result (valid once Done or Failed). */
     const RunResult &result() const { return _result; }
+    /** Move the run result out (post-run). */
+    RunResult takeResult() { return std::move(_result); }
 
     /** Terminal-failure record. */
     void fail(const std::string &reason);
@@ -235,6 +267,7 @@ class ServeJob : public ExecutionBackend
     const std::string &error() const { return _error; }
     bool retriesExhausted() const { return _retriesExhausted; }
     const SearchSpace &space() const { return _space; }
+    const RuntimeConfig &config() const { return _config; }
     TrainingSession &session() { return _session; }
     const TrainingSession &session() const { return _session; }
     /** Reserved in-flight window (admission-control accounting). */
@@ -254,7 +287,7 @@ class ServeJob : public ExecutionBackend
   private:
     void setState(JobState next);
     void rebuildGate();
-    void beginFailStop(const std::string &reason);
+    void beginFailStop(const std::string &reason, int stage);
     void finish(double nowSeconds);
 
     const int _id;
@@ -262,7 +295,8 @@ class ServeJob : public ExecutionBackend
 
     // Declaration order matters: the session holds references to the
     // space and the config, so both must outlive (= precede) it.
-    SearchSpace _space;
+    std::unique_ptr<const SearchSpace> _ownedSpace;  ///< text jobs
+    const SearchSpace &_space;
     RuntimeConfig _config;
     TrainingSession _session;
 
@@ -271,8 +305,7 @@ class ServeJob : public ExecutionBackend
     bool _retriesExhausted = false;
     bool _cancelRequested = false;
 
-    // Phase-scoped causal chains (rebuilt on every recovery, exactly
-    // like the solo threaded executor's in-place recovery).
+    // Phase-scoped causal chains (rebuilt on every recovery).
     std::unique_ptr<CommitGate> _gate;
     JobBinding _binding;
     PoolHooks _hooks;
@@ -281,6 +314,7 @@ class ServeJob : public ExecutionBackend
     fault::RecoveryPolicy _policy;
     bool _failStopPending = false;
     std::string _failStopReason;
+    int _failStopStage = 0;  ///< victim stage (Recovery trace record)
     int _pendingDrain = 0;  ///< stragglers left to drop (Recovering)
 
     double _startedAt = 0.0;   ///< service clock at start()

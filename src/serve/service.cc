@@ -17,17 +17,28 @@ SearchService::SearchService(ServiceConfig config) : _config(config)
                    "in-flight budget must be >= 0");
 }
 
+bool
+SearchService::submissionsClosed(std::string *why) const
+{
+    const char *reason = _holdsInProcess
+                             ? "service runs an in-process job; "
+                               "submissions closed"
+                         : _draining
+                             ? "service is draining; submissions closed"
+                             : nullptr;
+    if (reason && why)
+        *why = reason;
+    return reason != nullptr;
+}
+
 int
 SearchService::submit(const JobSpec &spec, std::string *why)
 {
     if (!validateJobSpec(spec, why))
         return -1;
     std::lock_guard<RankedMutex> lock(_clientMu);
-    if (_draining) {
-        if (why)
-            *why = "service is draining; submissions closed";
+    if (submissionsClosed(why))
         return -1;
-    }
     int id = _nextJobId++;
     JobSpec named = spec;
     if (named.name.empty())
@@ -53,11 +64,8 @@ SearchService::submitBatch(const std::vector<JobSpec> &specs,
     }
     std::vector<int> ids;
     std::lock_guard<RankedMutex> lock(_clientMu);
-    if (_draining) {
-        if (why)
-            *why = "service is draining; submissions closed";
+    if (submissionsClosed(why))
         return {};
-    }
     ids.reserve(specs.size());
     for (const JobSpec &spec : specs) {
         int id = _nextJobId++;
@@ -68,6 +76,31 @@ SearchService::submitBatch(const std::vector<JobSpec> &specs,
         ids.push_back(id);
     }
     return ids;
+}
+
+int
+SearchService::submitInProcess(const SearchSpace &space,
+                               const RuntimeConfig &config,
+                               std::string *why)
+{
+    std::lock_guard<RankedMutex> lock(_clientMu);
+    if (submissionsClosed(why))
+        return -1;
+    if (_nextJobId != 1) {
+        if (why)
+            *why = "an in-process job must be the service's only job";
+        return -1;
+    }
+    int id = _nextJobId++;
+    _holdsInProcess = true;
+    JobSpec identity;
+    identity.name = "job" + std::to_string(id);
+    identity.space = space.name();
+    identity.seed = config.seed;
+    identity.steps = config.totalSubnets;
+    _pendingInProcess = std::make_unique<ServeJob>(
+        id, std::move(identity), space, config);
+    return id;
 }
 
 bool
@@ -101,6 +134,12 @@ SearchService::job(int jobId) const
     return it == _jobs.end() ? nullptr : it->second.get();
 }
 
+RunResult
+SearchService::takeResult(int jobId)
+{
+    return _jobs.at(jobId)->takeResult();
+}
+
 double
 SearchService::elapsed() const
 {
@@ -130,7 +169,65 @@ SearchService::hooks(int jobId)
             observer(jobId, attempt);
         };
     }
+    h.perturb = [this](FaultKind kind, int target, int ticks) {
+        if (kind == FaultKind::StageStall)
+            _pool->injectStall(target, ticks);
+        else
+            _pool->injectDegrade(target, ticks);
+    };
+    h.poolIdle = [this, jobId] {
+        for (const auto &entry : _jobs) {
+            if (entry.first != jobId && !entry.second->terminal())
+                return false;
+        }
+        std::lock_guard<RankedMutex> lock(_clientMu);
+        return _pendingSpecs.empty();
+    };
     return h;
+}
+
+SharedStagePool::Config
+SearchService::poolConfig() const
+{
+    SharedStagePool::Config pc;
+    pc.numStages = _config.numStages;
+    long long windows = 0;
+    for (const auto &entry : _jobs)
+        windows += entry.second->window();
+    if (_config.maxTotalInflight > 0)
+        windows = std::min<long long>(windows,
+                                      _config.maxTotalInflight);
+    pc.inboxCapacity =
+        static_cast<std::size_t>(std::max<long long>(2 * windows, 16));
+    pc.watchdogPollMs = _config.watchdogPollMs;
+    pc.wallDeadline = _config.wallDeadline;
+    pc.deadlineSeconds = _config.deadlineSeconds;
+    if (!_inProcess)
+        return pc;
+    // A lone in-process job owns the pool, so its workers manage
+    // contexts like the simulator's stages: the job's memory mode
+    // and predictor, and the §4.2 memory-limit check. The planned
+    // footprint covers the ~3 moving contexts of §3.3; contexts
+    // awaiting their backward pass also linger, so the enforced
+    // budget is 3x the plan.
+    const RuntimeConfig &c = _inProcess->config();
+    pc.context.mode = c.system.memory;
+    pc.context.predictor = c.system.predictor;
+    pc.context.budgetBytes =
+        c.system.memory == MemoryMode::AllResident
+            ? 0
+            : 3 * _inProcess->session().plan().residentParamBytesPerGpu;
+    pc.recordTrace = c.traceEnabled;
+    return pc;
+}
+
+void
+SearchService::addJob(std::unique_ptr<ServeJob> job)
+{
+    int id = job->id();
+    _sched.addJob(id, job->spec().priority);
+    _inbound[id];
+    _jobs.emplace(id, std::move(job));
 }
 
 void
@@ -138,18 +235,20 @@ SearchService::applyControl()
 {
     std::vector<std::pair<int, JobSpec>> specs;
     std::vector<int> cancels;
+    std::unique_ptr<ServeJob> inProcess;
     {
         std::lock_guard<RankedMutex> lock(_clientMu);
         specs.swap(_pendingSpecs);
         cancels.swap(_pendingCancels);
+        inProcess = std::move(_pendingInProcess);
+    }
+    if (inProcess) {
+        _inProcess = inProcess.get();
+        addJob(std::move(inProcess));
     }
     for (auto &entry : specs) {
-        auto job = std::make_unique<ServeJob>(
-            entry.first, std::move(entry.second),
-            _config.numStages);
-        _sched.addJob(entry.first, job->spec().priority);
-        _inbound[entry.first];
-        _jobs.emplace(entry.first, std::move(job));
+        addJob(std::make_unique<ServeJob>(
+            entry.first, std::move(entry.second), _config.numStages));
     }
     for (int id : cancels) {
         auto it = _jobs.find(id);
@@ -189,9 +288,9 @@ SearchService::admitQueued()
         if (job.start(hooks(job.id()), elapsed())) {
             _admittedWindows += window;
             _reserved.insert(job.id());
-        } else {
-            finalizeJob(job);  // capacity planner rejected the spec
         }
+        if (job.terminal())
+            finalizeJob(job);  // rejected, or resumed at its end
     }
 }
 
@@ -276,6 +375,8 @@ SearchService::finalizeJob(ServeJob &job)
     NASPIPE_ASSERT(_inbound[job.id()].empty(),
                    "terminal job ", job.id(),
                    " left buffered completions");
+    if (&job == _inProcess)
+        return;  // its caller reports the RunResult itself
     if (job.state() == JobState::Done) {
         inform("job ", job.id(), " (", job.spec().name, ") done: ",
                job.session().finished(), " subnets, hash ",
@@ -343,27 +444,17 @@ SearchService::run()
         return AllDone;
     }
 
-    // Worker context management stays AllResident with the
-    // predictor off (the Config default): every job's store
-    // pre-materializes at admission, and the cache is pure
-    // bookkeeping that sharing across tenants would only entangle —
-    // so the space it sizes against is never consulted; any live one
-    // works, and jobs are never erased from _jobs.
-    SharedStagePool::Config pc;
-    pc.numStages = _config.numStages;
-    long long windows = 0;
-    for (const auto &entry : _jobs)
-        windows += entry.second->window();
-    if (_config.maxTotalInflight > 0)
-        windows = std::min<long long>(windows,
-                                      _config.maxTotalInflight);
-    pc.inboxCapacity =
-        static_cast<std::size_t>(std::max<long long>(2 * windows, 16));
-    pc.watchdogPollMs = _config.watchdogPollMs;
-    pc.wallDeadline = _config.wallDeadline;
-    pc.deadlineSeconds = _config.deadlineSeconds;
+    // Admission first: an admitted in-process job's capacity plan
+    // sizes the pool's context budget. A multi-tenant pool keeps
+    // worker context management AllResident with the predictor off
+    // (the Config default): every job's store pre-materializes at
+    // admission, and the cache is pure bookkeeping that sharing
+    // across tenants would only entangle — so the space it sizes
+    // against is never consulted; any live one works, and jobs are
+    // never erased from _jobs.
+    admitQueued();
     _pool = std::make_unique<SharedStagePool>(
-        _jobs.begin()->second->space(), pc);
+        _jobs.begin()->second->space(), poolConfig());
     _pool->start();
 
     while (!_serviceFailed) {

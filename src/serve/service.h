@@ -23,6 +23,11 @@
  *      function of (job specs, seeds, schedule) even though arrival
  *      order is thread-raced.
  *
+ * The solo threaded executor (runTrainingThreaded) is this service
+ * with one in-process job: the same coordinator loop, fault rules
+ * and rollback serve one tenant or many. A lone in-process job also
+ * sizes the pool's context managers from its own configuration.
+ *
  * Fault isolation: a job's fail-stop fault freezes only that job —
  * the coordinator drops its in-flight stragglers (the rollback
  * replays them), rolls the job back to its last drained checkpoint
@@ -126,6 +131,18 @@ class SearchService
     std::vector<int> submitBatch(const std::vector<JobSpec> &specs,
                                  std::string *why = nullptr);
 
+    /**
+     * Submit one in-process job: the caller's own @p space (must
+     * outlive run()) and run @p config, not validated as a JobSpec —
+     * the config carries what text cannot (sampler factory, resume
+     * path, trace flag, transient faults). Refused (-1, @p why set)
+     * when the service already holds a job; once accepted, submit()
+     * and submitBatch() are refused, so the job stays alone.
+     */
+    int submitInProcess(const SearchSpace &space,
+                        const RuntimeConfig &config,
+                        std::string *why = nullptr);
+
     /** Request cancellation; false for an unknown job ID. */
     bool cancel(int jobId);
 
@@ -146,6 +163,10 @@ class SearchService
 
     /** Post-run introspection (coordinator thread only). */
     const ServeJob *job(int jobId) const;
+    /** Move job @p jobId's result out (post-run). */
+    RunResult takeResult(int jobId);
+    /** The shared pool, joined once run() returned (null before). */
+    const SharedStagePool *pool() const { return _pool.get(); }
     const std::string &serviceError() const { return _serviceError; }
 
     /**
@@ -158,6 +179,10 @@ class SearchService
 
   private:
     double elapsed() const;
+    /** Whether submissions are refused (fills @p why); _clientMu
+     *  held. */
+    bool submissionsClosed(std::string *why) const;
+    void addJob(std::unique_ptr<ServeJob> job);
     void applyControl();
     void admitQueued();
     void progressRecovering();
@@ -170,6 +195,7 @@ class SearchService
     void failService(const std::string &reason);
     void updateStatus();
     ServeJob::PoolHooks hooks(int jobId);
+    SharedStagePool::Config poolConfig() const;
 
     const ServiceConfig _config;
 
@@ -178,6 +204,7 @@ class SearchService
     std::map<int, std::deque<std::shared_ptr<const SubnetRun>>>
         _inbound;  ///< buffered completions awaiting their turn
     std::set<int> _reserved;  ///< jobs holding an admission window
+    const ServeJob *_inProcess = nullptr;  ///< the lone in-process job
     JobScheduler _sched;
     std::unique_ptr<SharedStagePool> _pool;
     std::uint64_t _nextTicket = 0;
@@ -192,6 +219,8 @@ class SearchService
     int _nextJobId = 1;
     bool _draining = false;
     std::vector<std::pair<int, JobSpec>> _pendingSpecs;
+    std::unique_ptr<ServeJob> _pendingInProcess;
+    bool _holdsInProcess = false;  ///< submissions closed for good
     std::vector<int> _pendingCancels;
     std::vector<JobStatus> _statusSnap;
 };

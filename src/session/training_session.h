@@ -2,8 +2,9 @@
  * @file
  * TrainingSession: the runtime-agnostic coordinator core.
  *
- * Every executor — the discrete-event simulator (PipelineRuntime),
- * the real thread pool (ParallelRuntime) and each serve job — needs
+ * Every executor — the discrete-event simulator (PipelineRuntime)
+ * and each job on the real thread pool (ServeJob, which solo
+ * threaded runs use too) — needs
  * the same coordinator: draw subnets in sequence order, gate
  * injection on the in-flight limit / feedback lag / checkpoint drain
  * barrier, deliver quality scores to the sampler in sequence-ID
@@ -87,9 +88,10 @@ class ExecutionBackend
      * Threads collect()'s post-run search may fan candidates out
      * over. collect() runs after the executor drained, so by default
      * the search borrows one thread per idle stage plus the
-     * coordinator's own. A backend whose stages are not cores it
-     * owns — the simulator's modelled GPUs, a serve job's shared
-     * pool — returns 1. The search result is the same at any count.
+     * coordinator's own. A backend whose stages are not idle cores
+     * — the simulator's modelled GPUs, a serve job whose pool still
+     * serves other tenants — returns 1. The search result is the
+     * same at any count.
      */
     virtual int
     searchThreads(int numStages) const

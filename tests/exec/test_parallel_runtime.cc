@@ -1,13 +1,15 @@
 /**
  * @file
- * ParallelRuntime unit tests: support matrix, metrics surface, and
- * small end-to-end runs on threads.
+ * Threaded executor unit tests: support matrix, metrics surface,
+ * small end-to-end runs on threads, and the single-job service
+ * contract they run on.
  */
 
 #include <gtest/gtest.h>
 
 #include "exec/parallel_runtime.h"
 #include "schedule/scheduler.h"
+#include "serve/service.h"
 
 namespace naspipe {
 namespace {
@@ -161,6 +163,66 @@ TEST(ParallelRuntime, TraceRecordsBothPassKinds)
     }
     EXPECT_TRUE(fwd);
     EXPECT_TRUE(bwd);
+}
+
+TEST(ParallelRuntime, InProcessJobMustBeAlone)
+{
+    SearchSpace space("exec-alone", SpaceFamily::Nlp, 8, 4, 3);
+    serve::JobSpec spec;
+    spec.steps = 4;
+    serve::ServiceConfig sc;
+    sc.numStages = 2;
+    std::string why;
+
+    // Refused once the service holds a job...
+    serve::SearchService holding(sc);
+    ASSERT_GT(holding.submit(spec, &why), 0) << why;
+    EXPECT_EQ(holding.submitInProcess(space, config(2, 4), &why), -1);
+    EXPECT_NE(why.find("only job"), std::string::npos) << why;
+
+    // ...and once accepted, nothing else gets in.
+    serve::SearchService solo(sc);
+    int id = solo.submitInProcess(space, config(2, 6), &why);
+    ASSERT_GT(id, 0) << why;
+    why.clear();
+    EXPECT_EQ(solo.submit(spec, &why), -1);
+    EXPECT_NE(why.find("in-process"), std::string::npos) << why;
+    EXPECT_TRUE(solo.submitBatch({spec}, &why).empty());
+    EXPECT_EQ(solo.submitInProcess(space, config(2, 6), &why), -1);
+    EXPECT_EQ(solo.run(), serve::SearchService::AllDone);
+    EXPECT_EQ(solo.status().size(), 1u);
+    RunResult result = solo.takeResult(id);
+    ASSERT_FALSE(result.failed) << result.error;
+    EXPECT_EQ(result.supernetHash,
+              runTrainingThreaded(space, config(2, 6)).supernetHash);
+}
+
+TEST(ParallelRuntime, RecoveryKeepsTraceAndWholeRunCounters)
+{
+    SearchSpace space("exec-recover", SpaceFamily::Nlp, 8, 4, 3);
+    RuntimeConfig c = config(3, 12);
+    c.traceEnabled = true;
+    c.ckptInterval = 4;
+    FaultSpec crash;
+    crash.kind = FaultKind::GpuCrash;
+    crash.atStep = 6;
+    crash.stage = 1;
+    c.faults.push_back(crash);
+    RunResult result = runTrainingThreaded(space, c);
+    ASSERT_FALSE(result.failed) << result.error;
+    const RunMetrics &m = result.metrics;
+    ASSERT_EQ(m.recoveries, 1);
+
+    ASSERT_TRUE(result.trace);
+    EXPECT_EQ(result.trace->byKind(TraceKind::Recovery).size(), 1u);
+
+    // The pool served the whole run: every forward met its backward,
+    // and stage 0 saw the replayed subnets on top of the run's own.
+    ASSERT_EQ(m.perStageForwards.size(), 3u);
+    for (std::size_t k = 0; k < 3; k++)
+        EXPECT_EQ(m.perStageForwards[k], m.perStageBackwards[k]) << k;
+    EXPECT_GE(m.perStageForwards[0],
+              static_cast<std::uint64_t>(12 + m.subnetsReplayed));
 }
 
 } // namespace

@@ -4,7 +4,7 @@
  * acceptance test).
  *
  * Definition 1 extended to real concurrency: for the same
- * (space, seed, worker count), the ParallelRuntime's trained supernet
+ * (space, seed, worker count), the threaded executor's trained supernet
  * must be bitwise identical to the discrete-event simulator's — which
  * the simulator in turn proves equal to sequential training. Checked
  * on the paper spaces NLP.c1 and CV.c1 across 1/2/4/8 workers, and

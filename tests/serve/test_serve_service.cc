@@ -215,6 +215,48 @@ TEST(ServeService, RetryExhaustionFailsOneJobOnly)
               solo2.supernetHash);
 }
 
+TEST(ServeService, OneStagePoolIgnoresLinkDrop)
+{
+    // A one-stage pipeline has no links, so a drop is a no-op, as
+    // it is in the simulator: no recovery, nothing replayed.
+    JobSpec spec = job("NLP.c1", 3, 24);
+    spec.ckptInterval = 8;
+    FaultSpec drop;
+    drop.kind = FaultKind::LinkDrop;
+    drop.atStep = 12;
+    spec.faults.push_back(drop);
+
+    ServiceConfig sc;
+    sc.numStages = 1;
+    AuditedService as(sc, 1);
+    std::string why;
+    int id = as.service->submit(spec, &why);
+    ASSERT_GT(id, 0) << why;
+    as.service->drain();
+    ASSERT_EQ(as.service->run(), SearchService::AllDone)
+        << as.service->serviceError();
+    as.audit(id);
+    const ServeJob *j = as.service->job(id);
+    EXPECT_EQ(j->recoveries(), 0);
+    EXPECT_EQ(j->subnetsReplayed(), 0);
+
+    SearchSpace space = makeSpaceByName("NLP.c1");
+    RuntimeConfig c;
+    c.system = naspipeSystem();
+    c.numStages = 1;
+    c.totalSubnets = spec.steps;
+    c.seed = spec.seed;
+    c.ckptInterval = spec.ckptInterval;
+    c.faults = spec.faults;
+    RunResult sim = runTraining(space, c);
+    ASSERT_FALSE(sim.failed) << sim.error;
+    EXPECT_EQ(j->recoveries(), sim.metrics.recoveries);
+    EXPECT_EQ(j->subnetsReplayed(), sim.metrics.subnetsReplayed);
+    EXPECT_EQ(j->result().metrics.faultsInjected,
+              sim.metrics.faultsInjected);
+    EXPECT_EQ(j->result().supernetHash, sim.supernetHash);
+}
+
 TEST(ServeService, InflightBudgetQueuesJobsDeterministically)
 {
     // A budget that only fits one tenant at a time: jobs are admitted
@@ -355,6 +397,26 @@ TEST(ServeService, ResubmitResumesFromPersistedCheckpointBitwise)
         EXPECT_EQ(j->result().supernetHash, solo.supernetHash);
         EXPECT_EQ(j->result().losses, solo.losses);
         EXPECT_EQ(j->result().bestSubnet, solo.bestSubnet);
+    }
+
+    // The path now holds the final barrier's checkpoint: resubmitting
+    // finishes at admission with nothing left to train.
+    {
+        ServiceConfig sc;
+        sc.numStages = kStages;
+        SearchService service(sc);
+        std::string why;
+        int id = service.submit(again, &why);
+        ASSERT_GT(id, 0) << why;
+        service.drain();
+        ASSERT_EQ(service.run(), SearchService::AllDone)
+            << service.serviceError();
+        const ServeJob *j = service.job(id);
+        ASSERT_EQ(j->state(), JobState::Done) << j->error();
+        EXPECT_EQ(j->session().finished(), again.steps);
+        RunResult solo = soloRun("NLP.c1", 11, 12, kStages);
+        EXPECT_EQ(j->result().supernetHash, solo.supernetHash);
+        EXPECT_EQ(j->result().losses, solo.losses);
     }
 
     // A path that holds bytes which are NOT a checkpoint must fail

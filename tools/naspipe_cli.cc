@@ -33,17 +33,19 @@
  * sequence IDs, and the process exits 4.
  *
  * --inject-fault works with both executors: the simulator transitions
- * its hardware models, the threaded executor latches the fault into
- * the victim stage worker (a crashed worker abandons its inbox; the
- * heartbeat watchdog detects it and the run rolls back to the last
- * drained checkpoint, respawns the stage and replays in CSP order to
- * bitwise-identical weights). Recovery retries are bounded
+ * its hardware models; on threads a crash or drop is a logical
+ * fail-stop of the run (it drops its in-flight stragglers, rolls back
+ * to the last drained checkpoint and replays in CSP order to
+ * bitwise-identical weights) and a stall or degrade latches into the
+ * victim stage worker. Recovery retries are bounded
  * (--recovery-retries, default 3 consecutive) with modeled
- * exponential backoff; exhaustion exits 5.
+ * exponential backoff; exhaustion exits 5. A real worker incident (a
+ * dead worker, or with --obs-wall one hung past the wall deadline)
+ * fails a threaded run with exit 3.
  *
  * Exit codes: 0 ok, 2 bad arguments or OOM, 3 run failure (bad
- * resume file etc.), 4 CSP invariant violated, 5 recovery retries
- * exhausted.
+ * resume file, worker incident etc.), 4 CSP invariant violated,
+ * 5 recovery retries exhausted.
  *
  * Spaces: NLP.c0..c3, CV.c1..c3 (Table 1).
  * Systems: naspipe, gpipe, pipedream, vpipe, naspipe-no-scheduler,
