@@ -16,6 +16,7 @@
 #include <iostream>
 #include <string>
 
+#include "common/string_util.h"
 #include "core/ablation.h"
 #include "core/engine.h"
 #include "core/experiment.h"
@@ -24,16 +25,32 @@
 namespace naspipe {
 namespace bench {
 
+/**
+ * The positive whole number in environment variable @p name, or
+ * @p fallback when it is unset. A malformed, non-positive or
+ * out-of-range value prints a message and exits 2.
+ */
+inline int
+positiveEnv(const char *name, int fallback)
+{
+    const char *env = std::getenv(name);
+    if (!env)
+        return fallback;
+    int value = 0;
+    if (!parseWholeNumber(env, value) || value < 1) {
+        std::fprintf(stderr,
+                     "%s: expected a positive whole number, got '%s'\n",
+                     name, env);
+        std::exit(2);
+    }
+    return value;
+}
+
 /** Steps per measured run (override with NASPIPE_BENCH_STEPS). */
 inline int
 defaultSteps(int fallback = 96)
 {
-    if (const char *env = std::getenv("NASPIPE_BENCH_STEPS")) {
-        int value = std::atoi(env);
-        if (value > 0)
-            return value;
-    }
-    return fallback;
+    return positiveEnv("NASPIPE_BENCH_STEPS", fallback);
 }
 
 /** The paper's evaluation defaults (8 GPUs unless a figure varies). */

@@ -33,12 +33,9 @@ main()
     // workers are correct, just slower). NASPIPE_SCALING_MAX_WORKERS
     // overrides.
     unsigned hw = std::thread::hardware_concurrency();
-    int maxWorkers = std::max(hw ? static_cast<int>(hw) : 8, 4);
-    if (const char *env = std::getenv("NASPIPE_SCALING_MAX_WORKERS")) {
-        int value = std::atoi(env);
-        if (value > 0)
-            maxWorkers = value;
-    }
+    int maxWorkers = bench::positiveEnv(
+        "NASPIPE_SCALING_MAX_WORKERS",
+        std::max(hw ? static_cast<int>(hw) : 8, 4));
     bench::banner("Threaded CSP executor scaling (NLP.c1, " +
                   std::to_string(steps) + " subnets, up to " +
                   std::to_string(maxWorkers) + " workers)");

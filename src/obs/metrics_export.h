@@ -7,8 +7,8 @@
  * numbers, the logical-schedule analysis, wall-mode stage
  * observations, and the profiled per-layer cost table — into a
  * single registry, tagging each entry Stable or Timing. The CLI's
- * --metrics-out and the bench harness both serialize through here,
- * so there is exactly one naming scheme:
+ * --metrics-out serializes through here, so there is exactly one
+ * naming scheme:
  *
  *   run/...        progress + identity (finished, batch, hash, ...)
  *   quality/...    final loss / score / violations

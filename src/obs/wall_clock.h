@@ -8,10 +8,10 @@
  * breaks NASPipe's reproducibility guarantee. This repo therefore
  * confines every wall-clock read to src/obs/ (this file) and bench/;
  * the `wall-clock` rule of tools/naspipe_lint enforces the
- * confinement. Executors, tools and tests measure time exclusively
- * through these wrappers, which keeps the dependency auditable: wall
- * time may flow *out* into reports and traces, never *in* to
- * decisions.
+ * confinement. The stage workers, the watchdog and the serve
+ * coordinator measure time only through these wrappers, which keeps
+ * the dependency auditable: wall time may flow *out* into reports and
+ * traces, never *in* to decisions.
  */
 
 #ifndef NASPIPE_OBS_WALL_CLOCK_H
@@ -33,28 +33,6 @@ double secondsBetween(TimePoint a, TimePoint b);
 
 /** Seconds elapsed since @p a. */
 double secondsSince(TimePoint a);
-
-/**
- * Scoped stopwatch for measurement loops (bench harnesses, span
- * recording). Construction starts it.
- */
-class WallTimer
-{
-  public:
-    WallTimer() : _start(now()) {}
-
-    /** Seconds since construction or the last reset(). */
-    double seconds() const { return secondsSince(_start); }
-
-    /** Restart the stopwatch. */
-    void reset() { _start = now(); }
-
-    /** The start instant (for span endpoints). */
-    TimePoint start() const { return _start; }
-
-  private:
-    TimePoint _start;
-};
 
 } // namespace obs
 } // namespace naspipe

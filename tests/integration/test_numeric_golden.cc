@@ -12,7 +12,7 @@
  * If an intentional numeric change moves a hash, recapture with:
  *   naspipe_cli --space S --gpus G --steps 32 --seed 7
  *               --executor threads [--precision fp16]
- * and update BOTH this table and the one in tools/naspipe_bench.cc.
+ * and update the table below, the only committed copy of the grid.
  */
 
 #include <gtest/gtest.h>

@@ -154,7 +154,7 @@ lineRuleTable()
         {kWallClock,
          "std::chrono clock read outside src/obs/ and bench/ — "
          "wall-clock is the canonical nondeterminism source; measure "
-         "through the obs::WallTimer / obs::now() wrappers so every "
+         "through the obs::now() / obs::secondsSince() wrappers so every "
          "clock dependency stays auditable in one place"},
         {kFloatReduce,
          "sequential float accumulation (`+=` into a zero-initialized "

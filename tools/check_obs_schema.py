@@ -4,8 +4,8 @@
 Usage: check_obs_schema.py FILE [FILE ...]
 
 Each file must be a JSON document produced by naspipe_cli
-(--trace-out / --metrics-out) or naspipe_bench. The document kind is
-auto-detected from its schema tag:
+(--trace-out / --metrics-out) or a committed BENCH_<pr>.json. The
+document kind is auto-detected from its schema tag:
 
   naspipe-trace/1    Chrome trace-event export (otherData.schema)
   naspipe-metrics/1  unified metrics registry export
@@ -19,6 +19,11 @@ auto-detected from its schema tag:
                      kernel-layer record: sequential-vs-tree
                      reduction timings and the per-precision-mode
                      golden weight-hash gate)
+  naspipe-bench/5    perfbench record from tools/bench_record.py:
+                     per workload `correct` true, `failed` 0, and
+                     non-empty `metrics` (end-to-end) and `ledger`
+                     (per-layer) maps of {value, unit}. /1-/4 are
+                     the older single-run BENCH_6-BENCH_10.json.
 
 Exits 0 when every file validates, 1 otherwise, printing one line per
 problem. No third-party dependencies — CI runs this on a bare python3.
@@ -31,6 +36,7 @@ TRACE_SCHEMA = "naspipe-trace/1"
 METRICS_SCHEMA = "naspipe-metrics/1"
 BENCH_SCHEMAS = ("naspipe-bench/1", "naspipe-bench/2",
                  "naspipe-bench/3", "naspipe-bench/4")
+PERFBENCH_SCHEMA = "naspipe-bench/5"
 
 
 def check_trace(doc, err):
@@ -233,6 +239,41 @@ def check_bench(doc, err):
             err("stable.%s missing" % key)
 
 
+def check_metric_map(where, metrics, err):
+    if not isinstance(metrics, dict) or not metrics:
+        err("%s missing or empty" % where)
+        return
+    for name, entry in metrics.items():
+        if not isinstance(entry, dict):
+            err("%s.%s: not a {value, unit} object" % (where, name))
+            continue
+        value = entry.get("value")
+        if isinstance(value, bool) or \
+                not isinstance(value, (int, float)):
+            err("%s.%s: value missing or not a number" % (where, name))
+        if not entry.get("unit"):
+            err("%s.%s: unit missing" % (where, name))
+
+
+def check_perfbench(doc, err):
+    if not isinstance(doc.get("pr"), int):
+        err("pr missing")
+    workloads = doc.get("workloads")
+    if not isinstance(workloads, dict) or not workloads:
+        err("workloads missing or empty")
+        return
+    for name, entry in workloads.items():
+        if not isinstance(entry, dict):
+            err("workload %s: not an object" % name)
+            continue
+        if entry.get("correct") is not True:
+            err("workload %s: correct is not true" % name)
+        if entry.get("failed") != 0:
+            err("workload %s: failed != 0" % name)
+        check_metric_map("%s.metrics" % name, entry.get("metrics"), err)
+        check_metric_map("%s.ledger" % name, entry.get("ledger"), err)
+
+
 def check_file(path):
     problems = []
 
@@ -253,6 +294,8 @@ def check_file(path):
         check_metrics(doc, err)
     elif schema in BENCH_SCHEMAS:
         check_bench(doc, err)
+    elif schema == PERFBENCH_SCHEMA:
+        check_perfbench(doc, err)
     else:
         err("unrecognized schema tag %r" % schema)
     return problems
