@@ -21,6 +21,7 @@ runWith(const SearchSpace &space, const SystemModel &system, int gpus)
     config.numStages = gpus;
     config.totalSubnets = naspipe::bench::defaultSteps(32);
     config.seed = 7;
+    config.accessHistory = true;  // the table renders the history
     return runTraining(space, config);
 }
 

@@ -27,8 +27,6 @@ lockRankName(LockRank rank)
         return "exec.gate_wait";
     case LockRank::TrainContext:
         return "train.context";
-    case LockRank::TrainAccessLog:
-        return "train.access_log";
     case LockRank::VerifyOracle:
         return "verify.oracle";
     }

@@ -65,10 +65,10 @@ namespace naspipe {
  * state, incident latches, watchdog) sit above the data plane they
  * coordinate; within the data plane, the pipeline hand-off path
  * (queue → worker signal → commit gate) precedes the training-state
- * locks it may reach while executing a task (numeric contexts →
- * access log), and the determinism-audit oracle is the innermost
- * because commit hooks invoke it from arbitrary lock-free contexts
- * and it must never need to acquire outward.
+ * lock it may reach while executing a task (numeric contexts), and
+ * the determinism-audit oracle is the innermost because commit hooks
+ * invoke it from arbitrary lock-free contexts and it must never need
+ * to acquire outward.
  */
 enum class LockRank : int {
     /// serve::SearchService client-facing state (submit/cancel/
@@ -89,9 +89,6 @@ enum class LockRank : int {
     /// NumericExecutor in-flight context map (shared: begin/finish
     /// vs stage-worker lookups).
     TrainContext = 90,
-    /// AccessLog record serialization (one lock around the order
-    /// counter + history append).
-    TrainAccessLog = 100,
     /// verify::CspOracle violation/chain state — innermost: commit
     /// hooks call into it and it never acquires outward.
     VerifyOracle = 110,

@@ -85,6 +85,15 @@ struct RuntimeConfig {
      * the precision that produced it.
      */
     kernels::PrecisionMode precision = kernels::PrecisionMode::Fp32;
+    /**
+     * Keep the full per-layer access history (AccessLog::
+     * layerHistory) besides the streamed causal verdict. Off by
+     * default: the history grows with every access and rides in
+     * every checkpoint. Table 4's rendering and the CspOracle's
+     * post-run audit need it (naspipe_cli --verify-csp turns it on);
+     * a run that keeps it resumes only from a checkpoint that has it.
+     */
+    bool accessHistory = false;
     ClusterConfig cluster;     ///< numStages is overridden
     /** Workload calibration; bytesPerSample==0 => family default. */
     ActivationModel activation;

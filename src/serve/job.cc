@@ -161,7 +161,7 @@ parseJobSpec(const std::string &text, JobSpec &out,
 namespace {
 
 RuntimeConfig
-buildConfig(const JobSpec &spec, int numStages)
+buildConfig(const JobSpec &spec, int numStages, bool accessHistory)
 {
     RuntimeConfig config;
     config.system = naspipeSystem();
@@ -174,6 +174,7 @@ buildConfig(const JobSpec &spec, int numStages)
     config.faults = spec.faults;
     config.recoveryMaxRetries = spec.recoveryRetries;
     config.precision = spec.precision;
+    config.accessHistory = accessHistory;
     // Resume-from-file: a ckpt-path that already holds a checkpoint
     // (a previous submission of this job was interrupted after a
     // drained barrier) restarts the trajectory from that barrier. A
@@ -192,11 +193,13 @@ policyConfig(const RuntimeConfig &config)
 
 } // namespace
 
-ServeJob::ServeJob(int id, JobSpec spec, int numStages)
+ServeJob::ServeJob(int id, JobSpec spec, int numStages,
+                   bool accessHistory)
     : _id(id), _spec(std::move(spec)),
       _ownedSpace(
           std::make_unique<SearchSpace>(makeSpaceByName(_spec.space))),
-      _space(*_ownedSpace), _config(buildConfig(_spec, numStages)),
+      _space(*_ownedSpace),
+      _config(buildConfig(_spec, numStages, accessHistory)),
       _session(_space, _config), _policy(policyConfig(_config))
 {
     _session.attach(this);

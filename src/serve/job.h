@@ -163,8 +163,11 @@ class ServeJob : public ExecutionBackend
      * @param id service-assigned job ID (also the metric namespace)
      * @param spec validated job description
      * @param numStages shared pool depth (== every job's stages)
+     * @param accessHistory keep the full access history
+     *        (RuntimeConfig::accessHistory)
      */
-    ServeJob(int id, JobSpec spec, int numStages);
+    ServeJob(int id, JobSpec spec, int numStages,
+             bool accessHistory = false);
 
     /**
      * An in-process job: the caller's own space and configuration

@@ -248,7 +248,8 @@ SearchService::applyControl()
     }
     for (auto &entry : specs) {
         addJob(std::make_unique<ServeJob>(
-            entry.first, std::move(entry.second), _config.numStages));
+            entry.first, std::move(entry.second), _config.numStages,
+            _config.accessHistory));
     }
     for (int id : cancels) {
         auto it = _jobs.find(id);

@@ -83,6 +83,13 @@ struct ServiceConfig {
      *  1-based recovery count); a live CspOracle resets its chain
      *  cursors here (the job gate was recreated). */
     std::function<void(int, int)> recoveryObserver;
+    /**
+     * Keep every submitted job's full access history
+     * (RuntimeConfig::accessHistory), so a CspOracle can audit each
+     * job's log after it finishes. An in-process job follows its own
+     * RuntimeConfig.
+     */
+    bool accessHistory = false;
 };
 
 /** Point-in-time public view of one job. */

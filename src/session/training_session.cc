@@ -57,6 +57,7 @@ TrainingSession::initRun()
     _store = std::make_shared<ParameterStore>(_space, _config.seed,
                                               _config.precision);
     _store->accessLog().enabled(_config.numeric);
+    _store->accessLog().keepHistory(_config.accessHistory);
     NumericExecutor::Config ec;
     ec.dataSeed = deriveSeed(_config.seed, "data");
     ec.sgd = _config.sgd;
@@ -248,6 +249,7 @@ TrainingSession::buildCheckpoint(double nowSeconds,
     ckpt.spaceBlocks = static_cast<std::uint32_t>(_space.numBlocks());
     ckpt.spaceChoices =
         static_cast<std::uint32_t>(_space.choicesPerBlock());
+    ckpt.precision = _config.precision;
     ckpt.totalSubnets =
         static_cast<std::uint64_t>(_config.totalSubnets);
     ckpt.completed = static_cast<std::uint64_t>(_finished);
@@ -296,6 +298,14 @@ TrainingSession::commitCheckpoint(const RunCheckpoint &ckpt)
 bool
 TrainingSession::compatible(const RunCheckpoint &ckpt) const
 {
+    // Version 1 files carry no precision: they resume as before.
+    if (ckpt.formatVersion >= 2 && ckpt.precision != _config.precision) {
+        warn("run checkpoint was written under precision ",
+             kernels::precisionModeName(ckpt.precision),
+             "; this run uses ",
+             kernels::precisionModeName(_config.precision));
+        return false;
+    }
     if (ckpt.seed == _config.seed &&
         ckpt.spaceBlocks ==
             static_cast<std::uint32_t>(_space.numBlocks()) &&
@@ -326,7 +336,9 @@ TrainingSession::restore(const RunCheckpoint &ckpt)
     }
     {
         std::istringstream in(ckpt.accessLogBytes);
-        if (!_store->accessLog().loadFrom(in)) {
+        AccessLog &log = _store->accessLog();
+        if (!(ckpt.formatVersion == 1 ? log.loadV1From(in)
+                                      : log.loadFrom(in))) {
             warn("run checkpoint: access log unreadable");
             return false;
         }
@@ -378,9 +390,17 @@ TrainingSession::restore(const RunCheckpoint &ckpt)
     _inflight = 0;
     if (ckptEnabled())
         _nextCkptAt = boundaryAfter(static_cast<int>(completed));
-    // A later fail-stop fault rolls back to this state.
+    // A later fail-stop fault rolls back to this state. Its log
+    // section is re-encoded from the restored log, which also turns
+    // a version 1 checkpoint into a current one.
+    RunCheckpoint target = ckpt;
+    target.formatVersion = RunCheckpoint::kFormatVersion;
+    target.precision = _config.precision;
+    std::ostringstream ls(std::ios::binary);
+    _store->accessLog().saveTo(ls);
+    target.accessLogBytes = ls.str();
     std::ostringstream os(std::ios::binary);
-    if (ckpt.save(os))
+    if (target.save(os))
         _lastCkpt = os.str();
     return true;
 }
@@ -510,13 +530,7 @@ TrainingSession::collect(double totalSeconds, double busyTotal)
     if (_config.numeric) {
         out.supernetHash = _store->supernetHash();
         m.supernetHash = out.supernetHash;
-        int violations = 0;
-        for (const LayerId &layer :
-             _store->accessLog().touchedLayers()) {
-            if (!_store->accessLog().sequentiallyEquivalent(layer))
-                violations++;
-        }
-        m.causalViolations = violations;
+        m.causalViolations = _store->accessLog().violatedLayers();
 
         NASPIPE_ASSERT(_backend, "no execution backend attached");
         SearchResult search =

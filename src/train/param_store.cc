@@ -44,7 +44,8 @@ ParameterStore::ParameterStore(const SearchSpace &space,
     : _space(space), _seed(seed), _precision(precision),
       _params(static_cast<std::size_t>(space.numBlocks()) *
               static_cast<std::size_t>(space.choicesPerBlock())),
-      _versions(_params.size(), 0)
+      _versions(_params.size(), 0),
+      _log(space.numBlocks(), space.choicesPerBlock())
 {
 }
 

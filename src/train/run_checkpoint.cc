@@ -13,7 +13,6 @@ namespace naspipe {
 namespace {
 
 constexpr std::uint32_t kRunCheckpointMagic = 0x4e505243;  // "NPRC"
-constexpr std::uint32_t kRunCheckpointVersion = 1;
 
 template <typename T>
 void
@@ -83,6 +82,8 @@ class Cursor
     {
         if (_bytes.size() - _off < n)
             return false;
+        if (n == 0)
+            return true;  // dst may be an empty vector's null data()
         std::memcpy(dst, _bytes.data() + _off, n);
         _off += n;
         return true;
@@ -97,10 +98,14 @@ class Cursor
 bool
 RunCheckpoint::save(std::ostream &out) const
 {
+    NASPIPE_ASSERT(formatVersion == kFormatVersion,
+                   "a version ", formatVersion,
+                   " run checkpoint is restored, not saved again");
     std::ostringstream payload(std::ios::binary);
     writePod(payload, seed);
     writePod(payload, spaceBlocks);
     writePod(payload, spaceChoices);
+    writePod(payload, static_cast<std::uint32_t>(precision));
     writePod(payload, totalSubnets);
     writePod(payload, completed);
     writePod(payload, simSeconds);
@@ -113,7 +118,7 @@ RunCheckpoint::save(std::ostream &out) const
     const std::string bytes = payload.str();
 
     writePod(out, kRunCheckpointMagic);
-    writePod(out, kRunCheckpointVersion);
+    writePod(out, kFormatVersion);
     writePod(out, static_cast<std::uint64_t>(bytes.size()));
     writePod(out, hashBytes(bytes.data(), bytes.size()));
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
@@ -149,9 +154,9 @@ RunCheckpoint::load(std::istream &in)
              " (not an NPRC checkpoint)");
         return false;
     }
-    if (version != kRunCheckpointVersion) {
+    if (version != 1 && version != kFormatVersion) {
         warn("run checkpoint: unsupported format version ", version,
-             " (this build reads version ", kRunCheckpointVersion,
+             " (this build reads versions 1 and ", kFormatVersion,
              ")");
         return false;
     }
@@ -182,9 +187,14 @@ RunCheckpoint::load(std::istream &in)
     }
 
     RunCheckpoint parsed;
+    parsed.formatVersion = version;
     Cursor cur(bytes);
+    std::uint32_t precision = 0;
     if (!cur.pod(parsed.seed) || !cur.pod(parsed.spaceBlocks) ||
         !cur.pod(parsed.spaceChoices) ||
+        (version >= 2 && !cur.pod(precision)) ||
+        precision > static_cast<std::uint32_t>(
+                        kernels::PrecisionMode::Fp16Rne) ||
         !cur.pod(parsed.totalSubnets) || !cur.pod(parsed.completed) ||
         !cur.pod(parsed.simSeconds) || !cur.pod(parsed.busySeconds) ||
         !cur.pod(parsed.checkpointsWritten) ||
@@ -195,6 +205,7 @@ RunCheckpoint::load(std::istream &in)
         warn("run checkpoint: malformed payload");
         return false;
     }
+    parsed.precision = static_cast<kernels::PrecisionMode>(precision);
     if (parsed.completed > parsed.totalSubnets ||
         parsed.losses.size() != parsed.completed ||
         parsed.completionSec.size() != parsed.completed) {

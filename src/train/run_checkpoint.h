@@ -14,8 +14,14 @@
  *
  * The file format mirrors the parameter store's: magic "NPRC",
  * format version, payload length, FNV-1a payload checksum, payload.
- * Loading never aborts the process — truncation, bit corruption, and
- * version/shape mismatches all log a reason and return false.
+ * Version 2 adds the run's storage precision to the identity fields,
+ * and its access-log section holds the per-layer cursors plus, only
+ * for runs that opted into access history, the full history. Version
+ * 1 files still load: they carry no precision (compatibility then
+ * does not check it) and their log section is the full v1 history,
+ * from which the cursors are rebuilt. Loading never aborts the
+ * process — truncation, bit corruption, and version/shape mismatches
+ * all log a reason and return false.
  * saveFileAtomic() writes via a temp file plus rename so a crash
  * mid-write never leaves a half-written checkpoint at the target
  * path.
@@ -29,17 +35,32 @@
 #include <string>
 #include <vector>
 
+#include "tensor/kernels/precision.h"
+
 namespace naspipe {
 
 /** Full mid-run training state at a pipeline-drain barrier. */
 struct RunCheckpoint {
+    /** The format version save() writes. */
+    static constexpr std::uint32_t kFormatVersion = 2;
+
+    /**
+     * The format version this checkpoint was read from. A version 1
+     * checkpoint carries no precision and a v1 accessLogBytes; it is
+     * restored, never saved again as it is.
+     */
+    std::uint32_t formatVersion = kFormatVersion;
+
     /** @name Compatibility identity
      * A checkpoint resumes only a run with the same seed, space
-     * shape, and total subnet count (Definition 1's "same inputs").
+     * shape, total subnet count (Definition 1's "same inputs") and
+     * storage precision (each precision has its own trajectory).
      * @{ */
     std::uint64_t seed = 0;
     std::uint32_t spaceBlocks = 0;
     std::uint32_t spaceChoices = 0;
+    /** Not recorded by version 1 files. */
+    kernels::PrecisionMode precision = kernels::PrecisionMode::Fp32;
     std::uint64_t totalSubnets = 0;
     /** @} */
 
@@ -64,7 +85,10 @@ struct RunCheckpoint {
     /** ParameterStore::save() stream of the drained store. */
     std::string storeBytes;
 
-    /** AccessLog::saveTo() stream of the store's access log. */
+    /**
+     * AccessLog::saveTo() stream of the store's access log (the v1
+     * history stream when formatVersion is 1).
+     */
     std::string accessLogBytes;
 
     /** Serialize to a stream; returns false on I/O failure. */

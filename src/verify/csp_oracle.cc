@@ -197,6 +197,7 @@ CspOracle::auditLayer(const LayerId &layer,
 bool
 CspOracle::auditLog(const AccessLog &log)
 {
+    log.requireHistory("CspOracle::auditLog");
     bool clean = true;
     for (const LayerId &layer : log.touchedLayers())
         clean = auditLayer(layer, log.layerHistory(layer)) && clean;

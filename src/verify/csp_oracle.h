@@ -88,7 +88,8 @@ class CspOracle
 
     /**
      * Audit every touched layer of @p log. Returns true iff no layer
-     * violates the read/write invariants.
+     * violates the read/write invariants. Aborts unless @p log keeps
+     * history: a log without one must never audit clean.
      */
     bool auditLog(const AccessLog &log);
 

@@ -67,7 +67,7 @@ TEST_F(RankedMutexTest, RankNamesAndLevelsAreStable)
         LockRank::FaultWatchdog,     LockRank::ExecQueue,
         LockRank::ExecWorkerSignal,  LockRank::ExecGateTable,
         LockRank::ExecGateWait,      LockRank::TrainContext,
-        LockRank::TrainAccessLog,    LockRank::VerifyOracle,
+        LockRank::VerifyOracle,
     };
     int previous = 0;
     for (LockRank rank : ranks) {

@@ -57,6 +57,7 @@ runAudited(const SearchSpace &space, RuntimeConfig c)
         oracle.observeCommit(layerKey, subnet, rank, stage);
     };
     c.recoveryObserver = [&oracle](int) { oracle.resetLiveChains(); };
+    c.accessHistory = true;  // the post-hoc audit replays it
     RunResult result = runTrainingThreaded(space, c);
     EXPECT_FALSE(result.failed) << result.error;
     EXPECT_FALSE(result.oom);

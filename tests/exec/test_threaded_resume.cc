@@ -81,13 +81,17 @@ fingerprint(const RunResult &result)
     return f;
 }
 
-/** Run with mid-run checkpoints persisted to @p path. */
+/**
+ * Run with mid-run checkpoints persisted to @p path, keeping the
+ * access history an audited resume replays.
+ */
 RunResult
 runWithCkpt(const SearchSpace &space, RuntimeConfig c,
             const std::string &path, bool threaded)
 {
     c.ckptInterval = kCkptInterval;
     c.ckptPath = path;
+    c.accessHistory = true;
     return threaded ? runTrainingThreaded(space, c)
                     : runTraining(space, c);
 }
@@ -98,6 +102,7 @@ resumeThreadedAudited(const SearchSpace &space, RuntimeConfig c,
                       const std::string &path)
 {
     c.resumePath = path;
+    c.accessHistory = true;  // the post-run audit replays the history
     CspOracle oracle;
     c.commitObserver = [&oracle](std::uint64_t layerKey,
                                  SubnetId subnet, std::size_t rank,
@@ -226,6 +231,84 @@ TEST(ThreadedResume, MissingCheckpointFailsCleanly)
     EXPECT_TRUE(result.failed);
     EXPECT_NE(result.error.find("cannot resume"), std::string::npos)
         << result.error;
+}
+
+TEST(ThreadedResume, HistoryRunRefusesCheckpointWithoutHistory)
+{
+    // A checkpoint written without history cannot seed a run that
+    // audits its full history: the replayed prefix would be missing.
+    SearchSpace space = makeSpaceByName("CV.c1");
+    RuntimeConfig c = config(2, 12);
+    ScratchCkpt scratch("no_history");
+    c.ckptInterval = 4;
+    c.ckptPath = scratch.path();
+    ASSERT_FALSE(runTrainingThreaded(space, c).failed);
+
+    RuntimeConfig r = config(2, 12);
+    r.resumePath = scratch.path();
+    r.accessHistory = true;
+    RunResult result = runTrainingThreaded(space, r);
+    EXPECT_TRUE(result.failed);
+    EXPECT_NE(result.error.find("cannot resume"), std::string::npos)
+        << result.error;
+
+    // Without the opt-in the same checkpoint resumes.
+    r.accessHistory = false;
+    EXPECT_FALSE(runTrainingThreaded(space, r).failed);
+}
+
+TEST(ThreadedResume, PrecisionMismatchIsRefused)
+{
+    SearchSpace space = makeSpaceByName("CV.c1");
+    RuntimeConfig c = config(2, 12);
+    ScratchCkpt scratch("precision");
+    c.ckptInterval = 4;
+    c.ckptPath = scratch.path();
+    ASSERT_FALSE(runTrainingThreaded(space, c).failed);
+
+    RuntimeConfig r = config(2, 12);
+    r.resumePath = scratch.path();
+    r.precision = kernels::PrecisionMode::Fp16Rne;
+    RunResult result = runTrainingThreaded(space, r);
+    EXPECT_TRUE(result.failed);
+    EXPECT_NE(result.error.find("cannot resume"), std::string::npos)
+        << result.error;
+}
+
+/**
+ * The committed version 1 checkpoint: CV.c3, seed 7, 2 workers,
+ * 16 subnets, written at 8 completed subnets by a build that
+ * predates format version 2 (`naspipe_cli --space CV.c3 --gpus 2
+ * --steps 16 --executor threads --ckpt-interval 8 --ckpt v1.ckpt
+ * --recovery-retries 0 --inject-fault crash@12`).
+ */
+const std::string kV1Checkpoint =
+    std::string(NASPIPE_TEST_DATA_DIR) + "/cv_c3_v1.ckpt";
+
+TEST(ThreadedResume, VersionOneCheckpointResumesBitwise)
+{
+    SearchSpace space = makeSpaceByName("CV.c3");
+    RuntimeConfig c = config(2, 16);
+    Fingerprint baseline = fingerprint(runTrainingThreaded(space, c));
+
+    // Cursors rebuilt from the v1 history, no history kept.
+    RuntimeConfig r = c;
+    r.resumePath = kV1Checkpoint;
+    Fingerprint resumed = fingerprint(runTrainingThreaded(space, r));
+    EXPECT_EQ(resumed.weights, baseline.weights);
+    EXPECT_EQ(resumed.losses, baseline.losses);
+    EXPECT_EQ(resumed.causalViolations, 0);
+
+    // The v1 history itself, audited end to end by the oracle.
+    Fingerprint audited = fingerprint(
+        resumeThreadedAudited(space, c, kV1Checkpoint));
+    EXPECT_EQ(audited.weights, baseline.weights);
+    EXPECT_EQ(audited.losses, baseline.losses);
+
+    // The simulator restores the same file onto the same bits.
+    Fingerprint onSim = fingerprint(runTraining(space, r));
+    EXPECT_EQ(onSim.weights, baseline.weights);
+    EXPECT_EQ(onSim.losses, baseline.losses);
 }
 
 } // namespace

@@ -85,6 +85,7 @@ TEST(NumericGolden, EveryModeWorkersExecutorLandsOnTheGoldenHash)
         c.totalSubnets = 32;
         c.seed = 7;
         c.precision = g.mode;
+        c.accessHistory = true;  // the threaded run's log is audited
 
         RunResult sim = runTraining(space, c);
         ASSERT_FALSE(sim.failed) << sim.error;

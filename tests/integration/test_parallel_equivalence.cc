@@ -74,6 +74,7 @@ expectEquivalent(const std::string &spaceName, int workers, int steps)
                                  int stage) {
         oracle.observeCommit(layerKey, subnet, rank, stage);
     };
+    c.accessHistory = true;  // the post-hoc audit replays it
     RunResult thrResult = runTrainingThreaded(space, c);
 
     Fingerprint sim = fingerprint(simResult);

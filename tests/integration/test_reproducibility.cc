@@ -20,6 +20,18 @@ options(int steps = 24)
     return o;
 }
 
+/** Train @p system on @p gpus, keeping the history Table 4 renders. */
+RunResult
+trainWithHistory(const SearchSpace &space, const SystemModel &system,
+                 int gpus)
+{
+    Engine::Options o = options();
+    o.gpus = gpus;
+    RuntimeConfig config = Engine(space, o).configFor(system);
+    config.accessHistory = true;
+    return runTraining(space, config);
+}
+
 TEST(Reproducibility, CspBitwiseIdenticalAcrossGpuCounts)
 {
     SearchSpace space("repro", SpaceFamily::Nlp, 12, 4, 5);
@@ -79,18 +91,8 @@ TEST(Reproducibility, Table4AccessOrderInvariantForCsp)
     // Find a layer touched by at least three subnets and check its
     // access string matches across GPU counts (Table 4's CSP row).
     SearchSpace space("repro", SpaceFamily::Nlp, 12, 4, 5);
-    Engine e2(space, [] {
-        auto o = options();
-        o.gpus = 2;
-        return o;
-    }());
-    Engine e4(space, [] {
-        auto o = options();
-        o.gpus = 4;
-        return o;
-    }());
-    RunResult r2 = e2.train();
-    RunResult r4 = e4.train();
+    RunResult r2 = trainWithHistory(space, naspipeSystem(), 2);
+    RunResult r4 = trainWithHistory(space, naspipeSystem(), 4);
     ASSERT_FALSE(r2.oom);
     ASSERT_FALSE(r4.oom);
 
@@ -108,12 +110,8 @@ TEST(Reproducibility, Table4AccessOrderInvariantForCsp)
 TEST(Reproducibility, Table4AccessOrderVariesForBsp)
 {
     SearchSpace space("repro", SpaceFamily::Nlp, 12, 4, 5);
-    Engine::Options o2 = options();
-    o2.gpus = 2;
-    Engine::Options o8 = options();
-    o8.gpus = 8;
-    RunResult r2 = Engine(space, o2).trainWith(gpipeSystem());
-    RunResult r8 = Engine(space, o8).trainWith(gpipeSystem());
+    RunResult r2 = trainWithHistory(space, gpipeSystem(), 2);
+    RunResult r8 = trainWithHistory(space, gpipeSystem(), 8);
     ASSERT_FALSE(r2.oom);
     ASSERT_FALSE(r8.oom);
 

@@ -8,6 +8,7 @@
 
 #include "core/experiment.h"
 #include "runtime/pipeline_runtime.h"
+#include "schedule/ssp_scheduler.h"
 
 namespace naspipe {
 namespace {
@@ -116,6 +117,36 @@ TEST(Systems, ViolationCountsOnlyForNonCsp)
     EXPECT_EQ(naspipe.metrics.causalViolations, 0);
     EXPECT_GT(gpipe.metrics.causalViolations, 0);
     EXPECT_GT(pipedream.metrics.causalViolations, 0);
+}
+
+TEST(Systems, StreamedVerdictEqualsHistoryVerdictForEverySystem)
+{
+    // The run's violation count comes from the per-layer cursors; on
+    // every system it must equal the count the full history gives.
+    SearchSpace space("dense", SpaceFamily::Nlp, 8, 2, 3);
+    const SystemModel systems[] = {naspipeSystem(), gpipeSystem(),
+                                   pipedreamSystem(), vpipeSystem(),
+                                   sspSystem(2)};
+    for (const SystemModel &system : systems) {
+        SCOPED_TRACE(system.name);
+        RuntimeConfig config;
+        config.system = system;
+        config.numStages = 4;
+        config.totalSubnets = 24;
+        config.seed = 7;
+        config.accessHistory = true;
+        RunResult r = runTraining(space, config);
+        ASSERT_FALSE(r.oom);
+        const AccessLog &log = r.store->accessLog();
+        int historyViolations = 0;
+        for (const LayerId &layer : log.touchedLayers()) {
+            bool clean = sequentiallyEquivalent(log.layerHistory(layer));
+            EXPECT_EQ(log.sequentiallyEquivalent(layer), clean)
+                << log.renderOrder(layer);
+            historyViolations += clean ? 0 : 1;
+        }
+        EXPECT_EQ(r.metrics.causalViolations, historyViolations);
+    }
 }
 
 TEST(Systems, MirrorTrafficOnlyWithMirroring)

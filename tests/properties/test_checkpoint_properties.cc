@@ -23,6 +23,7 @@
 #include <sstream>
 #include <string>
 
+#include "exec/parallel_runtime.h"
 #include "runtime/pipeline_runtime.h"
 #include "supernet/search_space.h"
 #include "train/param_store.h"
@@ -259,14 +260,14 @@ TEST(CheckpointProperties, RunCheckpointRejectsInconsistentCounts)
 
 TEST(CheckpointProperties, AccessLogRoundTrip)
 {
-    AccessLog log;
+    AccessLog log(4, 2, /*keepHistory=*/true);
     log.record(LayerId{0, 1}, 2, AccessKind::Read);
     log.record(LayerId{0, 1}, 2, AccessKind::Write);
     log.record(LayerId{3, 0}, 5, AccessKind::Read);
     std::stringstream buffer;
     log.saveTo(buffer);
 
-    AccessLog loaded;
+    AccessLog loaded(4, 2, /*keepHistory=*/true);
     ASSERT_TRUE(loaded.loadFrom(buffer));
     EXPECT_EQ(loaded.totalRecords(), log.totalRecords());
     EXPECT_EQ(loaded.renderOrder(LayerId{0, 1}),
@@ -280,22 +281,129 @@ TEST(CheckpointProperties, AccessLogRoundTrip)
     EXPECT_EQ(loaded.totalRecords(), log.totalRecords() + 1);
 }
 
-TEST(CheckpointProperties, AccessLogRejectsDamagedStream)
+/** A 4x2 log with one clean layer, one open read, one violation. */
+void
+scribble(AccessLog &log)
 {
-    AccessLog log;
     log.record(LayerId{0, 1}, 2, AccessKind::Read);
-    log.record(LayerId{1, 0}, 3, AccessKind::Write);
+    log.record(LayerId{0, 1}, 2, AccessKind::Write);
+    log.record(LayerId{3, 0}, 5, AccessKind::Read);
+    log.record(LayerId{1, 1}, 4, AccessKind::Write);
+}
+
+TEST(CheckpointProperties, AccessLogCursorsRoundTripWithoutHistory)
+{
+    AccessLog log(4, 2);
+    scribble(log);
     std::stringstream buffer;
     log.saveTo(buffer);
-    std::string bytes = buffer.str();
+    // Counter, shape, flags and one 24-byte cursor per layer: the
+    // section's size depends on the space only.
+    EXPECT_EQ(buffer.str().size(), 3 * 8 + 8 * 24u);
 
-    for (std::size_t len = 0; len < bytes.size(); len += 5) {
-        std::stringstream in(bytes.substr(0, len));
-        AccessLog loaded;
-        EXPECT_FALSE(loaded.loadFrom(in))
-            << "truncation to " << len << " accepted";
-        EXPECT_EQ(loaded.totalRecords(), 0u);
+    AccessLog loaded(4, 2);
+    ASSERT_TRUE(loaded.loadFrom(buffer));
+    EXPECT_EQ(loaded.totalRecords(), 4u);
+    EXPECT_EQ(loaded.touchedLayers(), log.touchedLayers());
+    EXPECT_EQ(loaded.violatedLayers(), 2);
+    EXPECT_TRUE(loaded.sequentiallyEquivalent(LayerId{0, 1}));
+    // The open read stays open: its write still closes the pair.
+    loaded.record(LayerId{3, 0}, 5, AccessKind::Write);
+    EXPECT_TRUE(loaded.sequentiallyEquivalent(LayerId{3, 0}));
+    EXPECT_EQ(loaded.violatedLayers(), 1);
+}
+
+TEST(CheckpointProperties, AccessLogHistoryOptInMustMatch)
+{
+    AccessLog plain(4, 2);
+    scribble(plain);
+    std::stringstream noHistory;
+    plain.saveTo(noHistory);
+    // A log that keeps history refuses a stream without one...
+    AccessLog keeper(4, 2, /*keepHistory=*/true);
+    EXPECT_FALSE(keeper.loadFrom(noHistory));
+    EXPECT_EQ(keeper.totalRecords(), 0u);
+
+    // ...while a log without history takes the cursors of one that
+    // has it.
+    AccessLog full(4, 2, /*keepHistory=*/true);
+    scribble(full);
+    std::stringstream withHistory;
+    full.saveTo(withHistory);
+    AccessLog cursorsOnly(4, 2);
+    ASSERT_TRUE(cursorsOnly.loadFrom(withHistory));
+    EXPECT_EQ(cursorsOnly.violatedLayers(), full.violatedLayers());
+    EXPECT_EQ(cursorsOnly.totalRecords(), full.totalRecords());
+
+    // A stream saved for another space shape is refused.
+    std::stringstream again(noHistory.str());
+    AccessLog otherShape(2, 4);
+    EXPECT_FALSE(otherShape.loadFrom(again));
+}
+
+TEST(CheckpointProperties, AccessLogRejectsDamagedStream)
+{
+    for (bool history : {true, false}) {
+        SCOPED_TRACE(history ? "with history" : "cursors only");
+        AccessLog log(4, 2, history);
+        log.record(LayerId{0, 1}, 2, AccessKind::Read);
+        log.record(LayerId{1, 0}, 3, AccessKind::Write);
+        std::stringstream buffer;
+        log.saveTo(buffer);
+        std::string bytes = buffer.str();
+
+        for (std::size_t len = 0; len < bytes.size(); len += 5) {
+            std::stringstream in(bytes.substr(0, len));
+            AccessLog loaded(4, 2, history);
+            EXPECT_FALSE(loaded.loadFrom(in))
+                << "truncation to " << len << " accepted";
+            EXPECT_EQ(loaded.totalRecords(), 0u);
+        }
+
+        // The cursor section: layer (0,1) is slot 1, its state word
+        // the third of the cursor. Undefined state bits are refused;
+        // with history, so is a cursor the history does not replay
+        // to (the open read of (0,1) flipped to closed).
+        const std::size_t state = 3 * 8 + 1 * 24 + 16;
+        for (char flip : {'\x40', '\x02'}) {
+            std::string damaged = bytes;
+            damaged[state] = static_cast<char>(damaged[state] ^ flip);
+            std::stringstream in(damaged);
+            AccessLog loaded(4, 2, history);
+            bool accepted = loaded.loadFrom(in);
+            if (flip == '\x40' || history) {
+                EXPECT_FALSE(accepted)
+                    << "state flip " << int(flip) << " accepted";
+                EXPECT_EQ(loaded.totalRecords(), 0u);
+            }
+        }
     }
+}
+
+TEST(CheckpointProperties, CheckpointSizeIsFlatInSteps)
+{
+    // Without access history nothing in a checkpoint grows with the
+    // run but the per-subnet results: the threaded executor
+    // materializes every layer (a fixed store section) and the log
+    // section holds one cursor per layer. Doubling the run adds
+    // exactly one loss and one completion time (8 bytes each) per
+    // extra subnet.
+    SearchSpace space = makeSpaceByName("NLP.c1");
+    auto lastCheckpointBytes = [&space](int steps) {
+        RuntimeConfig c;
+        c.system = naspipeSystem();
+        c.numStages = 2;
+        c.totalSubnets = steps;
+        c.seed = 7;
+        c.ckptInterval = 512;
+        RunResult r = runTrainingThreaded(space, c);
+        EXPECT_FALSE(r.failed) << r.error;
+        EXPECT_EQ(r.metrics.checkpointsWritten, steps / 512);
+        return r.metrics.checkpointBytes;
+    };
+    std::uint64_t at2k = lastCheckpointBytes(2048);
+    std::uint64_t at4k = lastCheckpointBytes(4096);
+    EXPECT_EQ(at4k - at2k, 2048u * 16u);
 }
 
 /** Write `bytes` verbatim over `path`. */

@@ -30,6 +30,7 @@ recordedRun()
         c.numStages = 4;
         c.totalSubnets = 24;
         c.seed = 11;
+        c.accessHistory = true;  // every property reads the history
         SearchSpace space = makeSpaceByName("NLP.c1");
         RunResult r = runTraining(space, c);
         EXPECT_FALSE(r.failed) << r.error;

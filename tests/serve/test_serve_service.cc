@@ -72,6 +72,7 @@ struct AuditedService {
         config.recoveryObserver = [this](int jobId, int) {
             oracles.at(jobId).resetLiveChains();
         };
+        config.accessHistory = true;  // audit() replays each job's log
         service = std::make_unique<SearchService>(config);
     }
 
@@ -417,6 +418,25 @@ TEST(ServeService, ResubmitResumesFromPersistedCheckpointBitwise)
         RunResult solo = soloRun("NLP.c1", 11, 12, kStages);
         EXPECT_EQ(j->result().supernetHash, solo.supernetHash);
         EXPECT_EQ(j->result().losses, solo.losses);
+    }
+
+    // The checkpoint was written under fp32: the same job resubmitted
+    // with another precision must not resume from it.
+    {
+        JobSpec fp16 = again;
+        fp16.precision = kernels::PrecisionMode::Fp16Rne;
+        ServiceConfig sc;
+        sc.numStages = kStages;
+        SearchService service(sc);
+        std::string why;
+        int id = service.submit(fp16, &why);
+        ASSERT_GT(id, 0) << why;
+        service.drain();
+        EXPECT_EQ(service.run(), SearchService::JobFailed);
+        ASSERT_EQ(service.job(id)->state(), JobState::Failed);
+        EXPECT_NE(service.job(id)->error().find("cannot resume"),
+                  std::string::npos)
+            << service.job(id)->error();
     }
 
     // A path that holds bytes which are NOT a checkpoint must fail

@@ -200,9 +200,33 @@ TEST(CliArgs, ThreadsCorruptResumeCheckpointExitsThree)
 TEST(CliArgs, ThreadsCheckpointThenResumeExitsZero)
 {
     // Drained-barrier checkpoints are no longer simulator-only: a
-    // threaded run may write them and resume from them.
+    // threaded run may write them and resume from them. The audited
+    // resume replays the full access history, so the writer keeps it
+    // too (--verify-csp).
     std::string ckpt =
         ::testing::TempDir() + "naspipe_cli_thr.ckpt";
+    std::remove(ckpt.c_str());
+    CliResult writer =
+        runCli("--space CV.c1 --steps 12 --gpus 2 --quiet "
+               "--executor threads --verify-csp --ckpt-interval 4 "
+               "--ckpt " +
+               ckpt);
+    EXPECT_EQ(writer.exitCode, 0) << writer.output;
+    CliResult reader =
+        runCli("--space CV.c1 --steps 12 --gpus 2 --quiet "
+               "--executor threads --verify-csp --resume " +
+               ckpt);
+    EXPECT_EQ(reader.exitCode, 0) << reader.output;
+    std::remove(ckpt.c_str());
+}
+
+TEST(CliArgs, VerifyCspResumeWithoutHistoryExitsThree)
+{
+    // A checkpoint written without --verify-csp carries no access
+    // history; an audited run must refuse it rather than audit only
+    // the subnets it trained itself.
+    std::string ckpt =
+        ::testing::TempDir() + "naspipe_cli_nohist.ckpt";
     std::remove(ckpt.c_str());
     CliResult writer =
         runCli("--space CV.c1 --steps 12 --gpus 2 --quiet "
@@ -213,7 +237,31 @@ TEST(CliArgs, ThreadsCheckpointThenResumeExitsZero)
         runCli("--space CV.c1 --steps 12 --gpus 2 --quiet "
                "--executor threads --verify-csp --resume " +
                ckpt);
-    EXPECT_EQ(reader.exitCode, 0) << reader.output;
+    EXPECT_EQ(reader.exitCode, 3) << reader.output;
+    EXPECT_NE(reader.output.find("checkpoint carries none"),
+              std::string::npos)
+        << reader.output;
+    std::remove(ckpt.c_str());
+}
+
+TEST(CliArgs, ResumeUnderAnotherPrecisionExitsThree)
+{
+    std::string ckpt =
+        ::testing::TempDir() + "naspipe_cli_fp32.ckpt";
+    std::remove(ckpt.c_str());
+    CliResult writer =
+        runCli("--space NLP.c1 --steps 64 --gpus 2 --quiet "
+               "--executor threads --ckpt-interval 32 --ckpt " +
+               ckpt);
+    EXPECT_EQ(writer.exitCode, 0) << writer.output;
+    CliResult reader =
+        runCli("--space NLP.c1 --steps 64 --gpus 2 --quiet "
+               "--executor threads --ckpt-interval 32 "
+               "--precision fp16 --resume " +
+               ckpt);
+    EXPECT_EQ(reader.exitCode, 3) << reader.output;
+    EXPECT_NE(reader.output.find("precision fp32"), std::string::npos)
+        << reader.output;
     std::remove(ckpt.c_str());
 }
 

@@ -95,7 +95,7 @@ TEST(LockRegistry, ParsesTheRealLockRankHeader)
           "../../src/common/lock_rank.h"}) {
         if (analysis::loadSourceFile(candidate, real, &error)) {
             LockRegistry registry = LockRegistry::parse(real);
-            EXPECT_GE(registry.ranksByLevel().size(), 10u);
+            EXPECT_GE(registry.ranksByLevel().size(), 9u);
             EXPECT_EQ(registry.levelOf("ExecQueue"), 50);
             EXPECT_LT(registry.levelOf("ServeClient"),
                       registry.levelOf("VerifyOracle"));

@@ -123,6 +123,7 @@ TEST_F(ExecFixture, DeferredWritesOnlyAtFlush)
 {
     Subnet sn = subnet(0);
     std::uint64_t before = store.touchedHash();
+    store.accessLog().keepHistory(true);
     exec->beginSubnet(sn);
     exec->forwardStage(sn, 0, 3, UpdateSemantics::Deferred);
     exec->computeLoss(sn);

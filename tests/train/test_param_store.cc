@@ -36,6 +36,7 @@ TEST_F(StoreFixture, SeedChangesInitialWeights)
 
 TEST_F(StoreFixture, ReadLogsAndReturnsCurrent)
 {
+    store.accessLog().keepHistory(true);
     LayerId layer{0, 1};
     const LayerParams &p = store.read(layer, 3);
     EXPECT_TRUE(p.bitwiseEqual(store.peek(layer)));
@@ -47,6 +48,7 @@ TEST_F(StoreFixture, ReadLogsAndReturnsCurrent)
 
 TEST_F(StoreFixture, WriteBumpsVersionAndLogs)
 {
+    store.accessLog().keepHistory(true);
     LayerId layer{2, 0};
     EXPECT_EQ(store.version(layer), 0u);
     store.write(layer, 5).weight[0] += 1.0f;

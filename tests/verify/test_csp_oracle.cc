@@ -151,7 +151,7 @@ TEST(CspOracle, ReportNamesLayerStageAndSequenceIds)
 
 TEST(CspOracle, AuditLogCoversEveryTouchedLayer)
 {
-    AccessLog log;
+    AccessLog log(2, 3, /*keepHistory=*/true);
     log.record(LayerId{0, 0}, 1, R, 0);
     log.record(LayerId{0, 0}, 1, W, 0);
     log.record(LayerId{1, 2}, 1, R, 1);
@@ -160,6 +160,16 @@ TEST(CspOracle, AuditLogCoversEveryTouchedLayer)
     EXPECT_TRUE(oracle.auditLog(log));
     EXPECT_EQ(oracle.auditedLayers(), 2u);
     EXPECT_EQ(oracle.auditedRecords(), 4u);
+}
+
+TEST(CspOracleDeathTest, AuditLogWithoutHistoryAborts)
+{
+    // A log without history would audit clean on no evidence at all.
+    AccessLog log(2, 3);
+    log.record(LayerId{0, 0}, 1, R, 0);
+    CspOracle oracle;
+    EXPECT_DEATH(oracle.auditLog(log),
+                 "auditLog needs the access history");
 }
 
 TEST(CspOracle, LiveCommitsInChainOrderAreClean)

@@ -26,11 +26,13 @@
  * both to real wall-clock spans and Timing metrics instead
  * (threaded runs only record wall spans; unreproducible by nature).
  *
- * --verify-csp runs the CspOracle over the run: the full access log
- * is audited post-run (both executors), and with --executor threads
- * the oracle additionally observes every CommitGate commit live.
- * Violations print a report naming layer, stage and the offending
- * sequence IDs, and the process exits 4.
+ * --verify-csp runs the CspOracle over the run: the run keeps its
+ * full access history (off otherwise), which is audited post-run
+ * (both executors), and with --executor threads the oracle
+ * additionally observes every CommitGate commit live. Violations
+ * print a report naming layer, stage and the offending sequence IDs,
+ * and the process exits 4. Such a run resumes only from a checkpoint
+ * that kept the history too.
  *
  * --inject-fault works with both executors: the simulator transitions
  * its hardware models; on threads a crash or drop is a logical
@@ -294,6 +296,9 @@ main(int argc, char **argv)
     // Crash detection stays state-based (deterministic); the wall
     // hang deadline follows the wall-observability opt-in.
     config.wallWatchdog = obsWall;
+    // The post-run audit replays every layer's full access history,
+    // which only a run that keeps it has.
+    config.accessHistory = verifyCsp;
 
     bool threaded = executorName == "threads";
     if (threaded) {
