@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "common/logging.h"
 #include "tensor/loss.h"
@@ -265,10 +266,10 @@ TrainingSession::buildCheckpoint(double nowSeconds,
     }
     std::ostringstream ss(std::ios::binary);
     _store->save(ss);
-    ckpt.storeBytes = ss.str();
+    ckpt.storeBytes = std::move(ss).str();
     std::ostringstream ls(std::ios::binary);
     _store->accessLog().saveTo(ls);
-    ckpt.accessLogBytes = ls.str();
+    ckpt.accessLogBytes = std::move(ls).str();
     return ckpt;
 }
 
@@ -280,6 +281,9 @@ TrainingSession::commitCheckpoint(const RunCheckpoint &ckpt)
     std::ostringstream os(std::ios::binary);
     bool ok = ckpt.save(os);
     NASPIPE_ASSERT(ok, "in-memory checkpoint serialization failed");
+    // Copied out at its exact size: moving the stream's buffer out
+    // would keep its growth slack (up to 2x) resident until the next
+    // checkpoint, in every job of a service.
     _lastCkpt = os.str();
     _checkpointsWritten++;
     _checkpointBytes = _lastCkpt.size();
@@ -398,10 +402,10 @@ TrainingSession::restore(const RunCheckpoint &ckpt)
     target.precision = _config.precision;
     std::ostringstream ls(std::ios::binary);
     _store->accessLog().saveTo(ls);
-    target.accessLogBytes = ls.str();
+    target.accessLogBytes = std::move(ls).str();
     std::ostringstream os(std::ios::binary);
     if (target.save(os))
-        _lastCkpt = os.str();
+        _lastCkpt = os.str();  // exact size, as in commitCheckpoint
     return true;
 }
 

@@ -1,9 +1,8 @@
 #include "tensor/layer_math.h"
 
-#include <cmath>
-
 #include "common/logging.h"
 #include "common/rng.h"
+#include "tensor/kernels/tanh.h"
 
 namespace naspipe {
 
@@ -70,14 +69,49 @@ initLayerParams(LayerParams &params, std::uint64_t seed,
 
 namespace {
 
-/** z_i of the surrogate layer; the one expression every pass uses. */
-inline float
-preActivation(LayerParamsView params, ConstTensorView input,
-              std::size_t i)
+/**
+ * kMix * w_{(i+1) mod dim}, the coupling term of z_i: one array per
+ * layer, shared by every column pushed through it.
+ */
+inline void
+mixTerms(LayerParamsView params, float *mix)
 {
-    std::size_t j = (i + 1) % kLayerDim;
-    return params.weight[i] * input[i] + kMixCoeff * params.weight[j] +
-           params.bias[i];
+    const float *weight = params.weight.data();
+    for (std::size_t i = 0; i < kLayerDim; i++)
+        mix[i] = kMixCoeff * weight[(i + 1) % kLayerDim];
+}
+
+/**
+ * t_i = tanh(z_i) for one column, z_i = (w_i * a_i + mix_i) + b_i:
+ * the one expression every pass uses. z is built for the whole
+ * column, then one tanhSpan call maps it in place.
+ */
+inline void
+columnTanh(LayerParamsView params, const float *mix, const float *input,
+           float *t)
+{
+    const float *weight = params.weight.data();
+    const float *bias = params.bias.data();
+    for (std::size_t i = 0; i < kLayerDim; i++)
+        t[i] = weight[i] * input[i] + mix[i] + bias[i];
+    kernels::tanhSpan(t, t, kLayerDim);
+}
+
+/** columnTanh for a lone column, with its own mixing terms. */
+inline void
+columnTanh(LayerParamsView params, const float *input, float *t)
+{
+    float mix[kLayerDim];
+    mixTerms(params, mix);
+    columnTanh(params, mix, input, t);
+}
+
+/** out_i = a_i + kResidual * t_i: the identity path plus the branch. */
+inline void
+residualOutput(const float *input, const float *t, float *output)
+{
+    for (std::size_t i = 0; i < kLayerDim; i++)
+        output[i] = input[i] + kResidual * t[i];
 }
 
 /**
@@ -114,10 +148,9 @@ layerForward(LayerParamsView params, ConstTensorView input,
     NASPIPE_ASSERT(input.size() == kLayerDim &&
                        output.size() == kLayerDim,
                    "layer forward shape mismatch");
-    for (std::size_t i = 0; i < kLayerDim; i++) {
-        output[i] = input[i] +
-                    kResidual * std::tanh(preActivation(params, input, i));
-    }
+    float t[kLayerDim];
+    columnTanh(params, input.data(), t);
+    residualOutput(input.data(), t, output.data());
 }
 
 void
@@ -128,11 +161,8 @@ layerForwardKeepTanh(LayerParamsView params, ConstTensorView input,
                        output.size() == kLayerDim &&
                        keptTanh.size() == kLayerDim,
                    "layer forward shape mismatch");
-    for (std::size_t i = 0; i < kLayerDim; i++) {
-        float t = std::tanh(preActivation(params, input, i));
-        keptTanh[i] = t;
-        output[i] = input[i] + kResidual * t;
-    }
+    columnTanh(params, input.data(), keptTanh.data());
+    residualOutput(input.data(), keptTanh.data(), output.data());
 }
 
 void
@@ -143,17 +173,12 @@ layerForward4(LayerParamsView params,
     NASPIPE_ASSERT(params.weight.size() == kLayerDim &&
                        params.bias.size() == kLayerDim,
                    "layer forward shape mismatch");
-    const float *weight = params.weight.data();
-    const float *bias = params.bias.data();
-    for (std::size_t i = 0; i < kLayerDim; i++) {
-        float w = weight[i];
-        float mix = kMixCoeff * weight[(i + 1) % kLayerDim];
-        float b = bias[i];
-        for (std::size_t c = 0; c < kForwardColumns; c++) {
-            float a = input[c][i];
-            float z = w * a + mix + b;
-            output[c][i] = a + kResidual * std::tanh(z);
-        }
+    float mix[kLayerDim];
+    mixTerms(params, mix);
+    for (std::size_t c = 0; c < kForwardColumns; c++) {
+        float t[kLayerDim];
+        columnTanh(params, mix, input[c], t);
+        residualOutput(input[c], t, output[c]);
     }
 }
 
@@ -171,8 +196,7 @@ layerBackward(LayerParamsView params, ConstTensorView input,
     // uses the parameter values *current at backward time*, exactly
     // like PyTorch's checkpoint utility the paper uses.
     float t[kLayerDim];
-    for (std::size_t i = 0; i < kLayerDim; i++)
-        t[i] = std::tanh(preActivation(params, input, i));
+    columnTanh(params, input.data(), t);
     backwardFromTanh(params, input, t, gradOutput, gradInput, grads);
 }
 

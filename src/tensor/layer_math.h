@@ -124,8 +124,8 @@ constexpr std::size_t kForwardColumns = 4;
 
 /**
  * layerForward over kForwardColumns independent activation columns at
- * once: each weight and bias is read once and the mixing term
- * kMix * w_{i+1} is computed once for all columns. Every column is
+ * once: the mixing terms kMix * w_{i+1} are computed once for all
+ * columns, then each column goes through one tanhSpan. Every column is
  * bitwise equal to layerForward on that column alone — z_i keeps
  * layerForward's association, (w_i * a_i + kMix * w_{i+1}) + b_i, so
  * no partial sum (such as mix + b) may be hoisted out of the column

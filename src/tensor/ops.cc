@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "tensor/kernels/reduce.h"
+#include "tensor/kernels/tanh.h"
 
 namespace naspipe {
 namespace ops {
@@ -65,8 +66,7 @@ scale(TensorView a, float alpha)
 void
 tanhInPlace(TensorView a)
 {
-    for (std::size_t i = 0; i < a.size(); i++)
-        a[i] = std::tanh(a[i]);
+    kernels::tanhSpan(a.data(), a.data(), a.size());
 }
 
 float

@@ -48,7 +48,7 @@ void axpy(float alpha, ConstTensorView b, TensorView a);
 /** a[i] *= alpha. */
 void scale(TensorView a, float alpha);
 
-/** a[i] = tanhf(a[i]). */
+/** a[i] = kernels::tanh(a[i]), the library's own tanh (kernels/tanh.h). */
 void tanhInPlace(TensorView a);
 
 /** Pairwise-tree sum (kernels::treeSum). */

@@ -8,12 +8,14 @@
  * order: reductions go through the fixed-shape pairwise trees in
  * tensor/kernels/reduce.h (never an ad-hoc sequential loop — the
  * float-reduce-outside-kernels lint enforces this), elementwise ops
- * iterate in index order, and nothing ever depends on the platform's
- * math library beyond IEEE-754 basic operations and tanhf/expf
- * (which are deterministic for a fixed libm, mirroring the paper's
- * reliance on deterministic CUDA kernels). Storage precision is a
- * run-level mode (tensor/kernels/precision.h): fp32, or fp16_rne
- * half-rounded storage with fp32 compute.
+ * iterate in index order, and nothing depends on the platform's math
+ * library: the one transcendental, tanh, is the library's own kernel
+ * (tensor/kernels/tanh.h), built from IEEE-754 basic operations. The
+ * bits are therefore a function of IEEE-754 binary32 arithmetic and
+ * -ffp-contract=off alone, not of the host libm (the counterpart of
+ * the paper's reliance on deterministic CUDA kernels). Storage
+ * precision is a run-level mode (tensor/kernels/precision.h): fp32,
+ * or fp16_rne half-rounded storage with fp32 compute.
  *
  * Tensor owns its buffer; the non-owning view over arena-backed
  * parameter memory is TensorView (tensor/tensor_view.h).

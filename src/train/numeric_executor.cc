@@ -6,6 +6,7 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "tensor/kernels/reduce.h"
+#include "tensor/kernels/tanh.h"
 #include "tensor/loss.h"
 
 namespace naspipe {
@@ -89,7 +90,8 @@ NumericExecutor::fillTeacherTarget(TensorView out,
                                    ConstTensorView input) const
 {
     for (std::size_t i = 0; i < kLayerDim; i++)
-        out[i] = std::tanh(_teacherA[i] * input[i] + _teacherB[i]);
+        out[i] = _teacherA[i] * input[i] + _teacherB[i];
+    kernels::tanhSpan(out.data(), out.data(), kLayerDim);
 }
 
 void

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -146,7 +147,7 @@ ParameterStore::save(std::ostream &out) const
         writeTensor(payload, _params[i]->weight);
         writeTensor(payload, _params[i]->bias);
     }
-    const std::string bytes = payload.str();
+    const std::string bytes = std::move(payload).str();
 
     writePod(out, kCheckpointMagic);
     writePod(out, kCheckpointVersion);

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -115,7 +116,7 @@ RunCheckpoint::save(std::ostream &out) const
     writeDoubles(payload, completionSec);
     writeBlob(payload, storeBytes);
     writeBlob(payload, accessLogBytes);
-    const std::string bytes = payload.str();
+    const std::string bytes = std::move(payload).str();
 
     writePod(out, kRunCheckpointMagic);
     writePod(out, kFormatVersion);

@@ -4,10 +4,11 @@
  * (space, precision mode, worker count), the trained supernet hash
  * must (a) agree between the simulator and the threaded executor
  * bit for bit, with the threaded run CSP-clean under a live oracle,
- * and (b) equal the committed golden hash — the fp32 goldens are the
- * pre-kernel-refactor trajectories, proving the tree reductions,
- * views and arenas changed no trained bit; the fp16_rne goldens pin
- * the half-storage trajectories the same way.
+ * and (b) equal the committed golden hash. The grid pins the
+ * trajectories under the library's own tanh (tensor/kernels/tanh.h),
+ * so it holds on any IEEE-754 host whatever its libm; the fp32
+ * goldens pin full-precision storage, the fp16_rne goldens the
+ * half-storage trajectories.
  *
  * If an intentional numeric change moves a hash, recapture with:
  *   naspipe_cli --space S --gpus G --steps 32 --seed 7
@@ -39,23 +40,23 @@ struct Golden {
 // sim == threads is the invariant at every point of the grid.
 constexpr Golden kGoldens[] = {
     {"NLP.c1", kernels::PrecisionMode::Fp32, 1,
-     0x31b24902f4f10672ULL},
+     0x80366a286860c23dULL},
     {"NLP.c1", kernels::PrecisionMode::Fp32, 2,
-     0x8effdefe3689d2edULL},
+     0xb226a5fca3070cefULL},
     {"NLP.c1", kernels::PrecisionMode::Fp32, 4,
-     0x62a61404a040bcdaULL},
+     0x32263359c5dea6f7ULL},
     {"NLP.c1", kernels::PrecisionMode::Fp32, 8,
-     0xec3efbd417f31ce1ULL},
+     0xa7c3d1b7a66f295eULL},
     {"CV.c1", kernels::PrecisionMode::Fp32, 1,
-     0xe27c77fa7cf5ebe3ULL},
+     0x8b062edbe34441d4ULL},
     {"CV.c1", kernels::PrecisionMode::Fp32, 2,
-     0xb7389a5689c7831aULL},
+     0xe8023552fd6bb940ULL},
     {"CV.c1", kernels::PrecisionMode::Fp32, 4,
-     0x11818c7988908918ULL},
+     0x219a2a9dcd3a4c7dULL},
     {"CV.c1", kernels::PrecisionMode::Fp32, 8,
-     0x11818c7988908918ULL},
+     0x219a2a9dcd3a4c7dULL},
     {"NLP.c1", kernels::PrecisionMode::Fp16Rne, 1,
-     0x69fd55d9981fcd1fULL},
+     0xa2f17ab3fc23863dULL},
     {"NLP.c1", kernels::PrecisionMode::Fp16Rne, 2,
      0x35842c6457b96261ULL},
     {"NLP.c1", kernels::PrecisionMode::Fp16Rne, 4,

@@ -43,8 +43,8 @@ TEST(LintRules, TableListsEveryRule)
                   "unordered-iteration", "raw-random",
                   "pointer-key-container", "det-suppression",
                   "wall-clock", "float-reduce-outside-kernels",
-                  "relaxed-memory-order", "raw-mutex",
-                  "lock-rank-order", "lock-cycle",
+                  "libm-in-numeric-plane", "relaxed-memory-order",
+                  "raw-mutex", "lock-rank-order", "lock-cycle",
                   "blocking-under-lock", "unknown-lock-rank",
                   "ambiguous-lock-name"}));
 }
@@ -211,6 +211,48 @@ TEST(LintRules, FloatReduceSkipsKernelsAndNonReductions)
     // Integer accumulators carry no rounding order.
     EXPECT_TRUE(scanSource("src/a.cc",
                            "int count = 0;\ncount += n;\n")
+                    .empty());
+}
+
+TEST(LintRules, LibmFiresInTheNumericPlane)
+{
+    std::string src = "out[i] = std::tanh(z[i]);\n";
+    std::vector<Finding> findings = scanSource("src/tensor/ops.cc", src);
+    ASSERT_EQ(findings.size(), 1u);
+    EXPECT_EQ(findings[0].rule, "libm-in-numeric-plane");
+    EXPECT_EQ(rulesOf(scanSource("src/train/numeric_executor.cc",
+                                 "float e = std::exp(-x);\n")),
+              std::vector<std::string>{"libm-in-numeric-plane"});
+    EXPECT_EQ(rulesOf(scanSource("src/train/a.cc",
+                                 "float p = std :: pow(b, 2.0f);\n")),
+              std::vector<std::string>{"libm-in-numeric-plane"});
+    // The C spellings too.
+    EXPECT_EQ(rulesOf(scanSource("src/tensor/a.cc",
+                                 "y = tanhf(x) + logf(x);\n")),
+              std::vector<std::string>{"libm-in-numeric-plane"});
+    EXPECT_EQ(rulesOf(scanSource("src/train/a.cc",
+                                 "y = ::expf(x);\n")),
+              std::vector<std::string>{"libm-in-numeric-plane"});
+}
+
+TEST(LintRules, LibmSkipsKernelsOtherTreesAndExactOps)
+{
+    std::string src = "out[i] = std::tanh(z[i]);\n";
+    // The kernel layer is where a transcendental gets defined.
+    EXPECT_TRUE(scanSource("src/tensor/kernels/tanh.cc", src).empty());
+    // Outside the numeric plane (tests compare against libm).
+    EXPECT_TRUE(scanSource("src/common/rng.cc",
+                           "double s = std::log(u);\n")
+                    .empty());
+    EXPECT_TRUE(scanSource("tests/tensor/test_tanh.cc", src).empty());
+    // Correctly rounded IEEE operations, the library's own kernel,
+    // member calls, look-alike names and comments stay quiet.
+    EXPECT_TRUE(scanSource("src/train/a.cc",
+                           "float s = std::sqrt(v) + std::fabs(w);\n"
+                           "t = kernels::tanh(z);\n"
+                           "log.logf(x);\n"
+                           "throw std::logic_error(msg);\n"
+                           "// std::tanh is banned here\n")
                     .empty());
 }
 

@@ -13,6 +13,7 @@
 #include <sstream>
 
 #include "common/rng.h"
+#include "tensor/kernels/tanh.h"
 #include "tensor/loss.h"
 #include "train/numeric_executor.h"
 
@@ -267,8 +268,8 @@ class RecomputeReference
         auto base = static_cast<std::uint64_t>(subnet.id()) * kLayerDim;
         for (std::size_t i = 0; i < kLayerDim; i++) {
             run.act[0][i] = 2.0f * input.uniformFloat(base + i) - 1.0f;
-            run.target[i] = std::tanh(_teacherA[i] * run.act[0][i] +
-                                      _teacherB[i]);
+            run.target[i] = kernels::tanh(_teacherA[i] * run.act[0][i] +
+                                          _teacherB[i]);
         }
     }
 

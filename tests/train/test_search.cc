@@ -23,6 +23,7 @@
 #include "common/rng.h"
 #include "supernet/sampler.h"
 #include "tensor/kernels/reduce.h"
+#include "tensor/kernels/tanh.h"
 #include "tensor/loss.h"
 #include "train/convergence.h"
 
@@ -68,7 +69,7 @@ referenceEvaluate(ParameterStore &store, const Subnet &subnet,
         for (std::size_t i = 0; i < kLayerDim; i++) {
             float a = 0.5f + teacher.uniformFloat(i, 0);
             float b = teacher.uniformFloat(i, 1) - 0.5f;
-            target[i] = std::tanh(a * act[i] + b);
+            target[i] = kernels::tanh(a * act[i] + b);
         }
         kernels::quantizeInPlace(mode, target.data().data(), kLayerDim);
         for (int blk = 0; blk < subnet.size(); blk++) {

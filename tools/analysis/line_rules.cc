@@ -14,6 +14,7 @@ constexpr const char *kPointerKeyContainer = "pointer-key-container";
 constexpr const char *kDetSuppression = "det-suppression";
 constexpr const char *kWallClock = "wall-clock";
 constexpr const char *kFloatReduce = "float-reduce-outside-kernels";
+constexpr const char *kLibmNumeric = "libm-in-numeric-plane";
 
 /**
  * Variables declared as unordered containers in this file. Matches
@@ -162,6 +163,12 @@ lineRuleTable()
          "summation order is part of the bitwise numeric contract; "
          "route reductions through kernels::treeSum/treeDot so the "
          "tree shape stays specified in one place"},
+        {kLibmNumeric,
+         "libm transcendental (std::tanh/exp/log/pow/sin/cos/..., or "
+         "C tanhf/expf/logf/...) in src/tensor/ or src/train/ outside "
+         "src/tensor/kernels/ — a host libm rounds as it likes, so "
+         "the trained bits would depend on it; call the library's own "
+         "kernel (kernels::tanh / tanhSpan) instead"},
     };
     return kTable;
 }
@@ -178,6 +185,9 @@ runLineRules(const SourceFile &file)
                              pathContains(file.path, "bench/");
     const bool inKernelHome =
         pathContains(file.path, "src/tensor/kernels/");
+    const bool inNumericPlane =
+        !inKernelHome && (pathContains(file.path, "src/tensor/") ||
+                          pathContains(file.path, "src/train/"));
 
     std::vector<Finding> findings;
     auto add = [&](std::size_t idx, const char *rule) {
@@ -196,6 +206,13 @@ runLineRules(const SourceFile &file)
     static const std::regex todoDet(R"(TODO\s*\(\s*det\s*\))");
     static const std::regex wallClock(
         R"(\b(?:steady_clock|system_clock|high_resolution_clock)\b)");
+    // std::sqrt and std::fabs are correctly rounded IEEE operations,
+    // not libm approximations, and stay allowed.
+    static const std::regex libmCall(
+        R"(\bstd\s*::\s*(?:a?(?:sin|cos|tan)h?|atan2|exp(?:2|m1)?)"
+        R"(|log(?:2|10|1p)?|pow|cbrt|hypot|erfc?|[lt]gamma)[fl]?\s*\()"
+        R"(|(?:^|[^\w.>])(?:a?(?:sin|cos|tan)h?|atan2|exp(?:2|m1)?)"
+        R"(|log(?:2|10|1p)?|pow|cbrt|hypot|erfc?|[lt]gamma)f\s*\()");
 
     for (std::size_t i = 0; i < lines.code.size(); i++) {
         const std::string &code = lines.code[i];
@@ -220,6 +237,8 @@ runLineRules(const SourceFile &file)
                 code.find("std :: accumulate") != std::string::npos)
                 add(i, kFloatReduce);
         }
+        if (inNumericPlane && std::regex_search(code, libmCall))
+            add(i, kLibmNumeric);
         if (std::regex_search(code, pointerKey))
             add(i, kPointerKeyContainer);
         if (!inClockHome && std::regex_search(code, wallClock))
