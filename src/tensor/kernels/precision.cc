@@ -2,8 +2,54 @@
 
 #include <cstring>
 
+#include "tensor/kernels/lane_bits.h"
+
 namespace naspipe {
 namespace kernels {
+
+namespace {
+
+constexpr std::uint32_t kQuietNanBits = 0x7fc00000u;
+constexpr std::uint32_t kHalfNanPayload = 0x007fe000u;
+constexpr std::uint32_t kHalfMinNormalBits = 0x38800000u; // 2^-14
+constexpr std::uint32_t kHalfOverflowBits = 0x47800000u;  // 65536
+/** The low binary32 mantissa bits a half has no room for. */
+constexpr std::uint32_t kDroppedBits = 0x1fffu;
+
+/**
+ * The storage rounding (precision.h), straight-line: every band is
+ * computed and the right one is picked by mask, so the span loop has
+ * no branch to keep it scalar.
+ */
+inline float
+roundToHalfLane(float x)
+{
+    std::uint32_t bits = bitsOf(x);
+    std::uint32_t mag = bits & kMagnitude;
+
+    // Normal band: round the 13 dropped mantissa bits to nearest-even
+    // in place. A carry into the exponent is the correct result; one
+    // that reaches 65536 (and inf itself) becomes infinity.
+    std::uint32_t normal =
+        (mag + (kDroppedBits >> 1) + ((mag >> 13) & 1u)) &
+        ~kDroppedBits;
+    normal = blend(maskOf(normal >= kHalfOverflowBits), kInfBits,
+                   normal);
+
+    // Half-subnormal band: the ulp of binary32 at 0.5 is 2^-24, the
+    // half subnormal step, so the IEEE add rounds |x| to it
+    // (nearest-even) and the subtraction is exact.
+    float sub = (floatOf(mag) + 0.5f) - 0.5f;
+    std::uint32_t result =
+        blend(maskOf(mag < kHalfMinNormalBits), bitsOf(sub), normal);
+
+    // NaN: quieted, payload cut to the top 10 mantissa bits.
+    result = blend(maskOf(mag > kInfBits),
+                   kQuietNanBits | (mag & kHalfNanPayload), result);
+    return floatOf(result | (bits & kSignBit));
+}
+
+} // namespace
 
 const char *
 precisionModeName(PrecisionMode mode)
@@ -110,13 +156,27 @@ halfBitsToFp32(std::uint16_t bits)
     return out;
 }
 
+float
+roundToHalf(float value)
+{
+    return roundToHalfLane(value);
+}
+
 void
 quantizeInPlace(PrecisionMode mode, float *a, std::size_t n)
 {
     if (mode == PrecisionMode::Fp32)
         return;
-    for (std::size_t i = 0; i < n; i++)
-        a[i] = roundToHalf(a[i]);
+    std::size_t i = 0;
+    for (; i + kLaneBlock <= n; i += kLaneBlock) {
+        float x[kLaneBlock];
+        std::memcpy(x, a + i, sizeof(x));
+        for (std::size_t j = 0; j < kLaneBlock; j++) // must vectorize
+            x[j] = roundToHalfLane(x[j]);
+        std::memcpy(a + i, x, sizeof(x));
+    }
+    for (; i < n; i++)
+        a[i] = roundToHalfLane(a[i]);
 }
 
 } // namespace kernels

@@ -3,14 +3,13 @@
 #include <cstdint>
 #include <cstring>
 
+#include "tensor/kernels/lane_bits.h"
+
 namespace naspipe {
 namespace kernels {
 
 namespace {
 
-constexpr std::uint32_t kSignBit = 0x80000000u;
-constexpr std::uint32_t kMagnitude = 0x7fffffffu;
-constexpr std::uint32_t kInfBits = 0x7f800000u;
 constexpr std::uint32_t kTinyBits = 0x39d1b717u;   // 0.0004f
 constexpr std::uint32_t kSplitBits = 0x3f0c9f54u;  // atanh(0.5)
 constexpr std::uint32_t kClampBits = 0x41180000u;  // 9.5f
@@ -18,36 +17,6 @@ constexpr std::uint32_t kClampBits = 0x41180000u;  // 9.5f
 constexpr float kLog2e = 1.44269504088896341f;
 constexpr float kLn2Hi = 0.693359375f;
 constexpr float kLn2Lo = -2.12194440e-4f;
-
-inline std::uint32_t
-bitsOf(float value)
-{
-    std::uint32_t bits;
-    std::memcpy(&bits, &value, sizeof(bits));
-    return bits;
-}
-
-inline float
-floatOf(std::uint32_t bits)
-{
-    float value;
-    std::memcpy(&value, &bits, sizeof(value));
-    return value;
-}
-
-/** All-ones when @p cond holds, else zero: the select mask. */
-inline std::uint32_t
-maskOf(bool cond)
-{
-    return 0u - static_cast<std::uint32_t>(cond);
-}
-
-/** mask ? a : b, on bit patterns. */
-inline std::uint32_t
-blend(std::uint32_t mask, std::uint32_t a, std::uint32_t b)
-{
-    return (a & mask) | (b & ~mask);
-}
 
 /** The normative definition (tanh.h); straight-line, no branch. */
 inline float
@@ -88,13 +57,6 @@ tanhLane(float x)
     return floatOf(blend(keep, bits, result));
 }
 
-/**
- * Span block width. The block is copied into a local array before any
- * output is written, so the block loop has a fixed trip count and no
- * aliasing question: GCC vectorizes it at -O2 as well as -O3.
- */
-constexpr std::size_t kTanhBlock = 8;
-
 } // namespace
 
 float
@@ -107,11 +69,11 @@ void
 tanhSpan(const float *in, float *out, std::size_t n)
 {
     std::size_t i = 0;
-    for (; i + kTanhBlock <= n; i += kTanhBlock) {
-        float x[kTanhBlock];
-        float t[kTanhBlock];
+    for (; i + kLaneBlock <= n; i += kLaneBlock) {
+        float x[kLaneBlock];
+        float t[kLaneBlock];
         std::memcpy(x, in + i, sizeof(x));
-        for (std::size_t j = 0; j < kTanhBlock; j++)
+        for (std::size_t j = 0; j < kLaneBlock; j++) // must vectorize
             t[j] = tanhLane(x[j]);
         std::memcpy(out + i, t, sizeof(t));
     }

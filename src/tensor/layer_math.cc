@@ -1,5 +1,7 @@
 #include "tensor/layer_math.h"
 
+#include <cstring>
+
 #include "common/logging.h"
 #include "common/rng.h"
 #include "tensor/kernels/tanh.h"
@@ -116,27 +118,54 @@ residualOutput(const float *input, const float *t, float *output)
 
 /**
  * The backward after tanh: dz from t_i = tanh(z_i), then the
- * parameter and input gradients. dz lives on the stack — the
- * backward path allocates nothing.
+ * parameter and input gradients. The scratch lives on the stack — the
+ * backward path allocates nothing. Each loop indexes raw pointers and
+ * touches at most one array it does not own, or only reads those, so
+ * no aliasing question keeps it scalar: each vectorizes at -O2
+ * (tools/check_vectorized.sh). Every expression keeps the
+ * association of the fused formulas in the comments.
  */
 inline void
 backwardFromTanh(LayerParamsView params, ConstTensorView input,
                  const float *t, ConstTensorView gradOutput,
                  TensorView gradInput, LayerGradsView grads)
 {
-    float dz[kLayerDim];
-    for (std::size_t i = 0; i < kLayerDim; i++)
-        dz[i] = gradOutput[i] * kResidual * (1.0f - t[i] * t[i]);
+    NASPIPE_ASSERT(params.weight.size() == kLayerDim &&
+                       grads.weight.size() == kLayerDim &&
+                       grads.bias.size() == kLayerDim,
+                   "layer backward shape mismatch");
+    const float *in = input.data();
+    const float *gout = gradOutput.data();
+    const float *w = params.weight.data();
 
-    for (std::size_t i = 0; i < kLayerDim; i++) {
-        std::size_t prev = (i + kLayerDim - 1) % kLayerDim;
-        // w_i appears in z_i (times input_i) and in z_{i-1} (times
-        // kMixCoeff).
-        grads.weight[i] += dz[i] * input[i] + kMixCoeff * dz[prev];
-        grads.bias[i] += dz[i];
-        // The identity path contributes gradOutput directly.
-        gradInput[i] = gradOutput[i] + dz[i] * params.weight[i];
-    }
+    // dz_i is dzShift[i + 1]; dzShift[0] repeats dz_{dim-1}, so
+    // dz_{(i-1) mod dim} is dzShift[i] with no wrap in the loop.
+    float dzShift[kLayerDim + 1];
+    float *dz = dzShift + 1;
+    for (std::size_t i = 0; i < kLayerDim; i++) // must vectorize
+        dz[i] = gout[i] * kResidual * (1.0f - t[i] * t[i]);
+    dzShift[0] = dz[kLayerDim - 1];
+
+    // gw_i += dz_i * input_i + kMixCoeff * dz_{i-1}: w_i appears in
+    // z_i (times input_i) and in z_{i-1} (times kMixCoeff).
+    float term[kLayerDim];
+    for (std::size_t i = 0; i < kLayerDim; i++) // must vectorize
+        term[i] = dz[i] * in[i] + kMixCoeff * dzShift[i];
+    float *gw = grads.weight.data();
+    for (std::size_t i = 0; i < kLayerDim; i++) // must vectorize
+        gw[i] += term[i];
+
+    float *gb = grads.bias.data();
+    for (std::size_t i = 0; i < kLayerDim; i++) // must vectorize
+        gb[i] += dz[i];
+
+    // gi_i = gradOutput_i + dz_i * w_i: the identity path contributes
+    // gradOutput directly. Built on the stack, so gradInput may be
+    // gradOutput.
+    float gi[kLayerDim];
+    for (std::size_t i = 0; i < kLayerDim; i++) // must vectorize
+        gi[i] = gout[i] + dz[i] * w[i];
+    std::memcpy(gradInput.data(), gi, sizeof(gi));
 }
 
 } // namespace

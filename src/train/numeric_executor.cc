@@ -212,9 +212,14 @@ NumericExecutor::applyUpdate(const Subnet &subnet, int block,
         float noisyB[kLayerDim];
         _gradNoiseRng.fillUniform(base, kLayerDim, noisyW, noisyB);
         const float scale = _gradNoiseScale;
+        NASPIPE_ASSERT(gradWeight.size() == kLayerDim &&
+                           gradBias.size() == kLayerDim,
+                       "gradient shape mismatch");
+        const float *gw = gradWeight.data();
+        const float *gb = gradBias.data();
         for (std::size_t i = 0; i < kLayerDim; i++) {
-            noisyW[i] = gradWeight[i] + scale * (2.0f * noisyW[i] - 1.0f);
-            noisyB[i] = gradBias[i] + scale * (2.0f * noisyB[i] - 1.0f);
+            noisyW[i] = gw[i] + scale * (2.0f * noisyW[i] - 1.0f);
+            noisyB[i] = gb[i] + scale * (2.0f * noisyB[i] - 1.0f);
         }
         _optimizer.stepView(params.weight, params.bias,
                             ConstTensorView(noisyW, kLayerDim),

@@ -458,6 +458,48 @@ TEST(LayerKeptTanh, MatchesRecomputeUnderFp16Rounding)
     }
 }
 
+TEST(LayerMath, BackwardMatchesFusedFormulaBitwise)
+{
+    // The backward runs as separate loops over raw pointers; pin it to
+    // the one fused per-element formula it is split from, with the
+    // same association, and check gradInput may be gradOutput.
+    Xoshiro256StarStar rng(77);
+    for (int trial = 0; trial < 50; trial++) {
+        LayerParams params = randomLayer(rng, 1.5f, 0.5f);
+        Tensor input = randomVector(rng, 2.0f);
+        Tensor gradOutput = randomVector(rng, 1.0f);
+        LayerGrads got, inPlace;
+        for (std::size_t i = 0; i < kLayerDim; i++) {
+            got.weight[i] = inPlace.weight[i] = 0.01f * static_cast<float>(i);
+            got.bias[i] = inPlace.bias[i] = -0.02f * static_cast<float>(i);
+        }
+        LayerGrads want = got;
+        Tensor gradIn(kLayerDim);
+        layerBackward(params, input, gradOutput, gradIn, got);
+        Tensor cursor = gradOutput;
+        layerBackward(params, input, cursor, cursor, inPlace);
+
+        Tensor t(kLayerDim);
+        Tensor unused(kLayerDim);
+        layerForwardKeepTanh(params, input, unused, t);
+        float dz[kLayerDim];
+        for (std::size_t i = 0; i < kLayerDim; i++)
+            dz[i] = gradOutput[i] * kResidual * (1.0f - t[i] * t[i]);
+        for (std::size_t i = 0; i < kLayerDim; i++) {
+            std::size_t prev = (i + kLayerDim - 1) % kLayerDim;
+            want.weight[i] += dz[i] * input[i] + kMixCoeff * dz[prev];
+            want.bias[i] += dz[i];
+            const float gi = gradOutput[i] + dz[i] * params.weight[i];
+            ASSERT_EQ(bitsOf(gradIn[i]), bitsOf(gi)) << "grad input " << i;
+            ASSERT_EQ(bitsOf(cursor[i]), bitsOf(gi)) << "in place " << i;
+        }
+        EXPECT_TRUE(got.weight.bitwiseEqual(want.weight));
+        EXPECT_TRUE(got.bias.bitwiseEqual(want.bias));
+        EXPECT_TRUE(inPlace.weight.bitwiseEqual(want.weight));
+        EXPECT_TRUE(inPlace.bias.bitwiseEqual(want.bias));
+    }
+}
+
 TEST(LayerMath, InitMatchesPerElementDraws)
 {
     // initLayerParams draws through one batched Philox pass; pin it to
