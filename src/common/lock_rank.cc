@@ -21,10 +21,6 @@ lockRankName(LockRank rank)
         return "exec.queue";
     case LockRank::ExecWorkerSignal:
         return "exec.worker_signal";
-    case LockRank::ExecGateTable:
-        return "exec.gate_table";
-    case LockRank::ExecGateWait:
-        return "exec.gate_wait";
     case LockRank::TrainContext:
         return "train.context";
     case LockRank::VerifyOracle:

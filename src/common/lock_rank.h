@@ -64,11 +64,11 @@ namespace naspipe {
  * Rationale for the order: control-plane locks (service client
  * state, incident latches, watchdog) sit above the data plane they
  * coordinate; within the data plane, the pipeline hand-off path
- * (queue → worker signal → commit gate) precedes the training-state
- * lock it may reach while executing a task (numeric contexts), and
- * the determinism-audit oracle is the innermost because commit hooks
- * invoke it from arbitrary lock-free contexts and it must never need
- * to acquire outward.
+ * (queue → worker signal; the commit gate itself is lock-free)
+ * precedes the training-state lock it may reach while executing a
+ * task (numeric contexts), and the determinism-audit oracle is the
+ * innermost because commit hooks invoke it from arbitrary lock-free
+ * contexts and it must never need to acquire outward.
  */
 enum class LockRank : int {
     /// serve::SearchService client-facing state (submit/cancel/
@@ -82,10 +82,6 @@ enum class LockRank : int {
     ExecQueue = 50,
     /// StageWorker scheduling-loop signal (wakeup counter, stop).
     ExecWorkerSignal = 60,
-    /// CommitGate layer table (shared: registration vs resolution).
-    ExecGateTable = 70,
-    /// CommitGate waitReadable() parking lot.
-    ExecGateWait = 80,
     /// NumericExecutor in-flight context map (shared: begin/finish
     /// vs stage-worker lookups).
     TrainContext = 90,

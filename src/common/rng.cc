@@ -1,6 +1,6 @@
 #include "common/rng.h"
 
-#include <cmath>
+#include <cstring>
 
 #include "common/logging.h"
 
@@ -81,63 +81,6 @@ double
 Xoshiro256StarStar::nextDouble()
 {
     return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-float
-Xoshiro256StarStar::nextFloat()
-{
-    return static_cast<float>(next() >> 40) * 0x1.0p-24f;
-}
-
-bool
-Xoshiro256StarStar::nextBool(double p)
-{
-    return nextDouble() < p;
-}
-
-double
-Xoshiro256StarStar::nextGaussian()
-{
-    if (_haveSpare) {
-        _haveSpare = false;
-        return _spare;
-    }
-    // Polar Box-Muller with a fixed draw order: u is always drawn
-    // before v so the stream consumption is deterministic.
-    for (;;) {
-        double u = 2.0 * nextDouble() - 1.0;
-        double v = 2.0 * nextDouble() - 1.0;
-        double s = u * u + v * v;
-        if (s > 0.0 && s < 1.0) {
-            double scale = std::sqrt(-2.0 * std::log(s) / s);
-            _spare = v * scale;
-            _haveSpare = true;
-            return u * scale;
-        }
-    }
-}
-
-void
-Xoshiro256StarStar::jump()
-{
-    static const std::uint64_t kJump[] = {
-        0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL,
-        0xa9582618e03fc9aaULL, 0x39abdc4529b1661cULL,
-    };
-
-    std::uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-    for (std::uint64_t word : kJump) {
-        for (int b = 0; b < 64; b++) {
-            if (word & (1ULL << b)) {
-                s0 ^= _state[0];
-                s1 ^= _state[1];
-                s2 ^= _state[2];
-                s3 ^= _state[3];
-            }
-            next();
-        }
-    }
-    _state = {s0, s1, s2, s3};
 }
 
 namespace {
@@ -251,12 +194,7 @@ deriveSeed(std::uint64_t parent, std::uint64_t tag)
 std::uint64_t
 deriveSeed(std::uint64_t parent, const char *tag)
 {
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    for (const char *p = tag; *p; ++p) {
-        hash ^= static_cast<unsigned char>(*p);
-        hash *= 0x100000001b3ULL;
-    }
-    return deriveSeed(parent, hash);
+    return deriveSeed(parent, hashBytes(tag, std::strlen(tag)));
 }
 
 std::uint64_t

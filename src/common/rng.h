@@ -62,28 +62,11 @@ class Xoshiro256StarStar
     /** Uniform double in [0, 1) with 53 bits of entropy. */
     double nextDouble();
 
-    /** Uniform float in [0, 1) with 24 bits of entropy. */
-    float nextFloat();
-
-    /** Bernoulli draw with probability @p p of returning true. */
-    bool nextBool(double p = 0.5);
-
-    /**
-     * Standard-normal draw (deterministic polar Box-Muller with an
-     * explicitly specified evaluation order).
-     */
-    double nextGaussian();
-
-    /** Jump function: advance 2^128 steps to split parallel streams. */
-    void jump();
-
     /** Expose state for checkpoint tests. */
     std::array<std::uint64_t, 4> state() const { return _state; }
 
   private:
     std::array<std::uint64_t, 4> _state;
-    bool _haveSpare = false;
-    double _spare = 0.0;
 };
 
 /**

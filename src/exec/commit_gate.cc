@@ -6,24 +6,31 @@
 
 namespace naspipe {
 
-void
+CommitGate::Claim
 CommitGate::registerActivation(std::uint64_t layerKey, SubnetId subnet)
 {
-    std::unique_lock<RankedSharedMutex> lock(_gateTableMu);
     LayerChain &chain = _chains[layerKey];
-    NASPIPE_ASSERT(chain.activators.empty() ||
-                       chain.activators.back() < subnet,
+    std::size_t rank = chain.firstRank + chain.pending.size();
+    NASPIPE_ASSERT(rank == 0 || chain.last < subnet,
                    "gate registration out of sequence order for layer ",
-                   layerKey, ": ", subnet, " after ",
-                   chain.activators.empty() ? -1
-                                            : chain.activators.back());
-    chain.activators.push_back(subnet);
+                   layerKey, ": ", subnet, " after ", chain.last);
+    // Drop the committed prefix: nothing resolves a committed pair,
+    // so the layer holds only the activators still to commit.
+    std::size_t committed =
+        chain.committed.load(std::memory_order_acquire);
+    chain.pending.erase(chain.pending.begin(),
+                        chain.pending.begin() +
+                            static_cast<std::ptrdiff_t>(
+                                committed - chain.firstRank));
+    chain.firstRank = committed;
+    chain.pending.push_back(subnet);
+    chain.last = subnet;
+    return Claim{&chain, rank, layerKey, subnet};
 }
 
 const CommitGate::LayerChain *
-CommitGate::chainOf(std::uint64_t layerKey) const
+CommitGate::find(std::uint64_t layerKey) const
 {
-    std::shared_lock<RankedSharedMutex> lock(_gateTableMu);
     auto it = _chains.find(layerKey);
     return it == _chains.end() ? nullptr : &it->second;
 }
@@ -31,28 +38,17 @@ CommitGate::chainOf(std::uint64_t layerKey) const
 CommitGate::Claim
 CommitGate::resolve(std::uint64_t layerKey, SubnetId subnet) const
 {
-    // Hold the table lock across the activator search, not just the
-    // chain lookup: the coordinator may be growing this chain's
-    // vector under the exclusive lock at this very moment. Appends
-    // only ever add *higher* sequence IDs, so the rank computed here
-    // stays valid after the lock drops.
-    std::shared_lock<RankedSharedMutex> lock(_gateTableMu);
-    auto found = _chains.find(layerKey);
-    NASPIPE_ASSERT(found != _chains.end(), "layer ", layerKey,
+    const LayerChain *chain = find(layerKey);
+    NASPIPE_ASSERT(chain, "layer ", layerKey,
                    " has no registered activators");
-    const LayerChain *chain = &found->second;
-    auto it = std::lower_bound(chain->activators.begin(),
-                               chain->activators.end(), subnet);
-    NASPIPE_ASSERT(it != chain->activators.end() && *it == subnet,
-                   "SN", subnet, " is not an activator of layer ",
+    auto it = std::lower_bound(chain->pending.begin(),
+                               chain->pending.end(), subnet);
+    NASPIPE_ASSERT(it != chain->pending.end() && *it == subnet, "SN",
+                   subnet, " is not an uncommitted activator of layer ",
                    layerKey);
-    Claim claim;
-    claim.chain = chain;
-    claim.rank = static_cast<std::size_t>(
-        it - chain->activators.begin());
-    claim.layerKey = layerKey;
-    claim.subnet = subnet;
-    return claim;
+    std::size_t rank = chain->firstRank +
+                       static_cast<std::size_t>(it - chain->pending.begin());
+    return Claim{chain, rank, layerKey, subnet};
 }
 
 bool
@@ -63,12 +59,6 @@ CommitGate::readable(const Claim &claim) const
            claim.rank;
 }
 
-bool
-CommitGate::readable(std::uint64_t layerKey, SubnetId subnet) const
-{
-    return readable(resolve(layerKey, subnet));
-}
-
 void
 CommitGate::commit(const Claim &claim, int stage)
 {
@@ -76,16 +66,14 @@ CommitGate::commit(const Claim &claim, int stage)
         static_cast<const LayerChain *>(claim.chain));
     if (_eventHook) {
         // Fired before the commit is published: the next rank of this
-        // chain cannot read (let alone commit) until the fetch_add
-        // below, so one chain's events reach the observer in chain
-        // order. The subnet ID comes from the claim, captured under
-        // the table lock at resolve() time — reading activators[]
-        // here would race the coordinator growing the vector.
+        // layer cannot read (let alone commit) until the fetch_add
+        // below, so one layer's events reach the observer in rank
+        // order.
         _eventHook(claim.layerKey, claim.subnet, claim.rank, stage);
     }
     // The release store publishes the parameter bytes the worker
     // wrote before committing; the order assertion catches scheduler
-    // bugs (a commit may only extend the chain by exactly one).
+    // bugs (a commit may only extend the layer by exactly one).
     std::size_t was =
         chain->committed.fetch_add(1, std::memory_order_acq_rel);
     NASPIPE_ASSERT(was == claim.rank,
@@ -93,46 +81,25 @@ CommitGate::commit(const Claim &claim, int stage)
                    claim.layerKey, ": rank ", claim.rank,
                    " committed after ", was, " earlier commits");
     // acq_rel (not relaxed) so commits() observed from another thread
-    // is ordered with the per-chain counters it summarizes.
+    // is ordered with the per-layer counters it summarizes.
     _commits.fetch_add(1, std::memory_order_acq_rel);
-    {
-        // An empty critical section orders the notify after any
-        // concurrent waiter's predicate check, so no wakeup is lost.
-        std::lock_guard<RankedMutex> lock(_gateWaitMu);
-    }
-    _waitCv.notify_all();
     if (_hook)
         _hook();
-}
-
-void
-CommitGate::commit(std::uint64_t layerKey, SubnetId subnet)
-{
-    commit(resolve(layerKey, subnet));
-}
-
-void
-CommitGate::waitReadable(const Claim &claim)
-{
-    if (readable(claim))
-        return;
-    std::unique_lock<RankedMutex> lock(_gateWaitMu);
-    _waitCv.wait(lock, [&] { return readable(claim); });
-}
-
-std::size_t
-CommitGate::layers() const
-{
-    std::shared_lock<RankedSharedMutex> lock(_gateTableMu);
-    return _chains.size();
 }
 
 std::size_t
 CommitGate::committedOf(std::uint64_t layerKey) const
 {
-    const LayerChain *chain = chainOf(layerKey);
+    const LayerChain *chain = find(layerKey);
     return chain ? chain->committed.load(std::memory_order_acquire)
                  : 0;
+}
+
+std::size_t
+CommitGate::retainedOf(std::uint64_t layerKey) const
+{
+    const LayerChain *chain = find(layerKey);
+    return chain ? chain->pending.size() : 0;
 }
 
 } // namespace naspipe

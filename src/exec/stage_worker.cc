@@ -129,7 +129,7 @@ StageWorker::prefetchQueued()
     // sorted queue is exactly the forwards that run next.
     std::size_t depth = std::min(kPrefetchDepth, _fwd.size());
     for (std::size_t i = 0; i < depth; i++)
-        prefetchRun(*_fwd[i].run);
+        prefetchRun(*_fwd[i]);
 }
 
 void
@@ -138,8 +138,6 @@ StageWorker::drainInbox()
     std::deque<ExecTask> fresh;
     _inbox.drainInto(fresh);
     for (ExecTask &task : fresh) {
-        Pending pending;
-        pending.run = std::move(task.run);
         // An arriving task is this stage's advance notice ("status
         // passed from other stages", §3.3): prefetch its context
         // before anything executes. Fresh subnets entering stage 0
@@ -149,51 +147,36 @@ StageWorker::drainInbox()
         if (_predictor &&
             (task.kind == ExecTask::Kind::Backward || _stage > 0 ||
              _fwd.size() < 3)) {
-            prefetchRun(*pending.run);
+            prefetchRun(*task.run);
         }
         if (task.kind == ExecTask::Kind::Backward) {
-            _bwd.push_back(std::move(pending));
+            _bwd.push_back(std::move(task.run));
         } else {
             // Keep forwards sorted by dispatch ticket so the
             // runnable scan walks Algorithm 2's lowest-first order.
             // Single-tenant runs set ticket = sequence ID; a
             // multi-tenant pool's tickets encode the serve
             // scheduler's deterministic cross-job admission order.
-            std::uint64_t ticket = pending.run->ticket;
+            std::uint64_t ticket = task.run->ticket;
             auto at = std::lower_bound(
                 _fwd.begin(), _fwd.end(), ticket,
-                [](const Pending &p, std::uint64_t v) {
-                    return p.run->ticket < v;
+                [](const RunPtr &run, std::uint64_t v) {
+                    return run->ticket < v;
                 });
-            _fwd.insert(at, std::move(pending));
+            _fwd.insert(at, std::move(task.run));
         }
     }
-}
-
-void
-StageWorker::resolveClaims(Pending &pending)
-{
-    if (pending.claimsResolved)
-        return;
-    const SubnetRun &run = *pending.run;
-    auto [lo, hi] = blockRange(run);
-    for (int b = lo; b <= hi; b++) {
-        if (!run.job->space->parameterized(b, run.subnet.choice(b)))
-            continue;
-        pending.claims.push_back(run.job->gate->resolve(
-            run.subnet.layer(b).key(), run.subnet.id()));
-    }
-    pending.claimsResolved = true;
 }
 
 int
 StageWorker::findRunnableForward(std::uint64_t *blockedOn)
 {
     for (std::size_t i = 0; i < _fwd.size(); i++) {
-        resolveClaims(_fwd[i]);
+        const SubnetRun &run = *_fwd[i];
         bool ready = true;
-        for (const CommitGate::Claim &claim : _fwd[i].claims) {
-            if (!_fwd[i].run->job->gate->readable(claim)) {
+        for (const CommitGate::Claim &claim :
+             run.claims[static_cast<std::size_t>(_stage)]) {
+            if (!run.job->gate->readable(claim)) {
                 ready = false;
                 // Attribute the stall to the chain holding the
                 // lowest-sequence candidate: per the liveness
@@ -211,14 +194,14 @@ StageWorker::findRunnableForward(std::uint64_t *blockedOn)
 }
 
 void
-StageWorker::execForward(Pending pending)
+StageWorker::execForward(RunPtr task)
 {
     // An armed degrade latch slows this task down (scheduling-neutral:
     // CSP order is unaffected, only wall time stretches).
     if (_degradeTasks.load() > 0 && _degradeTasks.fetch_sub(1) > 0)
         for (int i = 0; i < 64; i++)
             std::this_thread::yield();
-    const SubnetRun &run = *pending.run;
+    const SubnetRun &run = *task;
     auto [lo, hi] = blockRange(run);
     // Algorithm 1 line 21: predictor runs after the pop, before the
     // forward executes — the forwards queued next get their context
@@ -247,21 +230,20 @@ StageWorker::execForward(Pending pending)
 
     if (_stage + 1 < _numStages) {
         _next->submit(
-            ExecTask{ExecTask::Kind::Forward, std::move(pending.run)});
+            ExecTask{ExecTask::Kind::Forward, std::move(task)});
     } else {
-        // The last stage turns the forward around; the claims are
-        // stage-local, so the backward reuses them for its commits.
-        _bwd.push_back(std::move(pending));
+        // The last stage turns the forward around.
+        _bwd.push_back(std::move(task));
     }
 }
 
 void
-StageWorker::execBackward(Pending pending)
+StageWorker::execBackward(RunPtr task)
 {
     if (_degradeTasks.load() > 0 && _degradeTasks.fetch_sub(1) > 0)
         for (int i = 0; i < 64; i++)
             std::this_thread::yield();
-    const SubnetRun &run = *pending.run;
+    const SubnetRun &run = *task;
     auto [lo, hi] = blockRange(run);
     // Algorithm 1 line 6: predictor runs before the backward. The
     // commit this backward is about to publish unblocks the lowest
@@ -278,14 +260,15 @@ StageWorker::execBackward(Pending pending)
     // Commit strictly after the optimizer steps: the release edge in
     // CommitGate::commit is what publishes the new parameter bytes to
     // the next activator's forward read.
-    resolveClaims(pending);
-    for (const CommitGate::Claim &claim : pending.claims)
+    const std::vector<CommitGate::Claim> &claims =
+        run.claims[static_cast<std::size_t>(_stage)];
+    for (const CommitGate::Claim &claim : claims)
         run.job->gate->commit(claim, _stage);
     double end = secondsSinceEpoch();
     _stats.busySec += end - start;
     _stats.backwards++;
     _hb.beat();
-    if (!pending.claims.empty()) {
+    if (!claims.empty()) {
         if (_lastCommitSec >= 0.0)
             _obs.commitGapSeconds.record(end - _lastCommitSec);
         _lastCommitSec = end;
@@ -304,9 +287,9 @@ StageWorker::execBackward(Pending pending)
 
     if (_stage > 0) {
         _prev->submit(
-            ExecTask{ExecTask::Kind::Backward, std::move(pending.run)});
+            ExecTask{ExecTask::Kind::Backward, std::move(task)});
     } else {
-        _complete(std::move(pending.run));
+        _complete(std::move(task));
     }
 }
 
@@ -354,7 +337,7 @@ StageWorker::runLoop()
         drainInbox();
 
         if (!_bwd.empty()) {
-            Pending task = std::move(_bwd.front());
+            RunPtr task = std::move(_bwd.front());
             _bwd.pop_front();
             execBackward(std::move(task));
             continue;
@@ -362,7 +345,7 @@ StageWorker::runLoop()
         std::uint64_t blockedOn = 0;
         int idx = findRunnableForward(&blockedOn);
         if (idx >= 0) {
-            Pending task = std::move(
+            RunPtr task = std::move(
                 _fwd[static_cast<std::size_t>(idx)]);
             _fwd.erase(_fwd.begin() + idx);
             execForward(std::move(task));
@@ -399,7 +382,7 @@ StageWorker::runLoop()
                     ticksFromSec(startSec),
                     ticksFromSec(startSec + waited), _stage,
                     TraceKind::Stall,
-                    _fwd.front().run->subnet.id(),
+                    _fwd.front()->subnet.id(),
                     "gate L" + std::to_string(blockedOn)});
             }
         } else {

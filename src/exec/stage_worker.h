@@ -17,10 +17,11 @@
  *     globally lowest unfinished subnet only depends on finished
  *     subnets, hence is always runnable wherever its token sits.
  *
- * Workers never touch the sampler, the partitioner or each other's
- * state: a task carries an immutable, shared SubnetRun (subnet +
- * partition), and all cross-thread parameter visibility goes through
- * the CommitGate's acquire/release commits.
+ * Workers never touch the sampler, the partitioner, the gate's layer
+ * table or each other's state: a task carries an immutable, shared
+ * SubnetRun (subnet, partition, gate claims), and all cross-thread
+ * parameter visibility goes through the CommitGate's acquire/release
+ * commits.
  */
 
 #ifndef NASPIPE_EXEC_STAGE_WORKER_H
@@ -70,6 +71,16 @@ struct JobBinding {
 struct SubnetRun {
     Subnet subnet;
     SubnetPartition partition;
+    /**
+     * Gate claims of the parameterized layers, grouped by owning
+     * stage (claims[s] in block order): what registerActivation()
+     * returned when the coordinator admitted the subnet. They point
+     * into job->gate, which the job replaces only in
+     * ServeJob::recover(), after asserting that every run of the
+     * crashed phase has drained (_pendingDrain == 0) — so no claim
+     * outlives its gate.
+     */
+    std::vector<std::vector<CommitGate::Claim>> claims;
     /** Owning job (required: the pool rejects unbound runs). */
     const JobBinding *job = nullptr;
     /**
@@ -189,12 +200,7 @@ class StageWorker
     const obs::StageObservation &observation() const { return _obs; }
 
   private:
-    /** A deferred-or-ready task with its resolved gate claims. */
-    struct Pending {
-        std::shared_ptr<const SubnetRun> run;
-        std::vector<CommitGate::Claim> claims;
-        bool claimsResolved = false;
-    };
+    using RunPtr = std::shared_ptr<const SubnetRun>;
 
     void runLoop();
     void drainInbox();
@@ -204,9 +210,8 @@ class StageWorker
      *  -1 with queued forwards, @p blockedOn receives the layer key
      *  whose chain blocks the lowest-sequence candidate. */
     int findRunnableForward(std::uint64_t *blockedOn);
-    void resolveClaims(Pending &pending);
-    void execForward(Pending pending);
-    void execBackward(Pending pending);
+    void execForward(RunPtr task);
+    void execBackward(RunPtr task);
     std::pair<int, int> blockRange(const SubnetRun &run) const;
     double secondsSinceEpoch() const;
     /** Prefetch @p run's stage context (predictor paths). */
@@ -236,8 +241,8 @@ class StageWorker
     fault::WorkerHeartbeat _hb;
 
     // Thread-local scheduling state (worker thread only).
-    std::deque<Pending> _bwd;
-    std::vector<Pending> _fwd;  ///< sorted by ascending sequence ID
+    std::deque<RunPtr> _bwd;
+    std::vector<RunPtr> _fwd;  ///< sorted by ascending dispatch ticket
 
     // Context management (worker thread only; read after join()).
     ContextManager _ctx;

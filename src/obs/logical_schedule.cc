@@ -70,7 +70,7 @@ buildLogicalSchedule(const SearchSpace &space,
     };
 
     // Ascending activator list per (block, choice): the causal chain
-    // the CommitGate keeps, rebuilt from the sampled sequence.
+    // the CommitGate orders, rebuilt from the sampled sequence.
     const int choices = space.choicesPerBlock();
     std::vector<std::vector<int>> chains(
         static_cast<std::size_t>(space.numBlocks() * choices));

@@ -52,13 +52,6 @@ MetricsRegistry::counter(const std::string &name, std::uint64_t value,
 }
 
 void
-MetricsRegistry::signedCounter(const std::string &name,
-                               std::int64_t value, Stability stability)
-{
-    _metrics[name] = Scalar{std::to_string(value), stability};
-}
-
-void
 MetricsRegistry::gauge(const std::string &name, double value,
                        int digits, Stability stability)
 {

@@ -51,10 +51,6 @@ class MetricsRegistry
     void counter(const std::string &name, std::uint64_t value,
                  Stability stability = Stability::Stable);
 
-    /** Set a signed integer value. */
-    void signedCounter(const std::string &name, std::int64_t value,
-                       Stability stability = Stability::Stable);
-
     /** Set a real-valued gauge, formatted with @p digits decimals. */
     void gauge(const std::string &name, double value, int digits = 6,
                Stability stability = Stability::Stable);

@@ -239,11 +239,17 @@ ServeJob::admit(SubnetId id)
     // forward queues by it, so the cross-job interleaving is decided
     // here (deterministically), not by arrival timing.
     run->ticket = _nextTicket;
-    // Registration precedes dispatch: the job's causal chains are
-    // complete for this subnet before any worker resolves a claim.
-    for (int b = 0; b < sn.size(); b++) {
-        if (_space.parameterized(b, sn.choice(b)))
-            _gate->registerActivation(sn.layer(b).key(), sn.id());
+    // Registration precedes dispatch and hands out the gate claims:
+    // workers poll and commit them, never the gate's table.
+    const SubnetPartition &part = run->partition;
+    run->claims.resize(static_cast<std::size_t>(part.numStages()));
+    for (int s = 0; s < part.numStages(); s++) {
+        for (int b = part.firstBlock(s); b <= part.lastBlock(s); b++) {
+            if (_space.parameterized(b, sn.choice(b)))
+                run->claims[static_cast<std::size_t>(s)].push_back(
+                    _gate->registerActivation(sn.layer(b).key(),
+                                              sn.id()));
+        }
     }
     _hooks.dispatch(std::move(run));
 }
@@ -445,7 +451,9 @@ ServeJob::recover(double nowSeconds)
             ", attempt " +
             std::to_string(_policy.consecutiveFailures())});
     // Fresh job gate: this job's causal chains restart at rank 0.
-    // The shared workers and every other tenant's gate are untouched.
+    // The shared workers and every other tenant's gate are untouched,
+    // and no run holding claims into the old gate is left: the drain
+    // count was asserted zero above.
     rebuildGate();
     if (_hooks.recovered)
         _hooks.recovered(_session.recoveries());

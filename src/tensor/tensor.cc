@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/logging.h"
+#include "common/rng.h"
 
 namespace naspipe {
 
@@ -73,14 +74,7 @@ Tensor::bitwiseEqual(const Tensor &other) const
 std::uint64_t
 Tensor::contentHash() const
 {
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    const auto *bytes =
-        reinterpret_cast<const unsigned char *>(_data.data());
-    for (std::size_t i = 0; i < _data.size() * sizeof(float); i++) {
-        hash ^= bytes[i];
-        hash *= 0x100000001b3ULL;
-    }
-    return hash;
+    return hashBytes(_data.data(), _data.size() * sizeof(float));
 }
 
 std::string

@@ -65,8 +65,7 @@ TEST_F(RankedMutexTest, RankNamesAndLevelsAreStable)
     const LockRank ranks[] = {
         LockRank::ServeClient,       LockRank::ServePoolIncident,
         LockRank::FaultWatchdog,     LockRank::ExecQueue,
-        LockRank::ExecWorkerSignal,  LockRank::ExecGateTable,
-        LockRank::ExecGateWait,      LockRank::TrainContext,
+        LockRank::ExecWorkerSignal,  LockRank::TrainContext,
         LockRank::VerifyOracle,
     };
     int previous = 0;
@@ -81,16 +80,16 @@ TEST_F(RankedMutexTest, RankNamesAndLevelsAreStable)
 TEST_F(RankedMutexTest, AscendingAcquisitionIsClean)
 {
     RankedMutex rmtQueueMu{LockRank::ExecQueue};
-    RankedMutex rmtGateWaitMu{LockRank::ExecGateWait};
+    RankedMutex rmtContextMu{LockRank::TrainContext};
     rmtQueueMu.lock();
-    rmtGateWaitMu.lock();
+    rmtContextMu.lock();
     if (lockWitnessEnabled()) {
         auto held = lockdebug::heldRanks();
         ASSERT_EQ(held.size(), 2u);
         EXPECT_EQ(held[0], LockRank::ExecQueue);
-        EXPECT_EQ(held[1], LockRank::ExecGateWait);
+        EXPECT_EQ(held[1], LockRank::TrainContext);
     }
-    rmtGateWaitMu.unlock();
+    rmtContextMu.unlock();
     rmtQueueMu.unlock();
     EXPECT_TRUE(violations().empty());
     EXPECT_TRUE(lockdebug::heldRanks().empty());
@@ -99,11 +98,11 @@ TEST_F(RankedMutexTest, AscendingAcquisitionIsClean)
 TEST_F(RankedMutexTest, DescendingAcquisitionTripsTheWitness)
 {
     RankedMutex rmtQueueMu{LockRank::ExecQueue};
-    RankedMutex rmtGateWaitMu{LockRank::ExecGateWait};
-    rmtGateWaitMu.lock();
+    RankedMutex rmtContextMu{LockRank::TrainContext};
+    rmtContextMu.lock();
     rmtQueueMu.lock();
     rmtQueueMu.unlock();
-    rmtGateWaitMu.unlock();
+    rmtContextMu.unlock();
     if (!lockWitnessEnabled()) {
         EXPECT_TRUE(violations().empty())
             << "witness must be compiled out in plain Release";
@@ -113,7 +112,7 @@ TEST_F(RankedMutexTest, DescendingAcquisitionTripsTheWitness)
     // The report must name both offending ranks and the held stack.
     EXPECT_NE(violations()[0].find("exec.queue"), std::string::npos)
         << violations()[0];
-    EXPECT_NE(violations()[0].find("exec.gate_wait"),
+    EXPECT_NE(violations()[0].find("train.context"),
               std::string::npos)
         << violations()[0];
     EXPECT_NE(violations()[0].find("held stack"), std::string::npos)
@@ -137,10 +136,10 @@ TEST_F(RankedMutexTest, EqualRankNestingTripsTheWitness)
 TEST_F(RankedMutexTest, ReleaseBeforeReacquireIsClean)
 {
     RankedMutex rmtQueueMu{LockRank::ExecQueue};
-    RankedMutex rmtGateWaitMu{LockRank::ExecGateWait};
+    RankedMutex rmtContextMu{LockRank::TrainContext};
     // Descending order is fine when the holds never overlap.
-    rmtGateWaitMu.lock();
-    rmtGateWaitMu.unlock();
+    rmtContextMu.lock();
+    rmtContextMu.unlock();
     rmtQueueMu.lock();
     rmtQueueMu.unlock();
     EXPECT_TRUE(violations().empty());
@@ -149,20 +148,20 @@ TEST_F(RankedMutexTest, ReleaseBeforeReacquireIsClean)
 
 TEST_F(RankedMutexTest, SharedAcquisitionsObeyTheSameOrder)
 {
-    RankedSharedMutex rmtTableMu{LockRank::ExecGateTable};
-    RankedMutex rmtGateWaitMu{LockRank::ExecGateWait};
-    // Ascending: exclusive table, then wait lock — clean.
-    rmtTableMu.lock();
-    rmtGateWaitMu.lock();
-    rmtGateWaitMu.unlock();
-    rmtTableMu.unlock();
+    RankedSharedMutex rmtContextMapMu{LockRank::TrainContext};
+    RankedMutex rmtOracleMu{LockRank::VerifyOracle};
+    // Ascending: exclusive context map, then oracle lock — clean.
+    rmtContextMapMu.lock();
+    rmtOracleMu.lock();
+    rmtOracleMu.unlock();
+    rmtContextMapMu.unlock();
     EXPECT_TRUE(violations().empty());
     // Descending with a *shared* acquisition still violates: a
     // reader blocked behind a writer participates in wait cycles.
-    rmtGateWaitMu.lock();
-    rmtTableMu.lock_shared();
-    rmtTableMu.unlock_shared();
-    rmtGateWaitMu.unlock();
+    rmtOracleMu.lock();
+    rmtContextMapMu.lock_shared();
+    rmtContextMapMu.unlock_shared();
+    rmtOracleMu.unlock();
     if (lockWitnessEnabled())
         EXPECT_EQ(violations().size(), 1u);
     else
@@ -230,11 +229,11 @@ TEST_F(RankedMutexDeathTest, DefaultHandlerAbortsWithBothRanks)
         {
             naspipe::lockdebug::setViolationHandler(nullptr);
             RankedMutex rmtQueueMu{LockRank::ExecQueue};
-            RankedMutex rmtGateWaitMu{LockRank::ExecGateWait};
-            rmtGateWaitMu.lock();
+            RankedMutex rmtContextMu{LockRank::TrainContext};
+            rmtContextMu.lock();
             rmtQueueMu.lock();
         },
-        "rank-order violation.*exec\\.queue.*exec\\.gate_wait");
+        "rank-order violation.*exec\\.queue.*train\\.context");
 }
 
 } // namespace

@@ -10,79 +10,6 @@
 namespace naspipe {
 namespace {
 
-TEST(Counter, IncrementAndReset)
-{
-    Counter c("events");
-    EXPECT_EQ(c.value(), 0u);
-    c.inc();
-    c.inc(4);
-    EXPECT_EQ(c.value(), 5u);
-    EXPECT_EQ(c.name(), "events");
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Summary, BasicMoments)
-{
-    Summary s;
-    for (double v : {1.0, 2.0, 3.0, 4.0})
-        s.add(v);
-    EXPECT_EQ(s.count(), 4u);
-    EXPECT_DOUBLE_EQ(s.sum(), 10.0);
-    EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-    EXPECT_DOUBLE_EQ(s.min(), 1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 4.0);
-}
-
-TEST(Summary, EmptyIsZero)
-{
-    Summary s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(s.min(), 0.0);
-    EXPECT_DOUBLE_EQ(s.max(), 0.0);
-}
-
-TEST(Summary, Merge)
-{
-    Summary a, b;
-    a.add(1.0);
-    a.add(5.0);
-    b.add(-2.0);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 3u);
-    EXPECT_DOUBLE_EQ(a.min(), -2.0);
-    EXPECT_DOUBLE_EQ(a.max(), 5.0);
-}
-
-TEST(Histogram, BucketsAndOverflow)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(0.5);   // bucket 0
-    h.add(9.5);   // bucket 9
-    h.add(-1.0);  // underflow
-    h.add(11.0);  // overflow
-    EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_EQ(h.bucketCount(9), 1u);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, QuantileMonotone)
-{
-    Histogram h(0.0, 100.0, 100);
-    for (int i = 0; i < 100; i++)
-        h.add(static_cast<double>(i) + 0.5);
-    double q25 = h.quantile(0.25);
-    double q50 = h.quantile(0.5);
-    double q90 = h.quantile(0.9);
-    EXPECT_LE(q25, q50);
-    EXPECT_LE(q50, q90);
-    EXPECT_NEAR(q50, 50.0, 2.0);
-    EXPECT_NEAR(q90, 90.0, 2.0);
-}
-
 TEST(UtilizationTracker, BusyAccumulates)
 {
     UtilizationTracker u;

@@ -1,13 +1,11 @@
 /**
  * @file
- * WeightStash (PipeDream ASP) and VpipeSwapPlanner tests.
+ * WeightStash (PipeDream ASP) tests.
  */
 
 #include <gtest/gtest.h>
 
 #include "schedule/asp_scheduler.h"
-#include "schedule/vpipe_scheduler.h"
-#include "supernet/search_space.h"
 
 namespace naspipe {
 namespace {
@@ -53,63 +51,6 @@ TEST(WeightStash, Reset)
     stash.reset();
     EXPECT_EQ(stash.liveVersions(), 0u);
     EXPECT_EQ(stash.peakBytes(), 0u);
-}
-
-TEST(VpipeSwapPlanner, FirstExecutionMissesEverything)
-{
-    SearchSpace space("x", SpaceFamily::Nlp, 8, 4, 3);
-    VpipeSwapPlanner planner(space, 0);
-    Subnet sn(0, {0, 1, 2, 3, 0, 1, 2, 3});
-    SwapPlan plan = planner.plan(sn, 0, 3);
-    EXPECT_EQ(plan.missLayers, 4);
-    EXPECT_EQ(plan.hitLayers, 0);
-    EXPECT_GT(plan.fetchBytes, 0u);
-    EXPECT_EQ(plan.evictBytes, 0u);
-}
-
-TEST(VpipeSwapPlanner, SharedLayersHitNextExecution)
-{
-    SearchSpace space("x", SpaceFamily::Nlp, 8, 4, 3);
-    VpipeSwapPlanner planner(space, 0);
-    Subnet a(0, {0, 1, 2, 3, 0, 1, 2, 3});
-    Subnet b(1, {0, 1, 3, 2, 0, 1, 2, 3});  // shares blocks 0,1
-    planner.plan(a, 0, 3);
-    SwapPlan plan = planner.plan(b, 0, 3);
-    EXPECT_EQ(plan.hitLayers, 2);
-    EXPECT_EQ(plan.missLayers, 2);
-    EXPECT_GT(plan.evictBytes, 0u);  // a's non-shared layers leave
-}
-
-TEST(VpipeSwapPlanner, DisjointSubnetEvictsAll)
-{
-    SearchSpace space("x", SpaceFamily::Nlp, 4, 4, 3);
-    VpipeSwapPlanner planner(space, 0);
-    Subnet a(0, {0, 0, 0, 0});
-    Subnet b(1, {1, 1, 1, 1});
-    SwapPlan first = planner.plan(a, 0, 3);
-    SwapPlan second = planner.plan(b, 0, 3);
-    EXPECT_EQ(second.hitLayers, 0);
-    EXPECT_EQ(second.evictBytes, first.fetchBytes);
-}
-
-TEST(VpipeSwapPlanner, SkipCandidatesIgnored)
-{
-    SearchSpace space("s", SpaceFamily::Nlp, 4, 4, 3, 0.4);
-    VpipeSwapPlanner planner(space, 0);
-    Subnet sn(0, {0, 0, 1, 2});  // two skip blocks
-    SwapPlan plan = planner.plan(sn, 0, 3);
-    EXPECT_EQ(plan.hitLayers + plan.missLayers, 2);
-}
-
-TEST(VpipeSwapPlanner, ResidentTracking)
-{
-    SearchSpace space("x", SpaceFamily::Nlp, 4, 4, 3);
-    VpipeSwapPlanner planner(space, 1);
-    Subnet sn(0, {0, 1, 2, 3});
-    planner.plan(sn, 1, 2);
-    EXPECT_EQ(planner.residentLayers(), 2u);
-    planner.reset();
-    EXPECT_EQ(planner.residentLayers(), 0u);
 }
 
 } // namespace

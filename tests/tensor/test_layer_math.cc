@@ -199,7 +199,8 @@ bitsOf(float value)
 float
 draw(Xoshiro256StarStar &rng, float lo, float hi)
 {
-    return lo + (hi - lo) * rng.nextFloat();
+    float unit = static_cast<float>(rng.next() >> 40) * 0x1.0p-24f;
+    return lo + (hi - lo) * unit;
 }
 
 /** Random layer: weights in ±wMax, biases in ±bMax. */

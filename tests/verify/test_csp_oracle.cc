@@ -221,12 +221,12 @@ TEST(CspOracle, ChainsAreIndependent)
 TEST(CspOracle, AttachObservesRealCommitGate)
 {
     CommitGate gate;
-    gate.registerActivation(kLayer.key(), 2);
-    gate.registerActivation(kLayer.key(), 5);
+    CommitGate::Claim first = gate.registerActivation(kLayer.key(), 2);
+    CommitGate::Claim second = gate.registerActivation(kLayer.key(), 5);
     CspOracle oracle;
     oracle.attach(gate);
-    gate.commit(gate.resolve(kLayer.key(), 2), 0);
-    gate.commit(gate.resolve(kLayer.key(), 5), 1);
+    gate.commit(first, 0);
+    gate.commit(second, 1);
     EXPECT_TRUE(oracle.ok());
     EXPECT_EQ(oracle.observedCommits(), 2u);
 }
