@@ -102,7 +102,6 @@ runTrainingThreaded(const SearchSpace &space,
     sc.numStages = config.numStages;
     sc.watchdogPollMs = config.watchdogPollMs;
     sc.wallDeadline = config.wallWatchdog;
-    sc.deadlineSeconds = config.watchdogDeadlineSeconds;
     if (config.commitObserver) {
         sc.commitObserver = [observer = config.commitObserver](
                                 int, std::uint64_t layerKey,

@@ -12,7 +12,7 @@
  *
  * Backoff is *modeled*, not slept: each consecutive attempt charges
  * base * 2^(attempt-1) seconds (capped) into the run's modeled time
- * offsets, exactly like RuntimeConfig::recoverySeconds. That keeps
+ * offsets, exactly like the rollback's restart time. That keeps
  * the accounting realistic while tests stay fast and — because the
  * charge is a pure function of the attempt number — deterministic.
  */

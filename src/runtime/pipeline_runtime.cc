@@ -39,8 +39,8 @@ struct PipelineRuntime::Impl : ExecutionBackend {
     MessageSizer sizer;
 
     // Simulator-side bookkeeping (the session owns subnets, losses
-    // and completion times).
-    /// Mirror entries grouped per (subnet, exec stage).
+    // and completion times). Per-subnet entries die with the subnet.
+    /// In-flight subnets' mirror entries, grouped per exec stage.
     std::map<SubnetId, std::map<int, std::vector<MirrorEntry>>>
         mirrorEntries;
     /// Last WRITE to a layer: (completion tick, writer stage).
@@ -49,11 +49,23 @@ struct PipelineRuntime::Impl : ExecutionBackend {
     std::map<std::uint64_t, std::vector<SubnetId>> activators;
     /// Number of parameter updates applied per layer so far.
     std::map<std::uint64_t, std::size_t> writesApplied;
-    std::map<SubnetId, double> execBusySec;
-    std::map<SubnetId, float> lossAtCompute;
+    /**
+     * Busy seconds of this phase: a subnet folds into busyFolded in
+     * sequence-ID order once it and every lower ID completed, so the
+     * total keeps the bits of a per-subnet sum taken in ID order
+     * (checkpoints record it). busyOpen holds the rest, from
+     * admission on.
+     */
+    struct OpenBusy {
+        double seconds = 0.0;
+        bool completed = false;
+    };
+    double busyFolded = 0.0;
+    std::map<SubnetId, OpenBusy> busyOpen;
     std::vector<SubnetId> pendingFinish;  ///< Deferred: await flush
 
     std::uint64_t stallEmptyQueues = 0;
+    /// When a subnet's forward reached a stage, until it starts there.
     std::map<std::pair<int, SubnetId>, Tick> fwdArrival;
     std::uint64_t stallDependency = 0;
     std::uint64_t stallMirrorWait = 0;
@@ -292,6 +304,7 @@ PipelineRuntime::Impl::admit(SubnetId id)
     for (auto &stage : stages)
         stage->registerSubnet(sn);
 
+    busyOpen.emplace(id, OpenBusy{});
     fwdArrival[{0, sn.id()}] = sim.now();
     // Retrieval kicks off the context fetch for the entry stage
     // (§3.3: the fetch schedule starts when a subnet is known) —
@@ -314,13 +327,10 @@ PipelineRuntime::Impl::restoreCompleted(SubnetId id)
         if (space.parameterized(b, sn.choice(b)))
             activators[sn.layer(b).key()].push_back(sn.id());
     }
-    if (model.mirroring) {
-        auto entries = mirrors->plan(sn, session.partitionOf(id));
-        mirrors->activate(entries);
-        auto &grouped = mirrorEntries[sn.id()];
-        for (auto &entry : entries)
-            grouped[entry.execStage].push_back(entry);
-    }
+    // A restored subnet never runs a backward, so it pushes no
+    // mirror sync: activating its mirrors is all it needs.
+    if (model.mirroring)
+        mirrors->activate(mirrors->plan(sn, session.partitionOf(id)));
     // Registered then immediately finished on every stage: the
     // dependency frontiers advance past the restored prefix, and
     // the numeric executor never opens a context for it.
@@ -434,7 +444,7 @@ PipelineRuntime::Impl::startForward(int k, SubnetId id)
                 session.exec().forwardStage(subnet, lo, hi, semantics,
                                             k);
             if (k == numStages - 1)
-                lossAtCompute[id] = session.exec().computeLoss(subnet);
+                session.exec().computeLoss(subnet);
         });
     }
 
@@ -448,10 +458,11 @@ PipelineRuntime::Impl::startForward(int k, SubnetId id)
                 if (it != fwdArrival.end()) {
                     rec.detail = "wait_ms=" + std::to_string(
                         ticksToMs(start - it->second));
+                    fwdArrival.erase(it);
                 }
                 session.trace()->add(rec);
             }
-            execBusySec[id] += ticksToSec(end - start);
+            busyOpen.at(id).seconds += ticksToSec(end - start);
             if (k + 1 < numStages) {
                 Tick arrival =
                     cluster->link(k, k + 1).sendFrom(
@@ -514,7 +525,7 @@ PipelineRuntime::Impl::startBackward(int k, SubnetId id)
             const Subnet &subnet = subnetOf(id);
             session.trace()->add(TraceRecord{
                 start, end, k, TraceKind::Backward, id, ""});
-            execBusySec[id] += ticksToSec(end - start);
+            busyOpen.at(id).seconds += ticksToSec(end - start);
 
             // The numeric WRITE (optimizer step) lands at completion.
             if (config.numeric && lo <= hi)
@@ -575,12 +586,20 @@ PipelineRuntime::Impl::startBackward(int k, SubnetId id)
 void
 PipelineRuntime::Impl::onSubnetComplete(int, SubnetId id, Tick end)
 {
+    mirrorEntries.erase(id);
+    busyOpen.at(id).completed = true;
+    for (auto it = busyOpen.begin();
+         it != busyOpen.end() && it->second.completed;
+         it = busyOpen.erase(it)) {
+        busyFolded += it->second.seconds;
+    }
+
     float loss = 0.0f;
     if (config.numeric) {
         if (semantics == UpdateSemantics::Deferred) {
             // Weights update only at the flush; the loss is already
             // known from the last forward stage.
-            loss = lossAtCompute.at(id);
+            loss = session.exec().inflightLoss(id);
             pendingFinish.push_back(id);
         } else {
             loss = session.exec().finishSubnet(subnetOf(id));
@@ -627,9 +646,9 @@ PipelineRuntime::Impl::onSubnetComplete(int, SubnetId id, Tick end)
 double
 PipelineRuntime::Impl::busySum() const
 {
-    double total = 0.0;
-    for (const auto &[id, sec] : execBusySec)
-        total += sec;
+    double total = busyFolded;
+    for (const auto &[id, open] : busyOpen)
+        total += open.seconds;
     return total;
 }
 
@@ -707,8 +726,8 @@ PipelineRuntime::Impl::resetRunState()
     lastWrite.clear();
     activators.clear();
     writesApplied.clear();
-    execBusySec.clear();
-    lossAtCompute.clear();
+    busyFolded = 0.0;
+    busyOpen.clear();
     pendingFinish.clear();
     fwdArrival.clear();
     crashed = false;
@@ -726,7 +745,8 @@ PipelineRuntime::Impl::beginRecovery()
     // restoreCompleted() needs the rebuilt stages, hence the phase
     // rebuild between the session's re-init and restore.
     auto rolled = session.rollback(
-        simAtCrash, busyAtCrash, config.recoverySeconds, [this] {
+        simAtCrash, busyAtCrash, 0.0,
+        [this] {
             resetRunState();
             buildPhase();
         });
@@ -772,8 +792,7 @@ PipelineRuntime::Impl::collect()
 
 PipelineRuntime::PipelineRuntime(const SearchSpace &space,
                                  const RuntimeConfig &config)
-    : _impl(std::make_unique<Impl>(space, config)),
-      _scoreScale(_impl->session.scoreScale())
+    : _impl(std::make_unique<Impl>(space, config))
 {
 }
 

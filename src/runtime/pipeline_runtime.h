@@ -95,9 +95,6 @@ struct RuntimeConfig {
      */
     bool accessHistory = false;
     ClusterConfig cluster;     ///< numStages is overridden
-    /** Workload calibration; bytesPerSample==0 => family default. */
-    ActivationModel activation;
-    double scoreScale = 0.0;   ///< 0: family default (24 / 90)
 
     /** @name Fault injection and recovery
      * Deterministic fault plan plus the checkpoint/recovery knobs.
@@ -115,17 +112,11 @@ struct RuntimeConfig {
     int ckptInterval = 0;
     std::string ckptPath;    ///< also persist checkpoints here
     std::string resumePath;  ///< start from this checkpoint file
-    /** Modeled checkpoint-write bandwidth (local NVMe scale). */
-    double ckptWriteBytesPerSec = 2e9;
-    /** Modeled detection + restart wall clock per recovery. */
-    double recoverySeconds = 5.0;
     /**
      * Consecutive recoveries (no completed subnet in between) before
      * the run gives up; the CLI maps exhaustion to exit code 5.
      */
     int recoveryMaxRetries = 3;
-    /** Base of the modeled exponential recovery backoff. */
-    double recoveryBackoffSeconds = 1.0;
     /**
      * Arm the watchdog's wall-clock hang deadline (threaded executor
      * only). Crash detection is state-based and always on; the wall
@@ -133,8 +124,6 @@ struct RuntimeConfig {
      * enables it with --obs-wall.
      */
     bool wallWatchdog = false;
-    /** Wall deadline for the hang detector when wallWatchdog is on. */
-    double watchdogDeadlineSeconds = 30.0;
     /**
      * Heartbeat scan cadence of the watchdog's polling thread in
      * milliseconds (CLI --watchdog-interval-ms). Purely a detection
@@ -211,13 +200,9 @@ class PipelineRuntime
     /** Execute the run to completion and collect the results. */
     RunResult run();
 
-    /** Effective score scale (family default applied). */
-    double scoreScale() const { return _scoreScale; }
-
   private:
     struct Impl;
     std::unique_ptr<Impl> _impl;
-    double _scoreScale;
 };
 
 /** Convenience wrapper: configure and run in one call. */

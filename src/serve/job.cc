@@ -187,8 +187,9 @@ buildConfig(const JobSpec &spec, int numStages, bool accessHistory)
 fault::RecoveryPolicy::Config
 policyConfig(const RuntimeConfig &config)
 {
-    return {config.recoveryMaxRetries, config.recoveryBackoffSeconds,
-            60.0};
+    fault::RecoveryPolicy::Config policy;
+    policy.maxRetries = config.recoveryMaxRetries;
+    return policy;
 }
 
 } // namespace
@@ -434,8 +435,7 @@ ServeJob::recover(double nowSeconds)
     inform("job ", _id, " recovering (", _failStopReason,
            "), attempt ", _policy.consecutiveFailures());
     auto rolled = _session.rollback(wallAtCrash, _session.busyOffset(),
-                                    _config.recoverySeconds + backoff,
-                                    nullptr);
+                                    backoff, nullptr);
     if (!rolled) {
         fail("recovery from the last checkpoint failed");
         return false;

@@ -9,16 +9,21 @@
 
 namespace naspipe {
 
+namespace {
+
+/// Modeled checkpoint-write bandwidth (local NVMe scale).
+constexpr double kCkptWriteBytesPerSec = 2e9;
+/// Modeled detection + restart seconds every rollback charges.
+constexpr double kRecoverySeconds = 5.0;
+
+} // namespace
+
 TrainingSession::TrainingSession(const SearchSpace &space,
                                  const RuntimeConfig &config)
     : _space(space), _config(config), _model(config.system),
       _numStages(config.numStages),
-      _activation(config.activation.bytesPerSample
-                      ? config.activation
-                      : defaultActivationModel(space.family())),
-      _scoreScale(config.scoreScale > 0.0
-                      ? config.scoreScale
-                      : defaultScoreScale(space.family())),
+      _activation(defaultActivationModel(space.family())),
+      _scoreScale(defaultScoreScale(space.family())),
       _injector(config.faults)
 {
     NASPIPE_ASSERT(_numStages >= 1, "need >= 1 stage");
@@ -65,15 +70,12 @@ TrainingSession::initRun()
     ec.batch = _batch;
     ec.precision = _config.precision;
     _exec = std::make_unique<NumericExecutor>(*_store, ec);
-    _tracker = std::make_unique<ConvergenceTracker>(_scoreScale);
     _trace = std::make_shared<Trace>();
     _trace->enabled(_config.traceEnabled);
 
     _subnets.clear();
     _partitions.clear();
-    _losses.clear();
-    _completionSec.clear();
-    _scoreBuffer.clear();
+    _records.clear();
     _nextScoreToReport = 0;
     _injected = 0;
     _finished = 0;
@@ -124,11 +126,11 @@ TrainingSession::deliverScoresBelow(SubnetId maxIdExclusive)
     // samplers stay deterministic regardless of completion
     // interleavings.
     while (_nextScoreToReport < maxIdExclusive) {
-        auto it = _scoreBuffer.find(_nextScoreToReport);
-        if (it == _scoreBuffer.end())
+        auto i = static_cast<std::size_t>(_nextScoreToReport);
+        if (i >= _records.size() || !_records[i].done)
             break;
-        _sampler->reportScore(it->first, it->second);
-        _scoreBuffer.erase(it);
+        _sampler->reportScore(_nextScoreToReport,
+                              lossToScore(_records[i].loss, _scoreScale));
         _nextScoreToReport++;
     }
 }
@@ -195,6 +197,7 @@ TrainingSession::pump(int maxCount)
                 ? _partitioner->balanced(sn, _numStages)
                 : Partitioner::even(sn.size(), _numStages));
         _subnets.push_back(std::move(sn));
+        _records.emplace_back();
         if (_config.numeric)
             _exec->beginSubnet(_subnets.back());
         _backend->admit(nextId);
@@ -209,12 +212,18 @@ bool
 TrainingSession::recordCompletion(SubnetId id, float loss,
                                   double atSeconds)
 {
+    NASPIPE_ASSERT(id >= 0 &&
+                       static_cast<std::size_t>(id) < _records.size(),
+                   "completion of uninjected SN", id);
+    // Rejects NaN too: every reader of the table trusts it.
+    NASPIPE_ASSERT(atSeconds >= 0.0 && loss >= 0.0f,
+                   "invalid completion of SN", id, ": loss ", loss,
+                   " at ", atSeconds, " s");
+    SubnetRecord &r = _records[static_cast<std::size_t>(id)];
+    NASPIPE_ASSERT(!r.done, "SN", id, " completed twice");
+    r = SubnetRecord{atSeconds, loss, true};
     _inflight--;
     _finished++;
-    _losses[id] = loss;
-    _completionSec[id] = atSeconds;
-    _tracker->addSample(atSeconds, loss);
-    _scoreBuffer[id] = lossToScore(loss, _scoreScale);
     if (effectiveFeedbackLag() == 0)
         deliverScoresBelow(_config.totalSubnets);
     return ckptEnabled() && _finished == _nextCkptAt;
@@ -260,9 +269,12 @@ TrainingSession::buildCheckpoint(double nowSeconds,
         static_cast<std::uint64_t>(_checkpointsWritten + 1);
     ckpt.losses.reserve(static_cast<std::size_t>(_finished));
     ckpt.completionSec.reserve(static_cast<std::size_t>(_finished));
-    for (SubnetId i = 0; i < _finished; i++) {
-        ckpt.losses.push_back(_losses.at(i));
-        ckpt.completionSec.push_back(_completionSec.at(i));
+    for (std::size_t i = 0; i < static_cast<std::size_t>(_finished);
+         i++) {
+        const SubnetRecord &r = _records.at(i);
+        NASPIPE_ASSERT(r.done, "checkpoint with SN", i, " not done");
+        ckpt.losses.push_back(r.loss);
+        ckpt.completionSec.push_back(r.completionSec);
     }
     std::ostringstream ss(std::ios::binary);
     _store->save(ss);
@@ -291,9 +303,9 @@ TrainingSession::commitCheckpoint(const RunCheckpoint &ckpt)
         !ckpt.saveFileAtomic(_config.ckptPath)) {
         warn("continuing without the on-disk checkpoint");
     }
-    double writeSec = static_cast<double>(_lastCkpt.size()) /
-                          std::max(1.0, _config.ckptWriteBytesPerSec) +
-                      0.001;
+    double writeSec =
+        static_cast<double>(_lastCkpt.size()) / kCkptWriteBytesPerSec +
+        0.001;
     _checkpointSecondsTotal += writeSec;
     _nextCkptAt = boundaryAfter(_finished);
     return writeSec;
@@ -349,23 +361,15 @@ TrainingSession::restore(const RunCheckpoint &ckpt)
     }
 
     const auto completed = static_cast<SubnetId>(ckpt.completed);
-    for (SubnetId i = 0; i < completed; i++) {
-        auto loss = static_cast<float>(
-            ckpt.losses[static_cast<std::size_t>(i)]);
-        _losses[i] = loss;
-        _completionSec[i] =
-            ckpt.completionSec[static_cast<std::size_t>(i)];
-        _scoreBuffer[i] = lossToScore(loss, _scoreScale);
-    }
-    {
-        // Re-feed the convergence tracker in completion-time order.
-        std::vector<std::pair<double, float>> samples;
-        samples.reserve(static_cast<std::size_t>(completed));
-        for (SubnetId i = 0; i < completed; i++)
-            samples.emplace_back(_completionSec[i], _losses[i]);
-        std::sort(samples.begin(), samples.end());
-        for (const auto &[when, loss] : samples)
-            _tracker->addSample(when, loss);
+    _records.reserve(static_cast<std::size_t>(completed));
+    for (std::size_t i = 0; i < ckpt.completed; i++) {
+        NASPIPE_ASSERT(ckpt.completionSec[i] >= 0.0 &&
+                           ckpt.losses[i] >= 0.0,
+                       "checkpoint holds an invalid completion of SN",
+                       i);
+        _records.push_back(SubnetRecord{
+            ckpt.completionSec[i], static_cast<float>(ckpt.losses[i]),
+            true});
     }
 
     // Replay the sampler with feedback-lag-faithful score delivery:
@@ -442,9 +446,10 @@ TrainingSession::dueFaults(Tick at)
 
 std::optional<TrainingSession::Rollback>
 TrainingSession::rollback(double secAtCrash, double busyAtCrash,
-                          double downtimeSeconds,
+                          double extraDowntimeSeconds,
                           const std::function<void()> &rebuildPhase)
 {
+    double downtimeSeconds = kRecoverySeconds + extraDowntimeSeconds;
     RunCheckpoint ckpt;
     bool haveCkpt = !_lastCkpt.empty();
     if (haveCkpt) {
@@ -477,7 +482,12 @@ TrainingSession::collect(double totalSeconds, double busyTotal)
 {
     RunResult out;
     out.plan = _plan;
-    out.losses = _losses;
+    for (std::size_t i = 0; i < _records.size(); i++) {
+        if (_records[i].done)
+            out.losses.emplace_hint(out.losses.end(),
+                                    static_cast<SubnetId>(i),
+                                    _records[i].loss);
+    }
     out.store = _store;
     out.trace = _trace;
     out.sampled = _subnets;  // by construction in sequence order
@@ -519,17 +529,17 @@ TrainingSession::collect(double totalSeconds, double busyTotal)
     // subnets *by sequence ID* (not completion order), so the metric
     // itself is invariant across GPU counts whenever the per-subnet
     // losses are.
-    if (!_losses.empty()) {
+    if (!out.losses.empty()) {
         std::size_t window =
-            std::min<std::size_t>(16, _losses.size());
+            std::min<std::size_t>(kLossWindow, out.losses.size());
         double total = 0.0;
-        auto it = _losses.end();
+        auto it = out.losses.end();
         for (std::size_t i = 0; i < window; i++)
             total += (--it)->second;
         m.finalLoss = total / static_cast<double>(window);
         m.finalScore = lossToScore(m.finalLoss, _scoreScale);
     }
-    out.curve = _tracker->curve(64);
+    out.curve = convergenceCurve(_records, _scoreScale);
 
     if (_config.numeric) {
         out.supernetHash = _store->supernetHash();

@@ -36,7 +36,6 @@
 #define NASPIPE_SESSION_TRAINING_SESSION_H
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -130,10 +129,10 @@ class TrainingSession
 
     /**
      * (Re)initialize one run phase: plan capacity, build the sampler
-     * / store / numeric executor / tracker / trace, and clear the
-     * per-run state. Cumulative diagnostics (checkpoint totals, time
-     * offsets, fault counters) survive — rollback() re-inits the
-     * session without losing them. Returns false when the capacity
+     * / store / numeric executor / trace, and clear the per-run state
+     * (the record table included). Cumulative diagnostics (checkpoint
+     * totals, time offsets, fault counters) survive — rollback()
+     * re-inits the session without losing them. Returns false when the capacity
      * planner rejects the run (plan() still reports the attempt).
      */
     bool initRun();
@@ -168,11 +167,11 @@ class TrainingSession
 
     /**
      * Record subnet @p id's completion at absolute time @p atSeconds
-     * with training loss @p loss. Updates counters, the convergence
-     * tracker and the score buffer (delivering immediately when the
-     * feedback lag is 0). Returns true when this completion reached a
-     * drained checkpoint barrier — the caller should then build and
-     * commit a checkpoint before pumping again.
+     * with training loss @p loss: updates the counters and @p id's
+     * entry in the record table, and delivers due scores right away
+     * when the feedback lag is 0. Returns true when this completion
+     * reached a drained checkpoint barrier — the caller should then
+     * build and commit a checkpoint before pumping again.
      */
     bool recordCompletion(SubnetId id, float loss, double atSeconds);
 
@@ -200,15 +199,15 @@ class TrainingSession
      * rollback target, write the on-disk copy when configured, and
      * advance the next barrier. Aborts unless the pipeline is
      * drained. Returns the modeled write seconds (checkpoint bytes
-     * over the configured bandwidth) the caller may charge.
+     * over a modeled 2 GB/s, plus 1 ms) the caller may charge.
      */
     double commitCheckpoint(const RunCheckpoint &ckpt);
 
     /**
      * Rebuild the run state from @p ckpt: load the store and access
-     * log, refill losses/scores, re-feed the tracker, and replay the
-     * sampler with feedback-lag-faithful score delivery so it draws
-     * the exact subnet sequence the checkpointed run drew. The
+     * log, refill the record table, and replay the sampler with
+     * feedback-lag-faithful score delivery so it draws the exact
+     * subnet sequence the checkpointed run drew. The
      * backend sees restoreCompleted() for every restored subnet.
      * Returns false on an incompatible or unreadable checkpoint.
      */
@@ -244,14 +243,15 @@ class TrainingSession
      * let @p rebuildPhase rebuild the executor's phase state, then
      * restore the checkpoint and move the clock to the crash plus
      * the downtime. @p secAtCrash / @p busyAtCrash are absolute run
-     * totals at the crash; @p downtimeSeconds is the modeled
-     * detection + restart time the caller charges. The replayed
+     * totals at the crash. The downtime is a modeled 5 s of
+     * detection + restart plus @p extraDowntimeSeconds, the caller's
+     * own charge (a retry backoff). The replayed
      * subnets re-execute in CSP order, so the run lands on the
      * fault-free bits. Empty when re-init or restore fails.
      */
     std::optional<Rollback>
     rollback(double secAtCrash, double busyAtCrash,
-             double downtimeSeconds,
+             double extraDowntimeSeconds,
              const std::function<void()> &rebuildPhase);
 
     const FaultInjector &faults() const { return _injector; }
@@ -263,9 +263,11 @@ class TrainingSession
      * Assemble the executor-independent half of the result: plan,
      * losses, sampled subnets, store, trace, throughput, memory
      * plan figures, checkpoint accounting, the trailing-window final
-     * loss, the convergence curve, the supernet hash, the causal
-     * audit, the fault counters, and the post-training search (on
-     * the attached backend's searchThreads()).
+     * loss and the convergence curve (both from the record table;
+     * the table survives, so buildCheckpoint() still works after),
+     * the supernet hash, the causal audit, the fault counters, and
+     * the post-training search (on the attached backend's
+     * searchThreads()).
      * @p totalSeconds and @p busyTotal are absolute run totals; the
      * executor then fills in its own timing and cache specifics.
      */
@@ -275,7 +277,6 @@ class TrainingSession
      * @{ */
     const CapacityPlan &plan() const { return _plan; }
     int batch() const { return _batch; }
-    double scoreScale() const { return _scoreScale; }
     const ActivationModel &activationModel() const
     {
         return _activation;
@@ -285,7 +286,6 @@ class TrainingSession
         return _store;
     }
     NumericExecutor &exec() { return *_exec; }
-    ConvergenceTracker &tracker() { return *_tracker; }
     const std::shared_ptr<Trace> &trace() const { return _trace; }
 
     const Subnet &subnetOf(SubnetId id) const;
@@ -322,16 +322,18 @@ class TrainingSession
     std::unique_ptr<Partitioner> _partitioner;
     std::shared_ptr<ParameterStore> _store;
     std::unique_ptr<NumericExecutor> _exec;
-    std::unique_ptr<ConvergenceTracker> _tracker;
     std::shared_ptr<Trace> _trace;
 
-    // Sequence IDs are consecutive from 0, so position == ID.
+    // Sequence IDs are consecutive from 0, so position == ID; each
+    // vector has one entry per injected or restored subnet.
     std::vector<Subnet> _subnets;
     std::vector<SubnetPartition> _partitions;
-    std::map<SubnetId, float> _losses;
-    std::map<SubnetId, double> _completionSec;
+    /// The one home of a completed subnet's loss and completion
+    /// time: checkpoints, score delivery, the final loss and the
+    /// curve all read it.
+    std::vector<SubnetRecord> _records;
+    /// Scores below this ID are delivered; it walks _records.
     SubnetId _nextScoreToReport = 0;
-    std::map<SubnetId, double> _scoreBuffer;
 
     int _injected = 0;
     int _finished = 0;

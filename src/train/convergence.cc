@@ -1,6 +1,7 @@
 #include "train/convergence.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/fan_out.h"
 #include "common/logging.h"
@@ -8,88 +9,45 @@
 
 namespace naspipe {
 
-ConvergenceTracker::ConvergenceTracker(double scoreScale,
-                                       std::size_t smoothWindow)
-    : _scoreScale(scoreScale), _smoothWindow(smoothWindow)
+std::vector<ConvergencePoint>
+convergenceCurve(const std::vector<SubnetRecord> &records,
+                 double scoreScale)
 {
     NASPIPE_ASSERT(scoreScale > 0.0, "score scale must be positive");
-    NASPIPE_ASSERT(smoothWindow >= 1, "smoothing window must be >= 1");
-}
-
-void
-ConvergenceTracker::addSample(double timeSec, double loss)
-{
-    NASPIPE_ASSERT(timeSec >= 0.0 && loss >= 0.0,
-                   "invalid convergence sample");
-    ConvergencePoint p;
-    p.timeSec = timeSec;
-    p.loss = loss;
-    p.score = lossToScore(loss, _scoreScale);
-    _raw.push_back(p);
-}
-
-std::vector<ConvergencePoint>
-ConvergenceTracker::curve(std::size_t maxPoints) const
-{
-    NASPIPE_ASSERT(maxPoints >= 1, "need >= 1 curve point");
+    std::vector<std::pair<double, float>> raw;
+    for (const SubnetRecord &r : records) {
+        if (r.done)
+            raw.emplace_back(r.completionSec, r.loss);
+    }
     std::vector<ConvergencePoint> out;
-    if (_raw.empty())
+    if (raw.empty())
         return out;
+    // Completion order; equal (time, loss) pairs are interchangeable.
+    std::sort(raw.begin(), raw.end());
 
     // Trailing-window smoothing of the loss, then score transform.
-    std::vector<double> smooth(_raw.size());
+    std::vector<double> smooth(raw.size());
     double windowSum = 0.0;
-    for (std::size_t i = 0; i < _raw.size(); i++) {
-        windowSum += _raw[i].loss;
-        if (i >= _smoothWindow)
-            windowSum -= _raw[i - _smoothWindow].loss;
-        std::size_t n = std::min(i + 1, _smoothWindow);
+    for (std::size_t i = 0; i < raw.size(); i++) {
+        windowSum += raw[i].second;
+        if (i >= kLossWindow)
+            windowSum -= raw[i - kLossWindow].second;
+        std::size_t n = std::min(i + 1, kLossWindow);
         smooth[i] = windowSum / static_cast<double>(n);
     }
 
+    auto point = [&](std::size_t i) {
+        return ConvergencePoint{raw[i].first, smooth[i],
+                                lossToScore(smooth[i], scoreScale)};
+    };
     std::size_t stride =
-        std::max<std::size_t>(1, _raw.size() / maxPoints);
-    for (std::size_t i = 0; i < _raw.size(); i += stride) {
-        ConvergencePoint p;
-        p.timeSec = _raw[i].timeSec;
-        p.loss = smooth[i];
-        p.score = lossToScore(smooth[i], _scoreScale);
-        out.push_back(p);
-    }
+        std::max<std::size_t>(1, raw.size() / kCurvePoints);
+    for (std::size_t i = 0; i < raw.size(); i += stride)
+        out.push_back(point(i));
     // Always include the final point.
-    if ((out.empty() ||
-         out.back().timeSec != _raw.back().timeSec)) {
-        ConvergencePoint p;
-        p.timeSec = _raw.back().timeSec;
-        p.loss = smooth.back();
-        p.score = lossToScore(smooth.back(), _scoreScale);
-        out.push_back(p);
-    }
+    if (out.back().timeSec != raw.back().first)
+        out.push_back(point(raw.size() - 1));
     return out;
-}
-
-double
-ConvergenceTracker::finalLoss() const
-{
-    if (_raw.empty())
-        return 0.0;
-    std::size_t n = std::min(_smoothWindow, _raw.size());
-    double total = 0.0;
-    for (std::size_t i = _raw.size() - n; i < _raw.size(); i++)
-        total += _raw[i].loss;
-    return total / static_cast<double>(n);
-}
-
-double
-ConvergenceTracker::finalScore() const
-{
-    return lossToScore(finalLoss(), _scoreScale);
-}
-
-void
-ConvergenceTracker::clear()
-{
-    _raw.clear();
 }
 
 double

@@ -1,13 +1,13 @@
 /**
  * @file
- * Convergence tracking and search-quality evaluation.
+ * Convergence curves and search-quality evaluation.
  *
  * Figure 4 plots score (BLEU for NLP, top-5 accuracy for CV) against
  * wall-clock time; Table 3 reports the final supernet loss and the
  * "search accuracy" — the converged score of the best subnet found in
- * the trained supernet. This module turns the numeric executor's
- * loss trajectory into those series and performs the final search
- * over candidate subnets.
+ * the trained supernet. This module turns a run's per-subnet losses
+ * and completion times into those series and performs the final
+ * search over candidate subnets.
  */
 
 #ifndef NASPIPE_TRAIN_CONVERGENCE_H
@@ -28,47 +28,36 @@ struct ConvergencePoint {
 };
 
 /**
- * Accumulates (time, loss) samples and renders smoothed score
- * curves.
+ * A subnet's entry in a run's record table (TrainingSession): its
+ * training loss and absolute completion time, once done.
  */
-class ConvergenceTracker
-{
-  public:
-    /**
-     * @param scoreScale asymptotic score scale (e.g. ~24 "BLEU" for
-     *        NLP spaces, ~0.9 "top-5" for CV spaces)
-     * @param smoothWindow trailing window for loss smoothing
-     */
-    explicit ConvergenceTracker(double scoreScale,
-                                std::size_t smoothWindow = 16);
-
-    /** Record the loss of a subnet finishing at @p timeSec. */
-    void addSample(double timeSec, double loss);
-
-    /** Number of samples so far. */
-    std::size_t samples() const { return _raw.size(); }
-
-    /** Smoothed curve, downsampled to at most @p maxPoints. */
-    std::vector<ConvergencePoint> curve(std::size_t maxPoints) const;
-
-    /** Smoothed loss over the trailing window (supernet loss). */
-    double finalLoss() const;
-
-    /** Score corresponding to finalLoss(). */
-    double finalScore() const;
-
-    double scoreScale() const { return _scoreScale; }
-
-    void clear();
-
-  private:
-    double _scoreScale;
-    std::size_t _smoothWindow;
-    std::vector<ConvergencePoint> _raw;
+struct SubnetRecord {
+    double completionSec = 0.0;
+    float loss = 0.0f;
+    bool done = false;
 };
 
 /**
- * Family default for the score scale when a run does not set one:
+ * Trailing window, in subnets, of the curve's loss smoothing and of
+ * the final supernet loss.
+ */
+constexpr std::size_t kLossWindow = 16;
+
+/** Points a convergence curve is downsampled to (plus the last). */
+constexpr std::size_t kCurvePoints = 64;
+
+/**
+ * The convergence curve of the done entries of @p records: ordered
+ * by (completion time, loss), their losses smoothed over a trailing
+ * kLossWindow, turned into scores under @p scoreScale, and
+ * downsampled to at most kCurvePoints plus the final point.
+ */
+std::vector<ConvergencePoint>
+convergenceCurve(const std::vector<SubnetRecord> &records,
+                 double scoreScale);
+
+/**
+ * The score scale of a space family, which every run of it uses:
  * BLEU-like for NLP spaces, top-5-percent-like for CV spaces. Both
  * runtimes (simulated and threaded) share this so a run is scored
  * identically regardless of executor.

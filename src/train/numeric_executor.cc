@@ -317,10 +317,19 @@ NumericExecutor::finishSubnet(const Subnet &subnet)
     NASPIPE_ASSERT(ctx.deferred.empty(),
                    "finish with unapplied deferred gradients");
     float loss = ctx.loss;
-    if (_config.trackLoss)
-        _lossHistory.push_back(loss);
     _contexts.erase(it);
     return loss;
+}
+
+float
+NumericExecutor::inflightLoss(SubnetId id) const
+{
+    std::shared_lock<RankedSharedMutex> lock(_ctxMu);
+    auto it = _contexts.find(id);
+    NASPIPE_ASSERT(it != _contexts.end(), "SN", id, " not in flight");
+    NASPIPE_ASSERT(it->second.lossComputed, "SN", id,
+                   " has no loss yet");
+    return it->second.loss;
 }
 
 void
@@ -414,20 +423,6 @@ NumericExecutor::evaluate(const Subnet &subnet, std::uint64_t evalSeed)
 {
     _store.materializeLayers(subnet);
     return evaluate(subnet, makeEvalSet(evalSeed));
-}
-
-double
-NumericExecutor::recentMeanLoss(std::size_t window) const
-{
-    if (_lossHistory.empty())
-        return 0.0;
-    std::size_t n = std::min(window, _lossHistory.size());
-    double total = 0.0;
-    for (std::size_t i = _lossHistory.size() - n;
-         i < _lossHistory.size(); i++) {
-        total += _lossHistory[i];
-    }
-    return total / static_cast<double>(n);
 }
 
 } // namespace naspipe

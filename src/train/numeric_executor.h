@@ -69,7 +69,6 @@ class NumericExecutor
     struct Config {
         std::uint64_t dataSeed = 99;  ///< seeded "DataLoader"
         SgdConfig sgd;
-        bool trackLoss = true;        ///< keep the loss history
         /**
          * Batch size the digests stand for. Mini-batch gradients are
          * noisy estimates whose standard error shrinks as
@@ -128,6 +127,12 @@ class NumericExecutor
     float finishSubnet(const Subnet &subnet);
 
     /**
+     * The loss computeLoss() recorded for in-flight subnet @p id —
+     * a Deferred subnet's loss before the flush finishes it.
+     */
+    float inflightLoss(SubnetId id) const;
+
+    /**
      * BSP flush: apply the deferred gradients of @p subnets in
      * ascending sequence-ID order ("performs parameter updates in
      * bulk").
@@ -170,15 +175,6 @@ class NumericExecutor
 
     /** Single-candidate wrapper: materialize, build, evaluate. */
     float evaluate(const Subnet &subnet, std::uint64_t evalSeed);
-
-    /** Losses of finished subnets in completion order. */
-    const std::vector<float> &lossHistory() const
-    {
-        return _lossHistory;
-    }
-
-    /** Mean of the last @p window losses (the "supernet loss"). */
-    double recentMeanLoss(std::size_t window) const;
 
     /** Number of subnets currently in flight. */
     std::size_t inflight() const
@@ -268,7 +264,6 @@ class NumericExecutor
     /// accesses.
     mutable RankedSharedMutex _ctxMu{LockRank::TrainContext};
     std::map<SubnetId, SubnetContext> _contexts;
-    std::vector<float> _lossHistory;
 };
 
 } // namespace naspipe

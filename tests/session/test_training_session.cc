@@ -4,7 +4,8 @@
  * core in isolation. The tests pin the injection-gate *ordering*
  * (budget, in-flight window, checkpoint drain barrier, backend veto,
  * feedback lag), the feedback-lag-exact score delivery, the drained
- * checkpoint cadence and restore/replay, and the admissible()/pump()
+ * checkpoint cadence and restore/replay, the record table a restored
+ * run continues from, and the admissible()/pump()
  * agreement contract the serve layer's one-subnet-per-slot admission
  * depends on.
  */
@@ -12,9 +13,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
+#include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "session/training_session.h"
+#include "supernet/sampler.h"
 #include "supernet/search_space.h"
 
 namespace naspipe {
@@ -147,6 +153,40 @@ TEST(TrainingSessionCore, PumpFillsTheInflightWindow)
     EXPECT_TRUE(f.session.admissible());
     EXPECT_EQ(f.session.pump(), 1);
     EXPECT_EQ(f.backend.admitted.back(), 3);
+}
+
+TEST(TrainingSessionCore, InvalidCompletionPanics)
+{
+    // The record table is checked where facts enter it: a negative
+    // or NaN loss and a negative time are rejected, live or restored,
+    // before any score, curve or checkpoint reads them.
+    SearchSpace space = makeSpaceByName("NLP.c1");
+    RuntimeConfig c = config(8, 4);
+    c.ckptInterval = 4;
+    Fixture f(space, c);
+    EXPECT_EQ(f.session.pump(), 4);
+    EXPECT_THROW(f.session.recordCompletion(0, -0.5f, 1.0),
+                 std::logic_error);
+    EXPECT_THROW(f.session.recordCompletion(0, 0.5f, -1.0),
+                 std::logic_error);
+    EXPECT_THROW(f.session.recordCompletion(
+                     0, std::numeric_limits<float>::quiet_NaN(), 1.0),
+                 std::logic_error);
+    // A rejected completion leaves the table and counters untouched.
+    EXPECT_EQ(f.session.finished(), 0);
+    for (SubnetId id = 0; id < 3; id++)
+        f.complete(id);
+    ASSERT_TRUE(f.complete(3));
+    RunCheckpoint ckpt = f.session.buildCheckpoint(1.0, 0.5);
+
+    RunCheckpoint badLoss = ckpt;
+    badLoss.losses[1] = -1.0;
+    Fixture lossTarget(space, c);
+    EXPECT_THROW(lossTarget.session.restore(badLoss), std::logic_error);
+    RunCheckpoint badTime = ckpt;
+    badTime.completionSec[2] = -0.1;
+    Fixture timeTarget(space, c);
+    EXPECT_THROW(timeTarget.session.restore(badTime), std::logic_error);
 }
 
 TEST(TrainingSessionCore, PumpMaxCountInjectsOneSlotAtATime)
@@ -331,7 +371,7 @@ TEST(TrainingSessionCore, RollbackToTheLastCheckpointReplays)
     // The phase rebuild runs after the re-init, before the restore.
     bool rebuilt = false;
     auto report = f.session.rollback(
-        2.0, 1.5, 5.0, [&] {
+        2.0, 1.5, 0.0, [&] {
             rebuilt = true;
             EXPECT_EQ(f.session.finished(), 0);
             EXPECT_TRUE(f.backend.restored.empty());
@@ -343,8 +383,8 @@ TEST(TrainingSessionCore, RollbackToTheLastCheckpointReplays)
     EXPECT_EQ(f.backend.restored,
               (std::vector<SubnetId>{0, 1, 2, 3}));
     EXPECT_EQ(f.session.finished(), 4);
-    // Crash time plus the charged downtime; busy time resumes from
-    // the checkpoint's.
+    // Crash time plus the modeled 5 s restart; busy time resumes
+    // from the checkpoint's.
     EXPECT_DOUBLE_EQ(f.session.secOffset(), 2.0 + 5.0);
     EXPECT_DOUBLE_EQ(f.session.busyOffset(), 0.05 * 4);
 
@@ -374,7 +414,8 @@ TEST(TrainingSessionCore, RollbackWithoutACheckpointRestartsAtZero)
     EXPECT_TRUE(f.backend.restored.empty());
     EXPECT_EQ(f.session.finished(), 0);
     EXPECT_EQ(f.session.injected(), 0);
-    EXPECT_DOUBLE_EQ(f.session.secOffset(), 1.0 + 2.0);
+    // The 5 s restart plus the caller's extra 2 s.
+    EXPECT_DOUBLE_EQ(f.session.secOffset(), 1.0 + 5.0 + 2.0);
     EXPECT_DOUBLE_EQ(f.session.busyOffset(), 0.0);
 
     EXPECT_FALSE(f.drive(8));
@@ -382,7 +423,7 @@ TEST(TrainingSessionCore, RollbackWithoutACheckpointRestartsAtZero)
     EXPECT_EQ(r.metrics.faultsInjected, 0);
     EXPECT_EQ(r.metrics.recoveries, 1);
     EXPECT_EQ(r.metrics.subnetsReplayed, 3);
-    EXPECT_DOUBLE_EQ(r.metrics.recoverySeconds, 2.0);
+    EXPECT_DOUBLE_EQ(r.metrics.recoverySeconds, 5.0 + 2.0);
     EXPECT_DOUBLE_EQ(r.metrics.lostComputeSeconds, 0.5);
     EXPECT_EQ(r.supernetHash, want);
 }
@@ -459,6 +500,117 @@ TEST(TrainingSessionCore, AdmissibleAgreesWithPumpOne)
     }
     EXPECT_EQ(f.session.finished(), 10);
     EXPECT_FALSE(f.session.admissible());
+}
+
+/** Every score a session delivered, as (ID, score), in order. */
+using Deliveries = std::vector<std::pair<SubnetId, double>>;
+
+/** A uniform sampler that logs the scores delivered to it. */
+class RecordingSampler : public UniformSampler
+{
+  public:
+    RecordingSampler(const SearchSpace &space, std::uint64_t seed,
+                     Deliveries *log)
+        : UniformSampler(space, seed), _log(log)
+    {
+    }
+    void reportScore(SubnetId id, double score) override
+    {
+        _log->emplace_back(id, score);
+    }
+
+  private:
+    Deliveries *_log;
+};
+
+TEST(TrainingSessionCore, RestoredRunContinuesTheRecordTable)
+{
+    // Each subnet's (loss, completion time), by ID. Completions are
+    // retired newest-in-flight first, so they arrive out of ID order
+    // and out of time order, and 5 and 6 finish at the same time.
+    const std::vector<std::pair<float, double>> facts = {
+        {2.0f, 0.20},  {1.5f, 0.30},  {1.25f, 0.50}, {1.0f, 0.45},
+        {0.9f, 0.70},  {0.8f, 0.65},  {0.85f, 0.65}, {0.7f, 0.90},
+        {0.6f, 1.10},  {0.65f, 1.00}, {0.5f, 1.30},  {0.55f, 1.20}};
+    SearchSpace space = makeSpaceByName("NLP.c1");
+    RuntimeConfig base = config(static_cast<int>(facts.size()), 4);
+    base.numeric = false;
+    base.feedbackLag = 2;
+    base.ckptInterval = 4;
+    auto withLog = [&](Deliveries *log) {
+        RuntimeConfig c = base;
+        c.samplerFactory = [log](const SearchSpace &s,
+                                 std::uint64_t seed) {
+            return std::make_unique<RecordingSampler>(s, seed, log);
+        };
+        return c;
+    };
+    // Runs the script to the end, committing every drained barrier;
+    // returns the first checkpoint it committed.
+    auto finish = [&](Fixture &f) {
+        std::vector<bool> done(facts.size(), false);
+        for (int i = 0; i < f.session.finished(); i++)
+            done[static_cast<std::size_t>(i)] = true;
+        std::optional<RunCheckpoint> first;
+        while (f.session.finished() < f.session.totalSubnets()) {
+            f.session.pump();
+            auto id = static_cast<SubnetId>(f.session.injected() - 1);
+            while (done[static_cast<std::size_t>(id)])
+                id--;
+            done[static_cast<std::size_t>(id)] = true;
+            const auto &[loss, at] = facts[static_cast<std::size_t>(id)];
+            if (f.session.recordCompletion(id, loss, at)) {
+                RunCheckpoint ckpt = f.session.buildCheckpoint(at, 0.0);
+                f.session.commitCheckpoint(ckpt);
+                if (!first)
+                    first = std::move(ckpt);
+            }
+        }
+        return first;
+    };
+
+    Deliveries wholeLog;
+    RuntimeConfig wholeConfig = withLog(&wholeLog);
+    Fixture whole(space, wholeConfig);
+    std::optional<RunCheckpoint> ckpt = finish(whole);
+    ASSERT_TRUE(ckpt.has_value());
+    ASSERT_EQ(ckpt->completed, 4u);
+    RunResult want = whole.session.collect(2.0, 0.0);
+
+    Deliveries resumedLog;
+    RuntimeConfig resumedConfig = withLog(&resumedLog);
+    Fixture resumed(space, resumedConfig);
+    ASSERT_TRUE(resumed.session.restore(*ckpt));
+    EXPECT_EQ(resumed.session.finished(), 4);
+    finish(resumed);
+    RunResult got = resumed.session.collect(2.0, 0.0);
+
+    EXPECT_EQ(got.losses, want.losses);
+    ASSERT_EQ(want.losses.size(), facts.size());
+    for (const auto &[id, loss] : want.losses)
+        EXPECT_EQ(loss, facts[static_cast<std::size_t>(id)].first);
+    EXPECT_EQ(got.metrics.finalLoss, want.metrics.finalLoss);
+    EXPECT_EQ(resumedLog, wholeLog);
+    // Under lag 2, no draw ever waits for the last two scores.
+    ASSERT_EQ(wholeLog.size(), facts.size() - 2);
+    for (std::size_t i = 0; i < wholeLog.size(); i++)
+        EXPECT_EQ(wholeLog[i].first, static_cast<SubnetId>(i));
+
+    // Both curves follow completion time, ties broken by loss.
+    ASSERT_EQ(got.curve.size(), want.curve.size());
+    ASSERT_EQ(want.curve.size(), facts.size());
+    for (std::size_t i = 0; i < want.curve.size(); i++) {
+        EXPECT_EQ(got.curve[i].timeSec, want.curve[i].timeSec) << i;
+        EXPECT_EQ(got.curve[i].loss, want.curve[i].loss) << i;
+        EXPECT_EQ(got.curve[i].score, want.curve[i].score) << i;
+        if (i > 0) {
+            EXPECT_LE(want.curve[i - 1].timeSec,
+                      want.curve[i].timeSec);
+        }
+    }
+    // Subnet 1 completed first, but subnet 0 at an earlier time.
+    EXPECT_DOUBLE_EQ(want.curve[0].loss, 2.0);
+    EXPECT_DOUBLE_EQ(want.curve[1].loss, (2.0 + 1.5) / 2);
 }
 
 } // namespace

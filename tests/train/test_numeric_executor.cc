@@ -43,21 +43,11 @@ struct ExecFixture : ::testing::Test {
 
 TEST_F(ExecFixture, SequentialTrainingReducesLoss)
 {
-    // Train the same architecture repeatedly on its (fixed) batch:
-    // loss must drop.
-    float first = 0.0f, last = 0.0f;
-    for (int i = 0; i < 30; i++) {
-        float loss = exec->trainSequential(
-            subnet(i, {0, 1, 2, 0}));
-        if (i == 0)
-            first = loss;
-        last = loss;
-    }
-    // Different subnets get different batches; use the same batch by
-    // reusing data seed effects: losses trend down on average.
-    (void)first;
-    (void)last;
-    const auto &history = exec->lossHistory();
+    // Train the same architecture repeatedly: every subnet gets its
+    // own batch, so only the trend must fall.
+    std::vector<float> history;
+    for (int i = 0; i < 30; i++)
+        history.push_back(exec->trainSequential(subnet(i, {0, 1, 2, 0})));
     double early = 0, late = 0;
     for (int i = 0; i < 10; i++) {
         early += history[static_cast<std::size_t>(i)];
@@ -206,17 +196,6 @@ TEST_F(ExecFixture, EvaluateIsSideEffectFree)
     EXPECT_EQ(a, b);
     EXPECT_EQ(store.accessLog().totalRecords(), 0u);
     EXPECT_NE(exec->evaluate(sn, 43), a);  // seed matters
-}
-
-TEST_F(ExecFixture, RecentMeanLoss)
-{
-    for (int i = 0; i < 5; i++)
-        exec->trainSequential(subnet(i));
-    double mean5 = exec->recentMeanLoss(5);
-    double mean2 = exec->recentMeanLoss(2);
-    EXPECT_GT(mean5, 0.0);
-    EXPECT_GT(mean2, 0.0);
-    EXPECT_EQ(exec->recentMeanLoss(100), exec->recentMeanLoss(5));
 }
 
 TEST_F(ExecFixture, DoubleBeginPanics)
