@@ -1,5 +1,7 @@
 #include "common/rng.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "common/logging.h"
@@ -14,15 +16,21 @@ rotl64(std::uint64_t x, int k)
     return (x << k) | (x >> (64 - k));
 }
 
+/** SplitMix64's output function: a bijection of 64-bit words. */
+inline std::uint64_t
+splitMixFinalize(std::uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
 } // namespace
 
 std::uint64_t
 SplitMix64::next()
 {
-    std::uint64_t z = (_state += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    return splitMixFinalize(_state += 0x9e3779b97f4a7c15ULL);
 }
 
 Xoshiro256StarStar::Xoshiro256StarStar(std::uint64_t seed)
@@ -207,6 +215,56 @@ hashBytes(const void *data, std::size_t size, std::uint64_t seed)
         hash *= 0x100000001b3ULL;
     }
     return hash;
+}
+
+namespace {
+
+/** The 8 bytes at @p p as a little-endian word. */
+inline std::uint64_t
+loadLittleEndian(const unsigned char *p)
+{
+    std::uint64_t w;
+    std::memcpy(&w, p, sizeof(w));
+    if constexpr (std::endian::native == std::endian::big)
+        w = __builtin_bswap64(w);
+    return w;
+}
+
+inline std::uint64_t
+checksumLane(std::uint64_t h, std::uint64_t w)
+{
+    return rotl64((h ^ w) * 0x9e3779b185ebca87ULL, 31);
+}
+
+} // namespace
+
+std::uint64_t
+checksumBytes(const void *data, std::size_t size)
+{
+    const auto *p = static_cast<const unsigned char *>(data);
+    std::uint64_t h[4];
+    for (std::uint64_t j = 0; j < 4; j++)
+        h[j] = 0x9e3779b97f4a7c15ULL * (j + 1);
+    // Four independent multiply chains: the loop runs at the
+    // multiplier's throughput, not its latency.
+    std::size_t i = 0;
+    for (; size - i >= 32; i += 32) {
+        h[0] = checksumLane(h[0], loadLittleEndian(p + i));
+        h[1] = checksumLane(h[1], loadLittleEndian(p + i + 8));
+        h[2] = checksumLane(h[2], loadLittleEndian(p + i + 16));
+        h[3] = checksumLane(h[3], loadLittleEndian(p + i + 24));
+    }
+    // Under 32 bytes left: whole words, then the padded tail word,
+    // continuing the lane rotation.
+    for (std::size_t j = 0; i < size; i += 8, j++) {
+        unsigned char word[8] = {};
+        std::memcpy(word, p + i, std::min<std::size_t>(8, size - i));
+        h[j] = checksumLane(h[j], loadLittleEndian(word));
+    }
+    std::uint64_t x = size;
+    for (std::uint64_t lane : h)
+        x = splitMixFinalize(x ^ lane);
+    return x;
 }
 
 } // namespace naspipe

@@ -132,12 +132,39 @@ std::uint64_t deriveSeed(std::uint64_t parent, std::uint64_t tag);
 std::uint64_t deriveSeed(std::uint64_t parent, const char *tag);
 
 /**
- * FNV-1a hash of an arbitrary byte range. Used as the payload
- * checksum in checkpoint file formats: cheap, dependency-free, and
- * identical on every platform (detection of corruption, not a MAC).
+ * FNV-1a hash of an arbitrary byte range, one byte at a time.
+ * Tensor::contentHash (hence every weight fingerprint and the golden
+ * grid) and deriveSeed's string tags are defined by it, and version
+ * 1 and 2 checkpoint files carry it as their payload checksum, so it
+ * never changes.
  */
 std::uint64_t hashBytes(const void *data, std::size_t size,
                         std::uint64_t seed = 0xcbf29ce484222325ULL);
+
+/**
+ * Word-parallel payload checksum of the version 3 checkpoint formats
+ * (NASP, NPRC): detection of corruption, not a MAC. Normative
+ * definition, over the n bytes b[0..n):
+ *
+ *  - Words: w[k] is bytes 8k..8k+7 read as a little-endian 64-bit
+ *    integer, for k < ceil(n / 8); the last word of a length that is
+ *    not a multiple of 8 holds the n % 8 tail bytes, zero-padded.
+ *  - Lanes: h[j] = 0x9e3779b97f4a7c15 * (j + 1) for j = 0..3; word k,
+ *    in increasing k, updates lane k % 4 as
+ *    h = rotl64((h ^ w[k]) * 0x9e3779b185ebca87, 31).
+ *  - Result: x = n; then x = mix(x ^ h[j]) for j = 0..3, where mix
+ *    is the SplitMix64 finalizer (z ^= z >> 30; z *= 0xbf58476d1ce4e5b9;
+ *    z ^= z >> 27; z *= 0x94d049bb133111eb; z ^= z >> 31).
+ *
+ * The value depends neither on the host's byte order nor on the
+ * buffer's alignment. Every step is a bijection of the state for a
+ * fixed input and of the input for a fixed state, so changing any one
+ * word — any single corrupted byte — changes the result. The rotate
+ * feeds high bits back to low ones: without it the top bit of
+ * (h ^ w) * odd commutes with the product, and two flips of bit 63 in
+ * one lane would cancel.
+ */
+std::uint64_t checksumBytes(const void *data, std::size_t size);
 
 } // namespace naspipe
 

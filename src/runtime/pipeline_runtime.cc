@@ -45,8 +45,20 @@ struct PipelineRuntime::Impl : ExecutionBackend {
         mirrorEntries;
     /// Last WRITE to a layer: (completion tick, writer stage).
     std::map<std::uint64_t, std::pair<Tick, int>> lastWrite;
-    /// Subnets that activated a layer, in ascending sequence ID.
-    std::map<std::uint64_t, std::vector<SubnetId>> activators;
+    /**
+     * Per layer, the subnets that activated it, in ascending sequence
+     * ID: `dropped` counts a prefix already let go (activate() drops
+     * as many as the layer's applied writes) and `ids` holds the
+     * rest, so a layer retains at most the in-flight window, however
+     * long the run.
+     */
+    struct Activators {
+        std::size_t dropped = 0;
+        std::vector<SubnetId> ids;
+    };
+    std::map<std::uint64_t, Activators> activators;
+    /// Most IDs any layer retained at once (all phases).
+    std::size_t peakRetainedActivators = 0;
     /// Number of parameter updates applied per layer so far.
     std::map<std::uint64_t, std::size_t> writesApplied;
     /**
@@ -105,6 +117,7 @@ struct PipelineRuntime::Impl : ExecutionBackend {
     int searchThreads(int) const override { return 1; }
 
     void buildPhase();
+    void activate(const Subnet &sn);
     bool upstreamWritesDone(int stage, SubnetId id) const;
     void injectSubnets();
     double busySum() const;
@@ -188,10 +201,15 @@ PipelineRuntime::Impl::upstreamWritesDone(int stage, SubnetId id) const
         auto actIt = activators.find(key);
         NASPIPE_ASSERT(actIt != activators.end(),
                        "candidate's own activation missing");
-        const auto &ids = actIt->second;
-        auto earlier = static_cast<std::size_t>(
-            std::lower_bound(ids.begin(), ids.end(), id) -
-            ids.begin());
+        // Exact unless the dropped prefix reaches past id; then
+        // earlier == dropped <= applied, and so is the true count:
+        // the verdict is the same.
+        const Activators &act = actIt->second;
+        auto earlier =
+            act.dropped +
+            static_cast<std::size_t>(
+                std::lower_bound(act.ids.begin(), act.ids.end(), id) -
+                act.ids.begin());
         auto wIt = writesApplied.find(key);
         std::size_t applied = wIt == writesApplied.end() ? 0
                                                          : wIt->second;
@@ -287,13 +305,35 @@ PipelineRuntime::Impl::canAdmit(SubnetId next) const
 }
 
 void
+PipelineRuntime::Impl::activate(const Subnet &sn)
+{
+    for (int b = 0; b < sn.size(); b++) {
+        if (!space.parameterized(b, sn.choice(b)))
+            continue;
+        std::uint64_t key = sn.layer(b).key();
+        Activators &act = activators[key];
+        // Each activator writes a layer once, so the applied writes
+        // never outnumber the activators; drop as many.
+        auto wIt = writesApplied.find(key);
+        std::size_t applied = wIt == writesApplied.end() ? 0
+                                                         : wIt->second;
+        NASPIPE_ASSERT(applied - act.dropped <= act.ids.size(),
+                       "more writes than activators on layer ", key);
+        act.ids.erase(act.ids.begin(),
+                      act.ids.begin() + static_cast<std::ptrdiff_t>(
+                                            applied - act.dropped));
+        act.dropped = applied;
+        act.ids.push_back(sn.id());
+        peakRetainedActivators =
+            std::max(peakRetainedActivators, act.ids.size());
+    }
+}
+
+void
 PipelineRuntime::Impl::admit(SubnetId id)
 {
     const Subnet &sn = subnetOf(id);
-    for (int b = 0; b < sn.size(); b++) {
-        if (space.parameterized(b, sn.choice(b)))
-            activators[sn.layer(b).key()].push_back(sn.id());
-    }
+    activate(sn);
     if (model.mirroring) {
         auto entries = mirrors->plan(sn, session.partitionOf(id));
         mirrors->activate(entries);
@@ -323,10 +363,7 @@ void
 PipelineRuntime::Impl::restoreCompleted(SubnetId id)
 {
     const Subnet &sn = subnetOf(id);
-    for (int b = 0; b < sn.size(); b++) {
-        if (space.parameterized(b, sn.choice(b)))
-            activators[sn.layer(b).key()].push_back(sn.id());
-    }
+    activate(sn);
     // A restored subnet never runs a backward, so it pushes no
     // mirror sync: activating its mirrors is all it needs.
     if (model.mirroring)
@@ -797,6 +834,12 @@ PipelineRuntime::PipelineRuntime(const SearchSpace &space,
 }
 
 PipelineRuntime::~PipelineRuntime() = default;
+
+std::size_t
+PipelineRuntime::peakRetainedActivators() const
+{
+    return _impl->peakRetainedActivators;
+}
 
 RunResult
 PipelineRuntime::run()

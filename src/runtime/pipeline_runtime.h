@@ -200,6 +200,13 @@ class PipelineRuntime
     /** Execute the run to completion and collect the results. */
     RunResult run();
 
+    /**
+     * The most activator IDs any layer's dependency check retained
+     * at once during run(): at most the in-flight window, however
+     * long the run.
+     */
+    std::size_t peakRetainedActivators() const;
+
   private:
     struct Impl;
     std::unique_ptr<Impl> _impl;

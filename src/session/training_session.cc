@@ -276,9 +276,7 @@ TrainingSession::buildCheckpoint(double nowSeconds,
         ckpt.losses.push_back(r.loss);
         ckpt.completionSec.push_back(r.completionSec);
     }
-    std::ostringstream ss(std::ios::binary);
-    _store->save(ss);
-    ckpt.storeBytes = std::move(ss).str();
+    ckpt.storeBytes = _store->serialize();
     std::ostringstream ls(std::ios::binary);
     _store->accessLog().saveTo(ls);
     ckpt.accessLogBytes = std::move(ls).str();
@@ -290,13 +288,9 @@ TrainingSession::commitCheckpoint(const RunCheckpoint &ckpt)
 {
     NASPIPE_ASSERT(_inflight == 0, "checkpoint barrier reached with ",
                    _inflight, " subnets in flight");
-    std::ostringstream os(std::ios::binary);
-    bool ok = ckpt.save(os);
-    NASPIPE_ASSERT(ok, "in-memory checkpoint serialization failed");
-    // Copied out at its exact size: moving the stream's buffer out
-    // would keep its growth slack (up to 2x) resident until the next
+    // Exact size: no growth slack stays resident until the next
     // checkpoint, in every job of a service.
-    _lastCkpt = os.str();
+    _lastCkpt = ckpt.serialize();
     _checkpointsWritten++;
     _checkpointBytes = _lastCkpt.size();
     if (!_config.ckptPath.empty() &&
@@ -400,16 +394,15 @@ TrainingSession::restore(const RunCheckpoint &ckpt)
         _nextCkptAt = boundaryAfter(static_cast<int>(completed));
     // A later fail-stop fault rolls back to this state. Its log
     // section is re-encoded from the restored log, which also turns
-    // a version 1 checkpoint into a current one.
+    // an older checkpoint into a current one (its store blob, any
+    // version the store loads, is kept as it is).
     RunCheckpoint target = ckpt;
     target.formatVersion = RunCheckpoint::kFormatVersion;
     target.precision = _config.precision;
     std::ostringstream ls(std::ios::binary);
     _store->accessLog().saveTo(ls);
     target.accessLogBytes = std::move(ls).str();
-    std::ostringstream os(std::ios::binary);
-    if (target.save(os))
-        _lastCkpt = os.str();  // exact size, as in commitCheckpoint
+    _lastCkpt = target.serialize();
     return true;
 }
 

@@ -2,9 +2,8 @@
 
 #include <cstring>
 #include <fstream>
-#include <sstream>
-#include <utility>
 
+#include "common/byte_writer.h"
 #include "common/logging.h"
 #include "common/rng.h"
 
@@ -13,13 +12,23 @@ namespace naspipe {
 namespace {
 
 constexpr std::uint32_t kCheckpointMagic = 0x4e415350;  // "NASP"
-constexpr std::uint32_t kCheckpointVersion = 2;
+constexpr std::uint32_t kCheckpointVersion = 3;
 
-template <typename T>
-void
-writePod(std::ostream &out, const T &value)
+/// magic, version, blocks, choices, seed, layer count, payload bytes
+constexpr std::size_t kChecksumOffset = 4 + 4 + 4 + 4 + 8 + 8 + 8;
+constexpr std::size_t kHeaderBytes = kChecksumOffset + 8;
+/// key, version, weight, bias
+constexpr std::size_t kLayerBytes = 8 + 8 + 2 * kLayerDim * sizeof(float);
+
+/**
+ * The payload checksum of format @p version: byte FNV-1a up to
+ * version 2, the word-parallel checksum from version 3 on.
+ */
+std::uint64_t
+payloadChecksum(std::uint32_t version, const std::string &bytes)
 {
-    out.write(reinterpret_cast<const char *>(&value), sizeof(T));
+    return version < 3 ? hashBytes(bytes.data(), bytes.size())
+                       : checksumBytes(bytes.data(), bytes.size());
 }
 
 template <typename T>
@@ -28,13 +37,6 @@ readPod(std::istream &in, T &value)
 {
     in.read(reinterpret_cast<char *>(&value), sizeof(T));
     return static_cast<bool>(in);
-}
-
-void
-writeTensor(std::ostream &out, const Tensor &t)
-{
-    out.write(reinterpret_cast<const char *>(t.data().data()),
-              static_cast<std::streamsize>(t.size() * sizeof(float)));
 }
 
 } // namespace
@@ -135,29 +137,43 @@ ParameterStore::supernetHash()
     return hash;
 }
 
-bool
-ParameterStore::save(std::ostream &out) const
+std::string
+ParameterStore::serialize() const
 {
-    std::ostringstream payload(std::ios::binary);
+    const std::size_t payloadBytes = _materialized * kLayerBytes;
+    std::string out(kHeaderBytes + payloadBytes, '\0');
+    ByteWriter w{out.data()};
+    w.pod(kCheckpointMagic);
+    w.pod(kCheckpointVersion);
+    w.pod(static_cast<std::uint32_t>(_space.numBlocks()));
+    w.pod(static_cast<std::uint32_t>(_space.choicesPerBlock()));
+    w.pod(_seed);
+    w.pod(static_cast<std::uint64_t>(_materialized));
+    w.pod(static_cast<std::uint64_t>(payloadBytes));
+    w.pod(std::uint64_t{0});  // the checksum, patched below
     for (std::size_t i = 0; i < _params.size(); i++) {
         if (!_params[i])
             continue;
-        writePod(payload, layerAt(i).key());
-        writePod(payload, _versions[i]);
-        writeTensor(payload, _params[i]->weight);
-        writeTensor(payload, _params[i]->bias);
+        const LayerParams &params = *_params[i];
+        NASPIPE_ASSERT(params.weight.size() == kLayerDim &&
+                           params.bias.size() == kLayerDim,
+                       "layer ", i, " is not kLayerDim wide");
+        w.pod(layerAt(i).key());
+        w.pod(_versions[i]);
+        w.raw(params.weight.data().data(), kLayerDim * sizeof(float));
+        w.raw(params.bias.data().data(), kLayerDim * sizeof(float));
     }
-    const std::string bytes = std::move(payload).str();
+    const std::uint64_t checksum =
+        checksumBytes(out.data() + kHeaderBytes, payloadBytes);
+    std::memcpy(out.data() + kChecksumOffset, &checksum,
+                sizeof(checksum));
+    return out;
+}
 
-    writePod(out, kCheckpointMagic);
-    writePod(out, kCheckpointVersion);
-    writePod(out, static_cast<std::uint32_t>(_space.numBlocks()));
-    writePod(out, static_cast<std::uint32_t>(
-                      _space.choicesPerBlock()));
-    writePod(out, _seed);
-    writePod(out, static_cast<std::uint64_t>(_materialized));
-    writePod(out, static_cast<std::uint64_t>(bytes.size()));
-    writePod(out, hashBytes(bytes.data(), bytes.size()));
+bool
+ParameterStore::save(std::ostream &out) const
+{
+    const std::string bytes = serialize();
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     return static_cast<bool>(out);
 }
@@ -186,9 +202,9 @@ ParameterStore::load(std::istream &in)
              " (not a NASP checkpoint)");
         return false;
     }
-    if (version != kCheckpointVersion) {
+    if (version != 2 && version != kCheckpointVersion) {
         warn("parameter checkpoint: unsupported format version ",
-             version, " (this build reads version ",
+             version, " (this build reads versions 2 and ",
              kCheckpointVersion, ")");
         return false;
     }
@@ -228,7 +244,7 @@ ParameterStore::load(std::istream &in)
             remaining -= static_cast<std::uint64_t>(got);
         }
     }
-    if (hashBytes(bytes.data(), bytes.size()) != checksum) {
+    if (payloadChecksum(version, bytes) != checksum) {
         warn("parameter checkpoint: payload checksum mismatch");
         return false;
     }

@@ -144,17 +144,26 @@ class ParameterStore
     /** @name Checkpointing
      * Persist the trained supernet for post-training analysis (the
      * GreedyNAS-style trial inspection of §2.1), transfer to another
-     * process, or mid-run fault recovery. Format v2: a fixed header
-     * (magic "NASP", format version, space shape, init seed, layer
-     * count, payload length, FNV-1a payload checksum) followed by a
+     * process, or mid-run fault recovery. Format v3: a fixed 48-byte
+     * header (magic "NASP", format version, space shape, init seed,
+     * layer count, payload length, payload checksum) followed by a
      * length-delimited payload of per-layer key + version counter +
      * raw fp32 bytes; load restores them bitwise (untouched layers
      * re-materialize from the seed, so a loaded store is
      * indistinguishable from the original). The payload is length-
      * delimited so a store checkpoint can be embedded inside a larger
-     * run-checkpoint stream.
+     * run-checkpoint stream. Version 3 checksums the payload with
+     * checksumBytes; version 2, which is otherwise identical, with
+     * byte FNV-1a (hashBytes), and still loads.
      * @{ */
-    /** Serialize to a stream; returns false on I/O failure. */
+    /**
+     * The whole save() stream in one string of exactly its size
+     * (header + materialized layers x (16 + 2 x kLayerDim x 4) bytes),
+     * written and checksummed in place.
+     */
+    std::string serialize() const;
+
+    /** Write serialize() to a stream; returns false on I/O failure. */
     bool save(std::ostream &out) const;
 
     /** Serialize to a file. */

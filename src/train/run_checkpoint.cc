@@ -3,9 +3,9 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <utility>
 
+#include "common/byte_writer.h"
 #include "common/logging.h"
 #include "common/rng.h"
 
@@ -15,27 +15,33 @@ namespace {
 
 constexpr std::uint32_t kRunCheckpointMagic = 0x4e505243;  // "NPRC"
 
-template <typename T>
-void
-writePod(std::ostream &out, const T &value)
+/// magic, version, payload bytes
+constexpr std::size_t kChecksumOffset = 4 + 4 + 8;
+constexpr std::size_t kHeaderBytes = kChecksumOffset + 8;
+
+/**
+ * The payload checksum of format @p version: byte FNV-1a up to
+ * version 2, the word-parallel checksum from version 3 on.
+ */
+std::uint64_t
+payloadChecksum(std::uint32_t version, const std::string &bytes)
 {
-    out.write(reinterpret_cast<const char *>(&value), sizeof(T));
+    return version < 3 ? hashBytes(bytes.data(), bytes.size())
+                       : checksumBytes(bytes.data(), bytes.size());
 }
 
 void
-writeBlob(std::ostream &out, const std::string &bytes)
+writeBlob(ByteWriter &w, const std::string &bytes)
 {
-    writePod(out, static_cast<std::uint64_t>(bytes.size()));
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    w.pod(static_cast<std::uint64_t>(bytes.size()));
+    w.raw(bytes.data(), bytes.size());
 }
 
 void
-writeDoubles(std::ostream &out, const std::vector<double> &values)
+writeDoubles(ByteWriter &w, const std::vector<double> &values)
 {
-    writePod(out, static_cast<std::uint64_t>(values.size()));
-    out.write(reinterpret_cast<const char *>(values.data()),
-              static_cast<std::streamsize>(values.size() *
-                                           sizeof(double)));
+    w.pod(static_cast<std::uint64_t>(values.size()));
+    w.raw(values.data(), values.size() * sizeof(double));
 }
 
 /** Bounds-checked cursor over an in-memory payload. */
@@ -96,32 +102,50 @@ class Cursor
 
 } // namespace
 
-bool
-RunCheckpoint::save(std::ostream &out) const
+std::string
+RunCheckpoint::serialize() const
 {
     NASPIPE_ASSERT(formatVersion == kFormatVersion,
                    "a version ", formatVersion,
                    " run checkpoint is restored, not saved again");
-    std::ostringstream payload(std::ios::binary);
-    writePod(payload, seed);
-    writePod(payload, spaceBlocks);
-    writePod(payload, spaceChoices);
-    writePod(payload, static_cast<std::uint32_t>(precision));
-    writePod(payload, totalSubnets);
-    writePod(payload, completed);
-    writePod(payload, simSeconds);
-    writePod(payload, busySeconds);
-    writePod(payload, checkpointsWritten);
-    writeDoubles(payload, losses);
-    writeDoubles(payload, completionSec);
-    writeBlob(payload, storeBytes);
-    writeBlob(payload, accessLogBytes);
-    const std::string bytes = std::move(payload).str();
+    // seed .. checkpointsWritten, then four length-prefixed sections
+    const std::size_t payloadBytes =
+        8 + 4 + 4 + 4 + 8 + 8 + 8 + 8 + 8 +
+        (8 + losses.size() * sizeof(double)) +
+        (8 + completionSec.size() * sizeof(double)) +
+        (8 + storeBytes.size()) + (8 + accessLogBytes.size());
+    std::string out(kHeaderBytes + payloadBytes, '\0');
+    ByteWriter w{out.data()};
+    w.pod(kRunCheckpointMagic);
+    w.pod(kFormatVersion);
+    w.pod(static_cast<std::uint64_t>(payloadBytes));
+    w.pod(std::uint64_t{0});  // the checksum, patched below
+    w.pod(seed);
+    w.pod(spaceBlocks);
+    w.pod(spaceChoices);
+    w.pod(static_cast<std::uint32_t>(precision));
+    w.pod(totalSubnets);
+    w.pod(completed);
+    w.pod(simSeconds);
+    w.pod(busySeconds);
+    w.pod(checkpointsWritten);
+    writeDoubles(w, losses);
+    writeDoubles(w, completionSec);
+    writeBlob(w, storeBytes);
+    writeBlob(w, accessLogBytes);
+    NASPIPE_ASSERT(w.at == out.data() + out.size(),
+                   "run checkpoint size mismatch");
+    const std::uint64_t checksum =
+        checksumBytes(out.data() + kHeaderBytes, payloadBytes);
+    std::memcpy(out.data() + kChecksumOffset, &checksum,
+                sizeof(checksum));
+    return out;
+}
 
-    writePod(out, kRunCheckpointMagic);
-    writePod(out, kFormatVersion);
-    writePod(out, static_cast<std::uint64_t>(bytes.size()));
-    writePod(out, hashBytes(bytes.data(), bytes.size()));
+bool
+RunCheckpoint::save(std::ostream &out) const
+{
+    const std::string bytes = serialize();
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     return static_cast<bool>(out);
 }
@@ -132,8 +156,7 @@ RunCheckpoint::load(std::istream &in)
     std::uint32_t magic = 0, version = 0;
     std::uint64_t payloadBytes = 0, checksum = 0;
     {
-        char header[sizeof(magic) + sizeof(version) +
-                    sizeof(payloadBytes) + sizeof(checksum)];
+        char header[kHeaderBytes];
         in.read(header, sizeof(header));
         if (in.gcount() != static_cast<std::streamsize>(
                                sizeof(header))) {
@@ -155,10 +178,9 @@ RunCheckpoint::load(std::istream &in)
              " (not an NPRC checkpoint)");
         return false;
     }
-    if (version != 1 && version != kFormatVersion) {
+    if (version < 1 || version > kFormatVersion) {
         warn("run checkpoint: unsupported format version ", version,
-             " (this build reads versions 1 and ", kFormatVersion,
-             ")");
+             " (this build reads versions 1 to ", kFormatVersion, ")");
         return false;
     }
 
@@ -182,7 +204,7 @@ RunCheckpoint::load(std::istream &in)
             remaining -= static_cast<std::uint64_t>(got);
         }
     }
-    if (hashBytes(bytes.data(), bytes.size()) != checksum) {
+    if (payloadChecksum(version, bytes) != checksum) {
         warn("run checkpoint: payload checksum mismatch");
         return false;
     }

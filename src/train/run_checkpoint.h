@@ -4,7 +4,7 @@
  *
  * A RunCheckpoint captures everything the pipeline runtime needs to
  * resume a partially trained supernet deterministically: the store's
- * weights (ParameterStore v2 stream), the access log, the per-subnet
+ * weights (ParameterStore stream), the access log, the per-subnet
  * losses and completion times observed so far, and the scheduler
  * frontier (the completed-subnet count). Checkpoints are only taken
  * at pipeline-drain barriers, where no subnet is in flight, so under
@@ -13,15 +13,18 @@
  * an uninterrupted one.
  *
  * The file format mirrors the parameter store's: magic "NPRC",
- * format version, payload length, FNV-1a payload checksum, payload.
- * Version 2 adds the run's storage precision to the identity fields,
- * and its access-log section holds the per-layer cursors plus, only
- * for runs that opted into access history, the full history. Version
- * 1 files still load: they carry no precision (compatibility then
- * does not check it) and their log section is the full v1 history,
- * from which the cursors are rebuilt. Loading never aborts the
- * process — truncation, bit corruption, and version/shape mismatches
- * all log a reason and return false.
+ * format version, payload length, payload checksum, payload.
+ * Version 3 checksums the payload with checksumBytes (common/rng.h)
+ * and is otherwise laid out as version 2, whose checksum is byte
+ * FNV-1a. Version 2 added the run's storage precision to the
+ * identity fields, and its access-log section holds the per-layer
+ * cursors plus, only for runs that opted into access history, the
+ * full history. Version 1 and 2 files still load, verified with
+ * FNV-1a: version 1 carries no precision (compatibility then does
+ * not check it) and its log section is the full v1 history, from
+ * which the cursors are rebuilt. Loading never aborts the process —
+ * truncation, bit corruption, and version/shape mismatches all log a
+ * reason and return false.
  * saveFileAtomic() writes via a temp file plus rename so a crash
  * mid-write never leaves a half-written checkpoint at the target
  * path.
@@ -42,12 +45,12 @@ namespace naspipe {
 /** Full mid-run training state at a pipeline-drain barrier. */
 struct RunCheckpoint {
     /** The format version save() writes. */
-    static constexpr std::uint32_t kFormatVersion = 2;
+    static constexpr std::uint32_t kFormatVersion = 3;
 
     /**
-     * The format version this checkpoint was read from. A version 1
-     * checkpoint carries no precision and a v1 accessLogBytes; it is
-     * restored, never saved again as it is.
+     * The format version this checkpoint was read from. An older
+     * checkpoint (version 1 carries no precision and a v1
+     * accessLogBytes) is restored, never saved again as it is.
      */
     std::uint32_t formatVersion = kFormatVersion;
 
@@ -91,7 +94,14 @@ struct RunCheckpoint {
      */
     std::string accessLogBytes;
 
-    /** Serialize to a stream; returns false on I/O failure. */
+    /**
+     * The whole save() stream in one string of exactly its size,
+     * written and checksummed in place (the store blob is copied
+     * once).
+     */
+    std::string serialize() const;
+
+    /** Write serialize() to a stream; returns false on I/O failure. */
     bool save(std::ostream &out) const;
 
     /**

@@ -1,7 +1,7 @@
 /**
  * @file
- * Deterministic RNG tests: fixed outputs, stream independence,
- * distribution sanity.
+ * Deterministic RNG and byte-hash tests: fixed outputs, stream
+ * independence, distribution sanity, checksum corruption detection.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include <cstring>
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -235,6 +236,74 @@ TEST(DeriveSeed, TagSeparation)
 TEST(DeriveSeed, ParentSeparation)
 {
     EXPECT_NE(deriveSeed(1, "x"), deriveSeed(2, "x"));
+}
+
+/** A non-periodic byte pattern for the pinned checksum vectors. */
+std::vector<unsigned char>
+pattern(std::size_t n)
+{
+    std::vector<unsigned char> bytes(n);
+    for (std::size_t i = 0; i < n; i++)
+        bytes[i] = static_cast<unsigned char>((i * 131) ^ (i >> 7));
+    return bytes;
+}
+
+TEST(HashBytes, PinnedVector)
+{
+    // Tensor::contentHash, every weight fingerprint and the golden
+    // grid are defined through hashBytes: it must never drift.
+    std::vector<unsigned char> bytes = pattern(33);
+    EXPECT_EQ(hashBytes(bytes.data(), bytes.size()),
+              0x0f9ca4e626cdb6bfULL);
+    EXPECT_EQ(hashBytes("naspipe", 7), 0xe6a565e84790dda5ULL);
+}
+
+TEST(ChecksumBytes, PinnedVectors)
+{
+    // Computed from the normative definition in common/rng.h by an
+    // independent (big-integer) implementation. Lengths cover the
+    // empty input, a lone tail, one word, one block +- 1 and a
+    // multi-block input with a 3-byte tail.
+    const std::pair<std::size_t, std::uint64_t> pinned[] = {
+        {0, 0xaaffdc6c8cf7420bULL},    {1, 0x8b371c92df601b06ULL},
+        {7, 0xdfde992d285ecf73ULL},    {8, 0x89078082e32d6e2bULL},
+        {31, 0xd110403034c4a718ULL},   {32, 0x0c73d378aa39290cULL},
+        {33, 0xc82bfdaf37f40e2aULL},   {4099, 0x12ed0b81be3ea653ULL},
+        {1 << 20, 0xe57374908f49a6c1ULL},
+    };
+    for (const auto &[size, expected] : pinned) {
+        std::vector<unsigned char> bytes = pattern(size);
+        EXPECT_EQ(checksumBytes(bytes.data(), bytes.size()), expected)
+            << size << " bytes";
+    }
+}
+
+TEST(ChecksumBytes, EveryBitFlipChangesTheResult)
+{
+    std::vector<unsigned char> bytes = pattern(4099);
+    const std::uint64_t clean = checksumBytes(bytes.data(), bytes.size());
+    for (std::size_t i = 0; i < bytes.size(); i++) {
+        for (int bit = 0; bit < 8; bit++) {
+            bytes[i] ^= static_cast<unsigned char>(1u << bit);
+            ASSERT_NE(checksumBytes(bytes.data(), bytes.size()), clean)
+                << "byte " << i << " bit " << bit;
+            bytes[i] ^= static_cast<unsigned char>(1u << bit);
+        }
+    }
+}
+
+TEST(ChecksumBytes, IndependentOfAlignment)
+{
+    std::vector<unsigned char> bytes = pattern(4099);
+    const std::uint64_t aligned =
+        checksumBytes(bytes.data(), bytes.size());
+    std::vector<unsigned char> shifted(bytes.size() + 8);
+    for (std::size_t offset = 0; offset < 8; offset++) {
+        std::memcpy(shifted.data() + offset, bytes.data(), bytes.size());
+        EXPECT_EQ(checksumBytes(shifted.data() + offset, bytes.size()),
+                  aligned)
+            << "offset " << offset;
+    }
 }
 
 } // namespace

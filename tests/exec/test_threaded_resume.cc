@@ -276,32 +276,39 @@ TEST(ThreadedResume, PrecisionMismatchIsRefused)
 }
 
 /**
- * The committed version 1 checkpoint: CV.c3, seed 7, 2 workers,
- * 16 subnets, written at 8 completed subnets by a build that
- * predates format version 2 (`naspipe_cli --space CV.c3 --gpus 2
- * --steps 16 --executor threads --ckpt-interval 8 --ckpt v1.ckpt
- * --recovery-retries 0 --inject-fault crash@12`).
+ * Committed checkpoints of older format versions, both CV.c3, seed 7,
+ * 2 workers, 16 subnets, written at 8 completed subnets (`naspipe_cli
+ * --space CV.c3 --gpus 2 --steps 16 --executor threads
+ * --ckpt-interval 8 --ckpt F --recovery-retries 0 --inject-fault
+ * crash@12`, exit 5). Version 1 predates format version 2 and always
+ * carries the access history; the version 2 file was written with
+ * --verify-csp added, so it carries the history too. Both verify with
+ * byte FNV-1a, not the version 3 checksum.
  */
 const std::string kV1Checkpoint =
     std::string(NASPIPE_TEST_DATA_DIR) + "/cv_c3_v1.ckpt";
+const std::string kV2Checkpoint =
+    std::string(NASPIPE_TEST_DATA_DIR) + "/cv_c3_v2.ckpt";
 
-TEST(ThreadedResume, VersionOneCheckpointResumesBitwise)
+void
+expectFixtureResumesBitwise(const std::string &path)
 {
     SearchSpace space = makeSpaceByName("CV.c3");
     RuntimeConfig c = config(2, 16);
     Fingerprint baseline = fingerprint(runTrainingThreaded(space, c));
 
-    // Cursors rebuilt from the v1 history, no history kept.
+    // Cursors restored (v2) or rebuilt from the v1 history, no
+    // history kept.
     RuntimeConfig r = c;
-    r.resumePath = kV1Checkpoint;
+    r.resumePath = path;
     Fingerprint resumed = fingerprint(runTrainingThreaded(space, r));
     EXPECT_EQ(resumed.weights, baseline.weights);
     EXPECT_EQ(resumed.losses, baseline.losses);
     EXPECT_EQ(resumed.causalViolations, 0);
 
-    // The v1 history itself, audited end to end by the oracle.
-    Fingerprint audited = fingerprint(
-        resumeThreadedAudited(space, c, kV1Checkpoint));
+    // The history itself, audited end to end by the oracle.
+    Fingerprint audited =
+        fingerprint(resumeThreadedAudited(space, c, path));
     EXPECT_EQ(audited.weights, baseline.weights);
     EXPECT_EQ(audited.losses, baseline.losses);
 
@@ -309,6 +316,16 @@ TEST(ThreadedResume, VersionOneCheckpointResumesBitwise)
     Fingerprint onSim = fingerprint(runTraining(space, r));
     EXPECT_EQ(onSim.weights, baseline.weights);
     EXPECT_EQ(onSim.losses, baseline.losses);
+}
+
+TEST(ThreadedResume, VersionOneCheckpointResumesBitwise)
+{
+    expectFixtureResumesBitwise(kV1Checkpoint);
+}
+
+TEST(ThreadedResume, VersionTwoCheckpointResumesBitwise)
+{
+    expectFixtureResumesBitwise(kV2Checkpoint);
 }
 
 } // namespace

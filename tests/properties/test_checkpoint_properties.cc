@@ -17,12 +17,14 @@
 #include <unistd.h>
 
 #include <csignal>
+#include <cstring>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <sstream>
 #include <string>
 
+#include "common/rng.h"
 #include "exec/parallel_runtime.h"
 #include "runtime/pipeline_runtime.h"
 #include "supernet/search_space.h"
@@ -240,6 +242,101 @@ TEST(CheckpointProperties, RunCheckpointCorruptionRejected)
         EXPECT_FALSE(loaded.load(in))
             << "truncation to " << len << " bytes accepted";
     }
+}
+
+/** A run checkpoint around a real store, as a drained run writes it. */
+RunCheckpoint
+sampleRunCheckpoint(ParameterStore &store)
+{
+    RunCheckpoint ckpt;
+    ckpt.seed = 7;
+    ckpt.spaceBlocks = 12;
+    ckpt.spaceChoices = 4;
+    ckpt.totalSubnets = 64;
+    ckpt.completed = 3;
+    ckpt.losses = {0.5, 0.4, 0.3};
+    ckpt.completionSec = {1.0, 2.0, 3.0};
+    ckpt.storeBytes = store.serialize();
+    ckpt.accessLogBytes = std::string("log\0bytes", 9);
+    return ckpt;
+}
+
+/**
+ * @p bytes re-labelled as format @p version with its checksum
+ * replaced by @p checksum of the payload (which starts at
+ * @p headerBytes; the checksum field is the header's last 8 bytes).
+ */
+std::string
+relabel(std::string bytes, std::uint32_t version,
+        std::uint64_t (*checksum)(const void *, std::size_t),
+        std::size_t headerBytes)
+{
+    std::memcpy(bytes.data() + 4, &version, sizeof(version));
+    std::uint64_t sum = checksum(bytes.data() + headerBytes,
+                                 bytes.size() - headerBytes);
+    std::memcpy(bytes.data() + headerBytes - 8, &sum, sizeof(sum));
+    return bytes;
+}
+
+std::uint64_t
+fnv1a(const void *data, std::size_t size)
+{
+    return hashBytes(data, size);
+}
+
+TEST(CheckpointProperties, SerializeIsSaveAtExactSize)
+{
+    SearchSpace space = makeTinySpace();
+    ParameterStore store(space, 7);
+    scribble(store);
+    const std::string storeBytes = store.serialize();
+    EXPECT_EQ(storeBytes, serialized(store));
+    // 48-byte header, then key + version + weight + bias per layer.
+    EXPECT_EQ(storeBytes.size(),
+              48 + store.materializedLayers() *
+                       (16 + 2 * kLayerDim * sizeof(float)));
+
+    RunCheckpoint ckpt = sampleRunCheckpoint(store);
+    const std::string runBytes = ckpt.serialize();
+    std::stringstream streamed;
+    ASSERT_TRUE(ckpt.save(streamed));
+    EXPECT_EQ(runBytes, streamed.str());
+    // 24-byte header, 60 bytes of scalars, four length-prefixed
+    // sections.
+    EXPECT_EQ(runBytes.size(),
+              24 + 60 + (8 + 3 * sizeof(double)) * 2 +
+                  (8 + storeBytes.size()) + (8 + 9));
+}
+
+TEST(CheckpointProperties, ChecksumIsPickedByFormatVersion)
+{
+    SearchSpace space = makeTinySpace();
+    ParameterStore store(space, 7);
+    scribble(store);
+    const std::string storeBytes = store.serialize();
+    const std::string runBytes = sampleRunCheckpoint(store).serialize();
+
+    auto storeLoads = [&space](const std::string &bytes) {
+        std::stringstream in(bytes);
+        ParameterStore restored(space, 7);
+        return restored.load(in);
+    };
+    auto runLoads = [](const std::string &bytes) {
+        std::stringstream in(bytes);
+        RunCheckpoint loaded;
+        return loaded.load(in);
+    };
+    // Version 3 carries checksumBytes; version 2 (and NPRC version 1)
+    // byte FNV-1a. Each verifies only under its own version.
+    EXPECT_TRUE(storeLoads(storeBytes));
+    EXPECT_TRUE(storeLoads(relabel(storeBytes, 2, fnv1a, 48)));
+    EXPECT_FALSE(storeLoads(relabel(storeBytes, 2, checksumBytes, 48)));
+    EXPECT_FALSE(storeLoads(relabel(storeBytes, 3, fnv1a, 48)));
+
+    EXPECT_TRUE(runLoads(runBytes));
+    EXPECT_TRUE(runLoads(relabel(runBytes, 2, fnv1a, 24)));
+    EXPECT_FALSE(runLoads(relabel(runBytes, 2, checksumBytes, 24)));
+    EXPECT_FALSE(runLoads(relabel(runBytes, 3, fnv1a, 24)));
 }
 
 TEST(CheckpointProperties, RunCheckpointRejectsInconsistentCounts)

@@ -94,6 +94,33 @@ TEST(PipelineRuntime, BspViolatesDependenciesInLargeBulks)
     EXPECT_GT(result.metrics.causalViolations, 0);
 }
 
+TEST(PipelineRuntime, ActivatorsStayWithinTheInflightWindow)
+{
+    // The dependency check's per-layer activator lists drop the
+    // applied prefix, so a long run retains no more IDs per layer
+    // than it has subnets in flight — with and without a rollback
+    // that restores a prefix.
+    SearchSpace space = makeSpaceByName("NLP.c1");
+    RuntimeConfig config = smallConfig(naspipeSystem(), 4, 2048);
+    config.traceEnabled = false;
+    config.numeric = false;
+    config.ckptInterval = 512;
+    FaultSpec crash;
+    crash.atStep = 1300;
+    crash.stage = 1;
+    config.faults = {crash};
+    PipelineRuntime runtime(space, config);
+    RunResult result = runtime.run();
+    ASSERT_FALSE(result.oom);
+    ASSERT_FALSE(result.failed) << result.error;
+    EXPECT_EQ(result.metrics.finishedSubnets, 2048);
+    EXPECT_EQ(result.metrics.recoveries, 1);
+    EXPECT_GT(runtime.peakRetainedActivators(), 0u);
+    EXPECT_LE(runtime.peakRetainedActivators(),
+              static_cast<std::size_t>(
+                  config.system.effectiveInflight(config.numStages)));
+}
+
 TEST(PipelineRuntime, TraceRecordsAllTasks)
 {
     SearchSpace space("small", SpaceFamily::Nlp, 8, 6, 3);
