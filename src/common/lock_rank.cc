@@ -13,6 +13,8 @@ lockRankName(LockRank rank)
     switch (rank) {
     case LockRank::ServeClient:
         return "serve.client";
+    case LockRank::ServeFinisher:
+        return "serve.finisher";
     case LockRank::ServePoolIncident:
         return "serve.pool_incident";
     case LockRank::FaultWatchdog:

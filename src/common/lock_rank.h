@@ -74,6 +74,9 @@ enum class LockRank : int {
     /// serve::SearchService client-facing state (submit/cancel/
     /// status snapshots) — the outermost lock a caller thread takes.
     ServeClient = 10,
+    /// serve::JobFinisher work/result FIFO (coordinator and finisher
+    /// threads; a leaf: nothing is acquired while it is held).
+    ServeFinisher = 15,
     /// SharedStagePool watchdog-incident latch (solo and serve).
     ServePoolIncident = 20,
     /// fault::Watchdog polling-loop control (stop flag, incidents).

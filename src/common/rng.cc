@@ -167,7 +167,7 @@ Philox4x32::fillUniform(std::uint64_t counter0, std::size_t n,
         std::uint32_t k1 = key1;
         for (int round = 0; round < 10; round++) {
             // philoxRound, one lane of the chunk per i.
-            for (std::size_t i = 0; i < kChunk; i++) {
+            for (std::size_t i = 0; i < kChunk; i++) {  // must vectorize
                 std::uint64_t p0 =
                     static_cast<std::uint64_t>(kPhiloxM0) * x0[i];
                 std::uint64_t p1 =

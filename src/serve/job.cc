@@ -270,7 +270,8 @@ ServeJob::restoreCompleted(SubnetId id)
 int
 ServeJob::searchThreads(int numStages) const
 {
-    return _hooks.poolIdle && _hooks.poolIdle() ? numStages + 1 : 1;
+    (void)numStages;
+    return _searchWidth;
 }
 
 bool
@@ -322,8 +323,10 @@ ServeJob::pumpOne(std::uint64_t ticket)
                    jobStateName(_state));
     _nextTicket = ticket;
     int injected = _session.pump(1);
-    if (injected > 0 && _state == JobState::Admitted)
+    if (injected > 0 && _state == JobState::Admitted) {
+        _firstTicket = ticket;
         setState(JobState::Running);
+    }
     refreshDrainState();
     return injected > 0;
 }
@@ -473,6 +476,8 @@ ServeJob::requestCancel()
         return;
     case JobState::Running:
     case JobState::Draining:
+        if (_finishing)
+            return;  // past the last completion: it ends Done
         _cancelRequested = true;
         // Drain like a fail-stop: in-flight stragglers are dropped,
         // then recover() observes the cancel and fails the job.
@@ -556,13 +561,38 @@ ServeJob::beginFailStop(const std::string &reason, int stage)
 void
 ServeJob::finish(double nowSeconds)
 {
-    double total =
+    // Everything the search depends on besides the session is fixed
+    // here, on the coordinator, so collectResult() can run anywhere.
+    _finishing = true;
+    _finishRunSeconds =
         _session.secOffset() + (nowSeconds - _phaseStart);
-    _result = _session.collect(total, _session.busyOffset());
+    _finishWallSeconds = nowSeconds - _startedAt;
+    _searchWidth = _hooks.poolIdle && _hooks.poolIdle()
+                       ? _config.numStages + 1
+                       : 1;
+    if (_state == JobState::Running)
+        setState(JobState::Draining);
+}
+
+RunResult
+ServeJob::collectResult()
+{
+    NASPIPE_ASSERT(_finishing, "collectResult() on job ", _id,
+                   ", which is not finishing");
+    return _session.collect(_finishRunSeconds, _session.busyOffset());
+}
+
+void
+ServeJob::complete(RunResult result)
+{
+    NASPIPE_ASSERT(_finishing, "complete() on job ", _id,
+                   ", which is not finishing");
+    _result = std::move(result);
     RunMetrics &m = _result.metrics;
-    m.wallSeconds = nowSeconds - _startedAt;
+    m.wallSeconds = _finishWallSeconds;
     m.execWorkers = _config.numStages;
     m.gateCommits = _gate->commits();
+    _finishing = false;
     setState(JobState::Done);
 }
 

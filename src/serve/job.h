@@ -29,10 +29,13 @@
  * pipeline; Draining jobs injected everything and await completions;
  * Recovering jobs took a fail-stop fault and are discarding their
  * in-flight stragglers before rolling back to the last drained
- * checkpoint. Done/Failed are terminal. One job's crash — even its
- * retry exhaustion — only ever touches its own state: the rollback
- * restores the job's private store and rebuilds the job's private
- * gate, while the shared workers never stop serving the neighbors.
+ * checkpoint. A job that applied its last completion stays Draining
+ * while a finisher thread runs its post-run search (finishing());
+ * complete() then makes it Done. Done/Failed are terminal. One job's
+ * crash — even its retry exhaustion — only ever touches its own
+ * state: the rollback restores the job's private store and rebuilds
+ * the job's private gate, while the shared workers never stop
+ * serving the neighbors.
  */
 
 #ifndef NASPIPE_SERVE_JOB_H
@@ -61,7 +64,8 @@ enum class JobState {
     Running,     ///< subnets in the pipeline
     Recovering,  ///< fail-stop taken; draining stragglers, will
                  ///< roll back to the last drained checkpoint
-    Draining,    ///< all subnets injected; completions outstanding
+    Draining,    ///< all subnets injected; completions or the
+                 ///< post-run search outstanding
     Done,        ///< finished; result available
     Failed,      ///< cancelled, crashed out of retries, or rejected
 };
@@ -188,8 +192,9 @@ class ServeJob : public ExecutionBackend
     void admit(SubnetId id) override;
     void restoreCompleted(SubnetId id) override;
     /**
-     * While other tenants keep the stage pool busy, the search runs
-     * on the coordinator alone; a lone job borrows the idle stages.
+     * The width decided when the job began finishing: while other
+     * tenants keep the stage pool busy, the search runs on one
+     * thread; a lone job borrows the idle stages.
      */
     int searchThreads(int numStages) const override;
     /** @} */
@@ -198,8 +203,8 @@ class ServeJob : public ExecutionBackend
      * Queued -> Admitted: build this phase's commit gate, initialize
      * the session, resume from config().resumePath when set and
      * pre-materialize the store; a job resumed at its last subnet is
-     * Done on return. Returns false (and fails the job) when the
-     * capacity planner rejects the spec or the resume fails.
+     * finishing() on return. Returns false (and fails the job) when
+     * the capacity planner rejects the spec or the resume fails.
      * @p nowSeconds is the service clock (the job's time origin).
      */
     bool start(PoolHooks hooks, double nowSeconds);
@@ -218,8 +223,8 @@ class ServeJob : public ExecutionBackend
      * Apply one completed subnet: compute the loss, record it, fire
      * due faults (fail-stop flips the job to Recovering; stall and
      * degrade go to the pool), take the drained checkpoint at a
-     * barrier, and finish the job when this was the last subnet.
-     * @p nowSeconds is the service wall clock.
+     * barrier, and start finishing the job when this was the last
+     * subnet. @p nowSeconds is the service wall clock.
      */
     void applyCompletion(const std::shared_ptr<const SubnetRun> &run,
                          double nowSeconds);
@@ -241,13 +246,33 @@ class ServeJob : public ExecutionBackend
 
     /** Cancel: Queued jobs fail immediately; live jobs drain their
      *  in-flight stragglers first (dropped, like a fail-stop), then
-     *  fail without recovery. */
+     *  fail without recovery. A finishing job ignores it and ends
+     *  Done. */
     void requestCancel();
     bool cancelRequested() const { return _cancelRequested; }
 
     /** Mark Draining once everything is injected (status cosmetics;
      *  the admission gates already stop the pump). */
     void refreshDrainState();
+
+    /**
+     * Whether the last completion was applied (or start() resumed
+     * at the end) and the post-run search is still to run: the job
+     * dispatches nothing more, holds no pool resources and ignores
+     * cancels.
+     */
+    bool finishing() const { return _finishing; }
+
+    /**
+     * The post-run search (TrainingSession::collect) at the width and
+     * clock fixed when the job began finishing. Safe on any one
+     * thread while the job is finishing: it touches only the job's
+     * session, which nothing else uses by then.
+     */
+    RunResult collectResult();
+
+    /** Install collectResult()'s @p result and go Done. */
+    void complete(RunResult result);
 
     /** Collect the run result (valid once Done or Failed). */
     const RunResult &result() const { return _result; }
@@ -281,6 +306,10 @@ class ServeJob : public ExecutionBackend
         return _session.subnetsReplayed();
     }
     int pendingDrain() const { return _pendingDrain; }
+    /** Global tickets of the first and the latest admitted subnet
+     *  (both 0 before the first admission). */
+    std::uint64_t firstTicket() const { return _firstTicket; }
+    std::uint64_t lastTicket() const { return _nextTicket; }
     std::uint64_t supernetHash() const
     {
         return _result.supernetHash;
@@ -313,6 +342,7 @@ class ServeJob : public ExecutionBackend
     JobBinding _binding;
     PoolHooks _hooks;
     std::uint64_t _nextTicket = 0;
+    std::uint64_t _firstTicket = 0;
 
     fault::RecoveryPolicy _policy;
     bool _failStopPending = false;
@@ -322,6 +352,12 @@ class ServeJob : public ExecutionBackend
 
     double _startedAt = 0.0;   ///< service clock at start()
     double _phaseStart = 0.0;  ///< service clock at this phase's start
+
+    // Fixed when the job begins finishing (coordinator thread).
+    bool _finishing = false;
+    double _finishRunSeconds = 0.0;   ///< offset-inclusive run total
+    double _finishWallSeconds = 0.0;  ///< service clock since start()
+    int _searchWidth = 1;
     RunResult _result;
 };
 

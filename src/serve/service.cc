@@ -227,7 +227,14 @@ SearchService::addJob(std::unique_ptr<ServeJob> job)
     int id = job->id();
     _sched.addJob(id, job->spec().priority);
     _inbound[id];
+    JobStatus s;
+    s.id = id;
+    s.name = job->spec().name;
+    s.priority = job->spec().priority;
+    s.total = job->spec().steps;
     _jobs.emplace(id, std::move(job));
+    std::lock_guard<RankedMutex> lock(_clientMu);
+    _statusSnap.push_back(std::move(s));
 }
 
 void
@@ -290,9 +297,51 @@ SearchService::admitQueued()
             _admittedWindows += window;
             _reserved.insert(job.id());
         }
-        if (job.terminal())
-            finalizeJob(job);  // rejected, or resumed at its end
+        if (job.finishing())
+            handOff(job);  // resumed at its end
+        else if (job.terminal())
+            finalizeJob(job);  // rejected
     }
+}
+
+void
+SearchService::release(const ServeJob &job)
+{
+    if (_sched.hasJob(job.id()))
+        _sched.removeJob(job.id());
+    if (_reserved.erase(job.id()))
+        _admittedWindows -= job.window();
+}
+
+void
+SearchService::handOff(ServeJob &job)
+{
+    release(job);
+    _finisher.post(job.id(), [&job] { return job.collectResult(); });
+}
+
+void
+SearchService::installFinished(std::vector<JobFinisher::Finished> done)
+{
+    for (JobFinisher::Finished &f : done) {
+        if (f.error)
+            std::rethrow_exception(f.error);
+        _finishSeconds += f.seconds;
+        ServeJob &job = *_jobs.at(f.jobId);
+        job.complete(std::move(f.result));
+        finalizeJob(job);
+    }
+}
+
+bool
+SearchService::poolNeeded() const
+{
+    for (const auto &entry : _jobs) {
+        if (!entry.second->terminal() && !entry.second->finishing())
+            return true;
+    }
+    std::lock_guard<RankedMutex> lock(_clientMu);
+    return !(_holdsInProcess || _draining) || !_pendingSpecs.empty();
 }
 
 bool
@@ -340,8 +389,10 @@ SearchService::progressRecovering()
 bool
 SearchService::popAndRoute()
 {
+    obs::TimePoint waitStart = obs::now();
     std::shared_ptr<const SubnetRun> run =
         _pool->completions().pop();
+    _waitSeconds += obs::secondsSince(waitStart);
     if (!run) {
         failService("pool watchdog incident (" +
                     _pool->incidentDescription() + ")");
@@ -369,10 +420,7 @@ void
 SearchService::finalizeJob(ServeJob &job)
 {
     NASPIPE_ASSERT(job.terminal(), "finalize on a live job");
-    if (_sched.hasJob(job.id()))
-        _sched.removeJob(job.id());
-    if (_reserved.erase(job.id()))
-        _admittedWindows -= job.window();
+    release(job);
     NASPIPE_ASSERT(_inbound[job.id()].empty(),
                    "terminal job ", job.id(),
                    " left buffered completions");
@@ -396,17 +444,15 @@ SearchService::failService(const std::string &reason)
     inform("service failure: ", reason);
     // Every live tenant is lost with the pool. Per-job state is
     // still reported honestly: they fail with the service reason,
-    // not a fabricated per-job cause.
+    // not a fabricated per-job cause. A finishing job no longer
+    // needs the pool; its finisher still makes it Done.
     for (auto &entry : _jobs) {
         ServeJob &job = *entry.second;
-        if (job.terminal())
+        if (job.terminal() || job.finishing())
             continue;
         _inbound[job.id()].clear();
         job.fail("service failure: " + reason);
-        if (_sched.hasJob(job.id()))
-            _sched.removeJob(job.id());
-        if (_reserved.erase(job.id()))
-            _admittedWindows -= job.window();
+        release(job);
     }
     _pool->abort();
 }
@@ -414,25 +460,21 @@ SearchService::failService(const std::string &reason)
 void
 SearchService::updateStatus()
 {
-    std::vector<JobStatus> snap;
-    snap.reserve(_jobs.size());
+    // addJob() appended one entry per job in ascending ID order and
+    // set the fields that never change; rewrite the rest in place.
+    std::lock_guard<RankedMutex> lock(_clientMu);
+    auto s = _statusSnap.begin();
     for (const auto &entry : _jobs) {
         const ServeJob &job = *entry.second;
-        JobStatus s;
-        s.id = job.id();
-        s.name = job.spec().name;
-        s.state = job.state();
-        s.priority = job.spec().priority;
-        s.injected = job.session().injected();
-        s.finished = job.session().finished();
-        s.total = job.spec().steps;
-        s.recoveries = job.recoveries();
-        s.supernetHash = job.supernetHash();
-        s.error = job.error();
-        snap.push_back(std::move(s));
+        s->state = job.state();
+        s->injected = job.session().injected();
+        s->finished = job.session().finished();
+        s->recoveries = job.recoveries();
+        s->supernetHash = job.supernetHash();
+        if (s->state == JobState::Failed && s->error.empty())
+            s->error = job.error();
+        ++s;
     }
-    std::lock_guard<RankedMutex> lock(_clientMu);
-    _statusSnap = std::move(snap);
 }
 
 int
@@ -459,6 +501,7 @@ SearchService::run()
     _pool->start();
 
     while (!_serviceFailed) {
+        installFinished(_finisher.poll());
         applyControl();
         admitQueued();
         progressRecovering();
@@ -511,13 +554,25 @@ SearchService::run()
         }
         if (targets.empty()) {
             // No admissions possible and nothing in flight, yet a
-            // job is non-terminal: only control traffic (a submit or
-            // cancel racing in) can unblock this.
-            std::lock_guard<RankedMutex> lock(_clientMu);
-            NASPIPE_ASSERT(!_pendingSpecs.empty() ||
-                               !_pendingCancels.empty(),
+            // job is non-terminal: control traffic (a submit or
+            // cancel racing in) or a finish can unblock this.
+            {
+                std::lock_guard<RankedMutex> lock(_clientMu);
+                if (!_pendingSpecs.empty() || !_pendingCancels.empty())
+                    continue;
+            }
+            NASPIPE_ASSERT(_finisher.outstanding() > 0,
                            "serve coordinator wedged: live jobs but "
-                           "no admissible or in-flight work");
+                           "no admissible, in-flight or finishing "
+                           "work");
+            // Once nothing can dispatch again, the stages stop here
+            // rather than idle through the remaining searches.
+            if (!poolNeeded())
+                _pool->shutdown();
+            obs::TimePoint waitStart = obs::now();
+            std::vector<JobFinisher::Finished> done = _finisher.wait();
+            _waitSeconds += obs::secondsSince(waitStart);
+            installFinished(std::move(done));
             continue;
         }
         int target = _sched.pickDrain(targets);
@@ -539,11 +594,15 @@ SearchService::run()
         buf.pop_front();
         ServeJob &job = *_jobs[target];
         job.applyCompletion(done, elapsed());
-        if (job.terminal())
-            finalizeJob(job);
+        if (job.finishing())
+            handOff(job);
         updateStatus();
     }
 
+    // After a service failure, jobs that were finishing still end
+    // Done: they were past their last completion.
+    while (_finisher.outstanding() > 0)
+        installFinished(_finisher.wait());
     _wallSeconds = elapsed();
     if (!_serviceFailed)
         _pool->shutdown();
@@ -627,6 +686,10 @@ SearchService::exportMetricsJson(bool stableOnly) const
     reg.counter("run/finished_subnets", totalFinished);
     reg.counter("quality/supernet_hash", combinedHash);
     reg.gauge("serve/wall_s", _wallSeconds, 6,
+              obs::Stability::Timing);
+    reg.gauge("serve/coordinator_busy_s", _wallSeconds - _waitSeconds,
+              6, obs::Stability::Timing);
+    reg.gauge("serve/finish_s", _finishSeconds, 6,
               obs::Stability::Timing);
     if (_wallSeconds > 0.0) {
         reg.gauge("serve/throughput_subnets_per_s",

@@ -23,6 +23,12 @@
  *      function of (job specs, seeds, schedule) even though arrival
  *      order is thread-raced.
  *
+ * A job's last applied completion releases its window and scheduler
+ * slot right there, at a point the applied sequence fixes, and hands
+ * its post-run search to the JobFinisher. The coordinator installs
+ * each finished result (the job goes Done) when it next polls, so
+ * Done lands asynchronously; nothing order-sensitive waits for it.
+ *
  * The solo threaded executor (runTrainingThreaded) is this service
  * with one in-process job: the same coordinator loop, fault rules
  * and rollback serve one tenant or many. A lone in-process job also
@@ -53,6 +59,7 @@
 #include "common/lock_rank.h"
 #include "obs/metrics_registry.h"
 #include "exec/pool.h"
+#include "serve/finisher.h"
 #include "serve/job.h"
 #include "serve/scheduler.h"
 
@@ -180,7 +187,10 @@ class SearchService
      * Deterministic per-job metrics export: every job's Stable
      * results under "job/<id>/...", plus service aggregates. With
      * @p stableOnly the document is byte-identical across reruns of
-     * the same specs (the CI rerun gate).
+     * the same specs (the CI rerun gate). The Timing half adds the
+     * wall time, the coordinator's busy time (wall minus its waits
+     * for completions and finishes) and the finishers' summed wall
+     * time.
      */
     std::string exportMetricsJson(bool stableOnly) const;
 
@@ -192,6 +202,15 @@ class SearchService
     void addJob(std::unique_ptr<ServeJob> job);
     void applyControl();
     void admitQueued();
+    /** A job that began finishing: release its window and scheduler
+     *  slot and post its search to the finisher. */
+    void handOff(ServeJob &job);
+    /** Drop job @p job's scheduler slot and admission window. */
+    void release(const ServeJob &job);
+    /** Install finished results (rethrowing a finish's exception). */
+    void installFinished(std::vector<JobFinisher::Finished> done);
+    /** Whether any job may still dispatch into the pool. */
+    bool poolNeeded() const;
     void progressRecovering();
     bool anyRecovering() const;
     bool allTerminal() const;
@@ -220,6 +239,8 @@ class SearchService
     std::string _serviceError;
     obs::TimePoint _epoch;
     double _wallSeconds = 0.0;  ///< total at run() exit
+    double _waitSeconds = 0.0;  ///< coordinator blocked in run()
+    double _finishSeconds = 0.0;  ///< finishers' wall, summed
 
     // Client-facing state (any thread).
     mutable RankedMutex _clientMu{LockRank::ServeClient};
@@ -229,7 +250,11 @@ class SearchService
     std::unique_ptr<ServeJob> _pendingInProcess;
     bool _holdsInProcess = false;  ///< submissions closed for good
     std::vector<int> _pendingCancels;
-    std::vector<JobStatus> _statusSnap;
+    std::vector<JobStatus> _statusSnap;  ///< ascending job ID
+
+    // Declared last: destroyed (joined) first, while the jobs its
+    // threads finish are still alive.
+    JobFinisher _finisher;
 };
 
 } // namespace serve

@@ -75,6 +75,7 @@ TrainingSession::initRun()
 
     _subnets.clear();
     _partitions.clear();
+    _collected = false;
     _records.clear();
     _nextScoreToReport = 0;
     _injected = 0;
@@ -87,6 +88,7 @@ TrainingSession::initRun()
 const Subnet &
 TrainingSession::subnetOf(SubnetId id) const
 {
+    NASPIPE_ASSERT(!_collected, "subnetOf(SN", id, ") after collect()");
     NASPIPE_ASSERT(id >= 0 &&
                        static_cast<std::size_t>(id) < _subnets.size(),
                    "unknown SN", id);
@@ -96,6 +98,8 @@ TrainingSession::subnetOf(SubnetId id) const
 const SubnetPartition &
 TrainingSession::partitionOf(SubnetId id) const
 {
+    NASPIPE_ASSERT(!_collected, "partitionOf(SN", id,
+                   ") after collect()");
     NASPIPE_ASSERT(id >= 0 && static_cast<std::size_t>(id) <
                                   _partitions.size(),
                    "no partition for SN", id);
@@ -483,8 +487,11 @@ TrainingSession::collect(double totalSeconds, double busyTotal)
     }
     out.store = _store;
     out.trace = _trace;
-    out.sampled = _subnets;  // by construction in sequence order
-    out.partitions = _partitions;
+    // Moved, not copied: collect() ends the run, so the sampled
+    // subnets exist once (subnetOf/partitionOf refuse from here on).
+    out.sampled = std::move(_subnets);  // in sequence order
+    out.partitions = std::move(_partitions);
+    _collected = true;
 
     RunMetrics &m = out.metrics;
     m.finishedSubnets = _finished;

@@ -261,7 +261,9 @@ class TrainingSession
 
     /**
      * Assemble the executor-independent half of the result: plan,
-     * losses, sampled subnets, store, trace, throughput, memory
+     * losses, sampled subnets (moved out: the run ends here, and
+     * subnetOf()/partitionOf() assert from now until the next
+     * initRun()), store, trace, throughput, memory
      * plan figures, checkpoint accounting, the trailing-window final
      * loss and the convergence curve (both from the record table;
      * the table survives, so buildCheckpoint() still works after),
@@ -328,6 +330,7 @@ class TrainingSession
     // vector has one entry per injected or restored subnet.
     std::vector<Subnet> _subnets;
     std::vector<SubnetPartition> _partitions;
+    bool _collected = false;  ///< collect() moved both out
     /// The one home of a completed subnet's loss and completion
     /// time: checkpoints, score delivery, the final loss and the
     /// curve all read it.

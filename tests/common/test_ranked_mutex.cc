@@ -63,7 +63,8 @@ class RankedMutexTest : public ::testing::Test
 TEST_F(RankedMutexTest, RankNamesAndLevelsAreStable)
 {
     const LockRank ranks[] = {
-        LockRank::ServeClient,       LockRank::ServePoolIncident,
+        LockRank::ServeClient,       LockRank::ServeFinisher,
+        LockRank::ServePoolIncident,
         LockRank::FaultWatchdog,     LockRank::ExecQueue,
         LockRank::ExecWorkerSignal,  LockRank::TrainContext,
         LockRank::VerifyOracle,

@@ -9,15 +9,25 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
+#include <mutex>
+#include <set>
+#include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/logging.h"
 #include "core/engine.h"
 #include "exec/parallel_runtime.h"
 #include "serve/service.h"
+#include "train/param_store.h"
+#include "train/run_checkpoint.h"
 #include "verify/csp_oracle.h"
 
 namespace naspipe {
@@ -457,6 +467,308 @@ TEST(ServeService, ResubmitResumesFromPersistedCheckpointBitwise)
             << service.job(id)->error();
     }
     std::remove(path.c_str());
+}
+
+TEST(ServeService, FinishesOverlapTrainingAndMatchSolo)
+{
+    // Jobs of 4, 8 and 24 steps on one 2-stage pool: the short jobs'
+    // post-run searches run on finisher threads while the long one
+    // keeps training. Every job still lands on its solo weights,
+    // search accuracy and winner.
+    constexpr int kStages = 2;
+    std::vector<JobSpec> specs = {
+        job("NLP.c1", 11, 4),
+        job("CV.c1", 3, 8),
+        job("NLP.c1", 5, 24),
+    };
+    ServiceConfig sc;
+    sc.numStages = kStages;
+    AuditedService as(sc, static_cast<int>(specs.size()));
+    std::string why;
+    std::vector<int> ids = as.service->submitBatch(specs, &why);
+    ASSERT_EQ(ids.size(), specs.size()) << why;
+    as.service->drain();
+    ASSERT_EQ(as.service->run(), SearchService::AllDone)
+        << as.service->serviceError();
+
+    for (std::size_t i = 0; i < specs.size(); i++) {
+        SCOPED_TRACE("job " + std::to_string(ids[i]));
+        as.audit(ids[i]);
+        const RunResult &r = as.service->job(ids[i])->result();
+        RunResult solo = soloRun(specs[i].space, specs[i].seed,
+                                 specs[i].steps, kStages);
+        EXPECT_EQ(r.supernetHash, solo.supernetHash);
+        EXPECT_EQ(r.searchAccuracy, solo.searchAccuracy);
+        EXPECT_EQ(r.bestSubnet, solo.bestSubnet);
+        EXPECT_EQ(r.sampled.size(), static_cast<std::size_t>(
+                                        specs[i].steps));
+    }
+}
+
+/** Write job @p spec's final-barrier checkpoint to its ckptPath. */
+void
+writeFinalCheckpoint(const JobSpec &spec, int stages)
+{
+    std::remove(spec.ckptPath.c_str());
+    ServiceConfig sc;
+    sc.numStages = stages;
+    SearchService service(sc);
+    std::string why;
+    ASSERT_GT(service.submit(spec, &why), 0) << why;
+    service.drain();
+    ASSERT_EQ(service.run(), SearchService::AllDone)
+        << service.serviceError();
+    ASSERT_TRUE(std::ifstream(spec.ckptPath).good());
+}
+
+TEST(ServeService, CancelAfterLastCompletionIsIgnored)
+{
+    // A job resumed at its final barrier applies its last completion
+    // at admission. A cancel that reaches it after that point — here
+    // sent by the neighbor's first gate commit, which can only happen
+    // once the pool runs — leaves it Done, and the neighbor bitwise
+    // unchanged.
+    constexpr int kStages = 2;
+    JobSpec resumed = job("NLP.c1", 11, 12);
+    resumed.ckptInterval = 4;
+    resumed.ckptPath =
+        ::testing::TempDir() + "naspipe_cancel_after_last.ckpt";
+    writeFinalCheckpoint(resumed, kStages);
+
+    ServiceConfig sc;
+    sc.numStages = kStages;
+    SearchService *svc = nullptr;
+    std::once_flag cancelled;
+    sc.commitObserver = [&](int jobId, std::uint64_t, SubnetId,
+                            std::size_t, int) {
+        if (jobId == 2)
+            std::call_once(cancelled, [&] { svc->cancel(1); });
+    };
+    SearchService service(sc);
+    svc = &service;
+    std::string why;
+    std::vector<int> ids = service.submitBatch(
+        {resumed, job("CV.c1", 3, 16)}, &why);
+    ASSERT_EQ(ids, (std::vector<int>{1, 2})) << why;
+    service.drain();
+    ASSERT_EQ(service.run(), SearchService::AllDone)
+        << service.serviceError();
+
+    const ServeJob *j1 = service.job(1);
+    ASSERT_EQ(j1->state(), JobState::Done) << j1->error();
+    EXPECT_FALSE(j1->cancelRequested());
+    RunResult solo1 = soloRun("NLP.c1", 11, 12, kStages);
+    EXPECT_EQ(j1->result().supernetHash, solo1.supernetHash);
+    EXPECT_EQ(j1->result().bestSubnet, solo1.bestSubnet);
+    const ServeJob *j2 = service.job(2);
+    ASSERT_EQ(j2->state(), JobState::Done) << j2->error();
+    RunResult solo2 = soloRun("CV.c1", 3, 16, kStages);
+    EXPECT_EQ(j2->result().supernetHash, solo2.supernetHash);
+    EXPECT_EQ(j2->result().losses, solo2.losses);
+    EXPECT_EQ(j2->result().bestSubnet, solo2.bestSubnet);
+
+    // The same edge without a service, so the finishing window is
+    // certain to be hit: the cancel lands between the last
+    // completion and complete().
+    ServeJob direct(1, resumed, kStages);
+    ServeJob::PoolHooks hooks;
+    hooks.dispatch = [](std::shared_ptr<const SubnetRun>) {
+        FAIL() << "a job resumed at its end dispatched a subnet";
+    };
+    ASSERT_TRUE(direct.start(hooks, 0.0));
+    ASSERT_TRUE(direct.finishing());
+    EXPECT_EQ(direct.state(), JobState::Draining);
+    direct.requestCancel();
+    EXPECT_FALSE(direct.cancelRequested());
+    EXPECT_TRUE(direct.finishing());
+    direct.complete(direct.collectResult());
+    EXPECT_EQ(direct.state(), JobState::Done);
+    EXPECT_EQ(direct.supernetHash(), solo1.supernetHash);
+    std::remove(resumed.ckptPath.c_str());
+}
+
+TEST(ServeService, QueuedAdmissionReplaysAcrossReruns)
+{
+    // Two 2-wide windows fit the budget, so each of jobs 3-5 waits
+    // for a running job to apply its last completion. The window is
+    // released right there, not when the finisher hands the result
+    // back (the long searches make that point drift by several
+    // completions), so every admission point — and with it every
+    // job's ticket range — is the same on every rerun.
+    constexpr int kStages = 2;
+    std::vector<JobSpec> specs = {
+        job("NLP.c1", 11, 64), job("CV.c1", 3, 96),
+        job("NLP.c1", 5, 48),  job("CV.c1", 9, 32),
+        job("NLP.c1", 7, 8),
+    };
+    for (JobSpec &s : specs)
+        s.maxInflight = 2;
+    struct Outcome {
+        std::uint64_t first, last, hash;
+        bool operator==(const Outcome &o) const
+        {
+            return first == o.first && last == o.last &&
+                   hash == o.hash;
+        }
+    };
+    std::vector<std::vector<Outcome>> runs;
+    for (int rerun = 0; rerun < 5; rerun++) {
+        ServiceConfig sc;
+        sc.numStages = kStages;
+        sc.maxTotalInflight = 4;
+        SearchService service(sc);
+        std::string why;
+        std::vector<int> ids = service.submitBatch(specs, &why);
+        ASSERT_EQ(ids.size(), specs.size()) << why;
+        service.drain();
+        ASSERT_EQ(service.run(), SearchService::AllDone)
+            << service.serviceError();
+        std::vector<Outcome> outcome;
+        for (int id : ids) {
+            const ServeJob *j = service.job(id);
+            outcome.push_back(
+                {j->firstTicket(), j->lastTicket(), j->supernetHash()});
+        }
+        runs.push_back(outcome);
+    }
+    // Jobs 3-5 were queued: their first tickets follow jobs 1-2's.
+    for (std::size_t i = 2; i < specs.size(); i++) {
+        EXPECT_GT(runs[0][i].first, runs[0][0].first);
+        EXPECT_GT(runs[0][i].first, runs[0][1].first);
+    }
+    for (int rerun = 1; rerun < 5; rerun++)
+        EXPECT_TRUE(runs[static_cast<std::size_t>(rerun)] == runs[0])
+            << "rerun " << rerun << " admitted differently";
+}
+
+TEST(ServeService, FinishAssertionReachesRunCaller)
+{
+    // A final-barrier checkpoint whose weights are all NaN (and whose
+    // checksums are valid) resumes at its end, so the job finishes at
+    // admission. Every candidate then evaluates to NaN and the search
+    // asserts on a finisher thread; run() rethrows it on the caller's
+    // thread, out of runTrainingThreaded.
+    constexpr int kStages = 2;
+    JobSpec spec = job("NLP.c1", 11, 12);
+    spec.ckptInterval = 4;
+    spec.ckptPath = ::testing::TempDir() + "naspipe_nan_final.ckpt";
+    writeFinalCheckpoint(spec, kStages);
+
+    SearchSpace space = makeSpaceByName(spec.space);
+    RunCheckpoint ckpt;
+    ASSERT_TRUE(ckpt.loadFile(spec.ckptPath));
+    ParameterStore store(space, spec.seed, spec.precision);
+    {
+        std::istringstream in(ckpt.storeBytes);
+        ASSERT_TRUE(store.load(in));
+    }
+    store.materializeAll();
+    for (int b = 0; b < space.numBlocks(); b++) {
+        for (int c = 0; c < space.choicesPerBlock(); c++) {
+            if (!space.parameterized(b, c))
+                continue;
+            LayerParams &p = store.write(
+                LayerId{static_cast<std::uint32_t>(b),
+                        static_cast<std::uint32_t>(c)},
+                0);
+            std::fill(p.weight.data().begin(), p.weight.data().end(),
+                      std::numeric_limits<float>::quiet_NaN());
+        }
+    }
+    ckpt.storeBytes = store.serialize();
+    ASSERT_TRUE(ckpt.saveFileAtomic(spec.ckptPath));
+
+    RuntimeConfig c;
+    c.system = naspipeSystem();
+    c.numStages = kStages;
+    c.totalSubnets = spec.steps;
+    c.seed = spec.seed;
+    c.ckptInterval = spec.ckptInterval;
+    c.resumePath = spec.ckptPath;
+    try {
+        runTrainingThreaded(space, c);
+        ADD_FAILURE() << "run() returned despite a failed finish";
+    } catch (const std::logic_error &e) {
+        EXPECT_NE(std::string(e.what()).find("non-negative"),
+                  std::string::npos)
+            << e.what();
+    }
+    std::remove(spec.ckptPath.c_str());
+}
+
+TEST(ServeService, TimingExportCoversCoordinatorAndFinishers)
+{
+    ServiceConfig sc;
+    sc.numStages = 2;
+    SearchService service(sc);
+    std::string why;
+    ASSERT_EQ(service.submitBatch({job("NLP.c1", 11, 6),
+                                   job("CV.c1", 3, 6)},
+                                  &why)
+                  .size(),
+              2u)
+        << why;
+    service.drain();
+    ASSERT_EQ(service.run(), SearchService::AllDone);
+    std::string full = service.exportMetricsJson(false);
+    std::string stable = service.exportMetricsJson(true);
+    for (const char *key :
+         {"\"serve/coordinator_busy_s\"", "\"serve/finish_s\""}) {
+        EXPECT_NE(full.find(key), std::string::npos) << key;
+        EXPECT_EQ(stable.find(key), std::string::npos) << key;
+    }
+}
+
+TEST(JobFinisher, EveryResultComesBackOnce)
+{
+    JobFinisher finisher;
+    auto result = [](std::uint64_t hash) {
+        return [hash] {
+            RunResult r;
+            r.supernetHash = hash;
+            return r;
+        };
+    };
+    // One finish at a time.
+    for (int id = 1; id <= 3; id++) {
+        finisher.post(id, result(static_cast<std::uint64_t>(id)));
+        std::vector<JobFinisher::Finished> done = finisher.wait();
+        ASSERT_EQ(done.size(), 1u);
+        EXPECT_EQ(done[0].jobId, id);
+        EXPECT_EQ(done[0].result.supernetHash,
+                  static_cast<std::uint64_t>(id));
+        EXPECT_FALSE(done[0].error);
+    }
+    EXPECT_EQ(finisher.outstanding(), 0);
+
+    // A burst larger than the thread count: every result comes back
+    // once.
+    const int burst =
+        std::max(1, static_cast<int>(std::thread::hardware_concurrency())) +
+        2;
+    for (int id = 10; id < 10 + burst; id++)
+        finisher.post(id, result(static_cast<std::uint64_t>(id)));
+    std::set<int> seen;
+    while (finisher.outstanding() > 0) {
+        for (JobFinisher::Finished &f : finisher.wait()) {
+            EXPECT_EQ(f.result.supernetHash,
+                      static_cast<std::uint64_t>(f.jobId));
+            EXPECT_TRUE(seen.insert(f.jobId).second);
+        }
+    }
+    EXPECT_EQ(seen.size(), static_cast<std::size_t>(burst));
+    EXPECT_TRUE(finisher.poll().empty());
+
+    // A throwing finish comes back as an error, not a crash.
+    finisher.post(99, []() -> RunResult {
+        NASPIPE_ASSERT(false, "finisher test");
+        return {};
+    });
+    std::vector<JobFinisher::Finished> done = finisher.wait();
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_EQ(done[0].jobId, 99);
+    EXPECT_THROW(std::rethrow_exception(done[0].error),
+                 std::logic_error);
 }
 
 TEST(ServeService, RerunMetricsExportIsByteIdentical)

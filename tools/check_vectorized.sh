@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Vectorization guard for the numeric kernels. Each loop marked
+# Vectorization guard for the numeric kernels and the Philox rounds
+# behind the gradient noise (src/common/rng.cc). Each loop marked
 # `// must vectorize` on its `for` line must vectorize under the
 # library's -ffp-contract=off at both -O2 (the default RelWithDebInfo
 # level) and -O3 (Release, which perfbench builds). At -O2 that means
@@ -22,7 +23,7 @@ set -u
 cd "$(dirname "$0")/.." || exit 1
 cxx=${CXX:-g++}
 files="src/tensor/kernels/precision.cc src/tensor/kernels/tanh.cc
-src/tensor/layer_math.cc src/tensor/sgd.cc"
+src/tensor/layer_math.cc src/tensor/sgd.cc src/common/rng.cc"
 
 say() { echo "check-vectorized: $*"; }
 
