@@ -9,7 +9,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <sstream>
 #include <vector>
 
 #include "supernet/sampler.h"
@@ -295,10 +294,8 @@ BM_CheckpointSave(benchmark::State &state)
     SearchSpace space("bench", SpaceFamily::Nlp, 48, 24, 7, 0.37);
     ParameterStore store(space, 7);
     store.supernetHash();  // materialize all layers
-    for (auto _ : state) {
-        std::stringstream buffer;
-        benchmark::DoNotOptimize(store.save(buffer));
-    }
+    for (auto _ : state)
+        benchmark::DoNotOptimize(store.serialize());
 }
 BENCHMARK(BM_CheckpointSave);
 

@@ -166,6 +166,17 @@ std::uint64_t hashBytes(const void *data, std::size_t size,
  */
 std::uint64_t checksumBytes(const void *data, std::size_t size);
 
+/**
+ * The payload checksum of checkpoint format @p version (NASP, NPRC):
+ * hashBytes up to version 2, checksumBytes from version 3 on.
+ */
+inline std::uint64_t
+payloadChecksum(std::uint32_t version, const void *data, std::size_t size)
+{
+    return version < 3 ? hashBytes(data, size)
+                       : checksumBytes(data, size);
+}
+
 } // namespace naspipe
 
 #endif // NASPIPE_COMMON_RNG_H

@@ -1,9 +1,9 @@
 #include "session/training_session.h"
 
 #include <algorithm>
-#include <sstream>
 #include <utility>
 
+#include "common/file_io.h"
 #include "common/logging.h"
 #include "tensor/loss.h"
 
@@ -281,9 +281,7 @@ TrainingSession::buildCheckpoint(double nowSeconds,
         ckpt.completionSec.push_back(r.completionSec);
     }
     ckpt.storeBytes = _store->serialize();
-    std::ostringstream ls(std::ios::binary);
-    _store->accessLog().saveTo(ls);
-    ckpt.accessLogBytes = std::move(ls).str();
+    ckpt.accessLogBytes = _store->accessLog().serialize();
     return ckpt;
 }
 
@@ -340,22 +338,25 @@ TrainingSession::compatible(const RunCheckpoint &ckpt) const
 bool
 TrainingSession::restore(const RunCheckpoint &ckpt)
 {
-    NASPIPE_ASSERT(_backend, "no execution backend attached");
-    if (!compatible(ckpt))
+    if (!restoreState(ckpt, {ckpt.storeBytes, ckpt.accessLogBytes}))
         return false;
-    {
-        std::istringstream in(ckpt.storeBytes);
-        if (!_store->load(in))
-            return false;
-    }
-    {
-        std::istringstream in(ckpt.accessLogBytes);
-        AccessLog &log = _store->accessLog();
-        if (!(ckpt.formatVersion == 1 ? log.loadV1From(in)
-                                      : log.loadFrom(in))) {
-            warn("run checkpoint: access log unreadable");
-            return false;
-        }
+    if (ckpt.formatVersion == RunCheckpoint::kFormatVersion)
+        _lastCkpt = ckpt.serialize();
+    return true;
+}
+
+bool
+TrainingSession::restoreState(const RunCheckpoint &ckpt,
+                              const RunCheckpoint::Sections &sections)
+{
+    NASPIPE_ASSERT(_backend, "no execution backend attached");
+    if (!compatible(ckpt) || !_store->load(sections.store))
+        return false;
+    AccessLog &log = _store->accessLog();
+    if (!(ckpt.formatVersion == 1 ? log.loadV1From(sections.accessLog)
+                                  : log.loadFrom(sections.accessLog))) {
+        warn("run checkpoint: access log unreadable");
+        return false;
     }
 
     const auto completed = static_cast<SubnetId>(ckpt.completed);
@@ -396,28 +397,35 @@ TrainingSession::restore(const RunCheckpoint &ckpt)
     _inflight = 0;
     if (ckptEnabled())
         _nextCkptAt = boundaryAfter(static_cast<int>(completed));
-    // A later fail-stop fault rolls back to this state. Its log
-    // section is re-encoded from the restored log, which also turns
-    // an older checkpoint into a current one (its store blob, any
-    // version the store loads, is kept as it is).
-    RunCheckpoint target = ckpt;
-    target.formatVersion = RunCheckpoint::kFormatVersion;
-    target.precision = _config.precision;
-    std::ostringstream ls(std::ios::binary);
-    _store->accessLog().saveTo(ls);
-    target.accessLogBytes = std::move(ls).str();
-    _lastCkpt = target.serialize();
+    // An older checkpoint becomes a current one for later rollbacks:
+    // its log section is re-encoded from the restored log, and its
+    // store blob, any version the store loads, is kept as it is.
+    if (ckpt.formatVersion != RunCheckpoint::kFormatVersion) {
+        RunCheckpoint upgraded = ckpt;
+        upgraded.formatVersion = RunCheckpoint::kFormatVersion;
+        upgraded.precision = _config.precision;
+        upgraded.storeBytes.assign(sections.store);
+        upgraded.accessLogBytes = _store->accessLog().serialize();
+        _lastCkpt = upgraded.serialize();
+    }
     return true;
 }
 
 bool
 TrainingSession::resume(const std::string &path)
 {
+    std::string bytes;
     RunCheckpoint ckpt;
-    if (!ckpt.loadFile(path) || !restore(ckpt))
+    RunCheckpoint::Sections sections;
+    if (!readFile(path, bytes) || !ckpt.load(bytes, &sections) ||
+        !restoreState(ckpt, sections)) {
         return false;
+    }
     setTimeOffsets(ckpt.simSeconds, ckpt.busySeconds);
     _checkpointsWritten = static_cast<int>(ckpt.checkpointsWritten);
+    // A current file already is the rollback target's bytes.
+    if (ckpt.formatVersion == RunCheckpoint::kFormatVersion)
+        _lastCkpt = std::move(bytes);
     return true;
 }
 
@@ -447,11 +455,12 @@ TrainingSession::rollback(double secAtCrash, double busyAtCrash,
                           const std::function<void()> &rebuildPhase)
 {
     double downtimeSeconds = kRecoverySeconds + extraDowntimeSeconds;
+    // Restored from the rollback target's bytes in place, unchanged.
     RunCheckpoint ckpt;
+    RunCheckpoint::Sections sections;
     bool haveCkpt = !_lastCkpt.empty();
     if (haveCkpt) {
-        std::istringstream in(_lastCkpt);
-        bool ok = ckpt.load(in);
+        bool ok = ckpt.load(_lastCkpt, &sections);
         NASPIPE_ASSERT(ok, "in-memory checkpoint unreadable");
     }
     Rollback report{_finished, static_cast<int>(ckpt.completed)};
@@ -469,7 +478,7 @@ TrainingSession::rollback(double secAtCrash, double busyAtCrash,
     if (rebuildPhase)
         rebuildPhase();
     setTimeOffsets(secAtCrash + downtimeSeconds, ckpt.busySeconds);
-    if (haveCkpt && !restore(ckpt))
+    if (haveCkpt && !restoreState(ckpt, sections))
         return std::nullopt;
     return report;
 }

@@ -306,6 +306,12 @@ class TrainingSession
 
   private:
     bool compatible(const RunCheckpoint &ckpt) const;
+    /**
+     * restore() from @p sections; the rollback target is left to the
+     * caller unless @p ckpt is older than the current format.
+     */
+    bool restoreState(const RunCheckpoint &ckpt,
+                      const RunCheckpoint::Sections &sections);
     /** Carry run time across phases (rollback) or from a resume. */
     void setTimeOffsets(double secOffset, double busyOffset);
 

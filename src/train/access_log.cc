@@ -2,10 +2,9 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <istream>
-#include <ostream>
 #include <sstream>
 
+#include "common/byte_writer.h"
 #include "common/logging.h"
 
 namespace naspipe {
@@ -16,19 +15,9 @@ constexpr std::uint8_t kTouched = 1;
 constexpr std::uint8_t kPending = 2;
 constexpr std::uint8_t kViolated = 4;
 constexpr std::uint64_t kHasHistory = 1;
-
-void
-writeU64(std::ostream &out, std::uint64_t value)
-{
-    out.write(reinterpret_cast<const char *>(&value), sizeof(value));
-}
-
-bool
-readU64(std::istream &in, std::uint64_t &value)
-{
-    in.read(reinterpret_cast<char *>(&value), sizeof(value));
-    return in.gcount() == sizeof(value);
-}
+/// A cursor (lastWriter, pendingReader, state) or a record (order,
+/// subnet, kind): three u64s.
+constexpr std::size_t kEntryBytes = 3 * 8;
 
 std::uint64_t
 encodeSubnet(SubnetId id)
@@ -47,16 +36,17 @@ decodeSubnet(std::uint64_t raw)
  * an order below @p total.
  */
 bool
-readRecords(std::istream &in, std::uint64_t count, std::uint64_t total,
+readRecords(ByteReader &in, std::uint64_t count, std::uint64_t total,
             std::vector<AccessRecord> &out)
 {
+    if (in.rest.size() / kEntryBytes < count)
+        return false;
     out.reserve(static_cast<std::size_t>(count));
     for (std::uint64_t r = 0; r < count; r++) {
         std::uint64_t order = 0, subnet = 0, kind = 0;
-        if (!readU64(in, order) || !readU64(in, subnet) ||
-            !readU64(in, kind)) {
-            return false;
-        }
+        in.pod(order);
+        in.pod(subnet);
+        in.pod(kind);
         if (order >= total || kind > 1)
             return false;
         out.push_back(AccessRecord{
@@ -241,42 +231,55 @@ AccessLog::renderOrder(const LayerId &layer) const
     return oss.str();
 }
 
-void
-AccessLog::saveTo(std::ostream &out) const
+std::string
+AccessLog::serialize() const
 {
-    writeU64(out, totalRecords());
-    writeU64(out, (static_cast<std::uint64_t>(_numBlocks) << 32) |
-                      static_cast<std::uint32_t>(_choicesPerBlock));
-    writeU64(out, _keepHistory ? kHasHistory : 0);
-    for (const Cursor &cursor : _cursors) {
-        writeU64(out, encodeSubnet(cursor.lastWriter));
-        writeU64(out, encodeSubnet(cursor.pendingReader));
-        writeU64(out, cursor.state);
+    const std::vector<LayerId> touched =
+        _keepHistory ? touchedLayers() : std::vector<LayerId>{};
+    std::size_t size = 3 * 8 + _cursors.size() * kEntryBytes;
+    if (_keepHistory) {
+        size += 8;
+        for (const LayerId &layer : touched)
+            size += 2 * 8 + _history[slot(layer)].size() * kEntryBytes;
     }
-    if (!_keepHistory)
-        return;
-    // The v1 history layout: touched layers, each with its key.
-    const std::vector<LayerId> touched = touchedLayers();
-    writeU64(out, touched.size());
-    for (const LayerId &layer : touched) {
-        const std::vector<AccessRecord> &records = _history[slot(layer)];
-        writeU64(out, layer.key());
-        writeU64(out, records.size());
-        for (const AccessRecord &rec : records) {
-            writeU64(out, rec.order);
-            writeU64(out, encodeSubnet(rec.subnet));
-            writeU64(out, rec.kind == AccessKind::Write ? 1 : 0);
+    std::string out(size, '\0');
+    ByteWriter w{out.data()};
+    w.pod(totalRecords());
+    w.pod((static_cast<std::uint64_t>(_numBlocks) << 32) |
+          static_cast<std::uint32_t>(_choicesPerBlock));
+    w.pod(_keepHistory ? kHasHistory : std::uint64_t{0});
+    for (const Cursor &cursor : _cursors) {
+        w.pod(encodeSubnet(cursor.lastWriter));
+        w.pod(encodeSubnet(cursor.pendingReader));
+        w.pod(static_cast<std::uint64_t>(cursor.state));
+    }
+    if (_keepHistory) {
+        // The v1 history layout: touched layers, each with its key.
+        w.pod(static_cast<std::uint64_t>(touched.size()));
+        for (const LayerId &layer : touched) {
+            const std::vector<AccessRecord> &records =
+                _history[slot(layer)];
+            w.pod(layer.key());
+            w.pod(static_cast<std::uint64_t>(records.size()));
+            for (const AccessRecord &rec : records) {
+                w.pod(rec.order);
+                w.pod(encodeSubnet(rec.subnet));
+                w.pod(std::uint64_t{rec.kind == AccessKind::Write});
+            }
         }
     }
+    NASPIPE_ASSERT(w.at == out.data() + out.size(),
+                   "access log size mismatch");
+    return out;
 }
 
 bool
-AccessLog::readHistory(std::istream &in, std::uint64_t total,
+AccessLog::readHistory(ByteReader &in, std::uint64_t total,
                        std::vector<std::vector<AccessRecord>> &history)
     const
 {
     std::uint64_t numLayers = 0;
-    if (!readU64(in, numLayers) || numLayers > _cursors.size())
+    if (!in.pod(numLayers) || numLayers > _cursors.size())
         return false;
     history.assign(_cursors.size(), {});
     std::uint64_t seen = 0;
@@ -284,11 +287,9 @@ AccessLog::readHistory(std::istream &in, std::uint64_t total,
         std::uint64_t key = 0;
         std::uint64_t count = 0;
         // Every record carries a distinct order < total, so more
-        // records than that can only come from a damaged stream.
-        if (!readU64(in, key) || !readU64(in, count) ||
-            count > total - seen) {
+        // records than that can only come from a damaged section.
+        if (!in.pod(key) || !in.pod(count) || count > total - seen)
             return false;
-        }
         LayerId layer{static_cast<std::uint32_t>(key >> 32),
                       static_cast<std::uint32_t>(key & 0xffffffffULL)};
         if (static_cast<int>(layer.block) >= _numBlocks ||
@@ -304,12 +305,13 @@ AccessLog::readHistory(std::istream &in, std::uint64_t total,
 }
 
 bool
-AccessLog::loadFrom(std::istream &in)
+AccessLog::loadFrom(std::string_view bytes)
 {
     clear();
+    ByteReader in{bytes};
     std::uint64_t total = 0, shape = 0, flags = 0;
-    if (!readU64(in, total) || !readU64(in, shape) ||
-        !readU64(in, flags) || flags > kHasHistory) {
+    if (!in.pod(total) || !in.pod(shape) || !in.pod(flags) ||
+        flags > kHasHistory) {
         return false;
     }
     if (shape != ((static_cast<std::uint64_t>(_numBlocks) << 32) |
@@ -322,8 +324,7 @@ AccessLog::loadFrom(std::istream &in)
     std::vector<Cursor> cursors(_cursors.size());
     for (Cursor &cursor : cursors) {
         std::uint64_t writer = 0, reader = 0, state = 0;
-        if (!readU64(in, writer) || !readU64(in, reader) ||
-            !readU64(in, state) ||
+        if (!in.pod(writer) || !in.pod(reader) || !in.pod(state) ||
             state > (kTouched | kPending | kViolated) ||
             (state && !(state & kTouched))) {
             return false;
@@ -345,6 +346,8 @@ AccessLog::loadFrom(std::istream &in)
              "checkpoint carries none");
         return false;
     }
+    if (!in.exhausted())
+        return false;
     _cursors = std::move(cursors);
     if (_keepHistory)
         _history = std::move(history);
@@ -353,13 +356,16 @@ AccessLog::loadFrom(std::istream &in)
 }
 
 bool
-AccessLog::loadV1From(std::istream &in)
+AccessLog::loadV1From(std::string_view bytes)
 {
     clear();
+    ByteReader in{bytes};
     std::uint64_t total = 0;
     std::vector<std::vector<AccessRecord>> history;
-    if (!readU64(in, total) || !readHistory(in, total, history))
+    if (!in.pod(total) || !readHistory(in, total, history) ||
+        !in.exhausted()) {
         return false;
+    }
     for (std::size_t i = 0; i < history.size(); i++)
         _cursors[i] = replay(history[i]);
     if (_keepHistory)

@@ -30,10 +30,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/byte_reader.h"
 #include "supernet/layer.h"
 #include "supernet/subnet.h"
 
@@ -133,29 +134,31 @@ class AccessLog
     /** @} */
 
     /**
-     * Serialize the log (NPRC v2 section): the record counter, the
-     * table shape, a flags word, one fixed-size cursor per layer of
-     * the table, and — only when this log keeps history — every
-     * touched layer's records in the v1 history layout.
+     * The log as an NPRC v2/v3 section, in one string of exactly its
+     * size: the record counter, the table shape, a flags word, one
+     * fixed-size cursor per layer of the table, and — only when this
+     * log keeps history — every touched layer's records in the v1
+     * history layout.
      */
-    void saveTo(std::ostream &out) const;
+    std::string serialize() const;
 
     /**
-     * Replace this log's contents with a stream written by saveTo().
-     * Returns false (leaving the log cleared) on truncated or
-     * malformed input, on a shape other than this log's, on cursors
-     * that disagree with the history they were saved with, and when
-     * this log keeps history but the stream has none; never aborts
-     * the process.
+     * Replace this log's contents with @p bytes, which must hold
+     * exactly one section as serialize() wrote it. Returns false
+     * (leaving the log cleared) on truncated, overlong or malformed
+     * input, on a shape other than this log's, on cursors that
+     * disagree with the history they were saved with, and when this
+     * log keeps history but the section has none; never aborts the
+     * process.
      */
-    bool loadFrom(std::istream &in);
+    bool loadFrom(std::string_view bytes);
 
     /**
      * As loadFrom(), for the v1 section (counter plus every touched
      * layer's full history): the cursors are rebuilt by replaying
      * the history, which is kept when this log keeps history.
      */
-    bool loadV1From(std::istream &in);
+    bool loadV1From(std::string_view bytes);
 
     void clear();
 
@@ -179,7 +182,7 @@ class AccessLog
      * then per layer its key, record count and records, each order
      * below @p total) into a table parallel to the cursors.
      */
-    bool readHistory(std::istream &in, std::uint64_t total,
+    bool readHistory(ByteReader &in, std::uint64_t total,
                      std::vector<std::vector<AccessRecord>> &history)
         const;
 

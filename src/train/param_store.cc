@@ -1,9 +1,10 @@
 #include "train/param_store.h"
 
 #include <cstring>
-#include <fstream>
 
+#include "common/byte_reader.h"
 #include "common/byte_writer.h"
+#include "common/file_io.h"
 #include "common/logging.h"
 #include "common/rng.h"
 
@@ -19,25 +20,6 @@ constexpr std::size_t kChecksumOffset = 4 + 4 + 4 + 4 + 8 + 8 + 8;
 constexpr std::size_t kHeaderBytes = kChecksumOffset + 8;
 /// key, version, weight, bias
 constexpr std::size_t kLayerBytes = 8 + 8 + 2 * kLayerDim * sizeof(float);
-
-/**
- * The payload checksum of format @p version: byte FNV-1a up to
- * version 2, the word-parallel checksum from version 3 on.
- */
-std::uint64_t
-payloadChecksum(std::uint32_t version, const std::string &bytes)
-{
-    return version < 3 ? hashBytes(bytes.data(), bytes.size())
-                       : checksumBytes(bytes.data(), bytes.size());
-}
-
-template <typename T>
-bool
-readPod(std::istream &in, T &value)
-{
-    in.read(reinterpret_cast<char *>(&value), sizeof(T));
-    return static_cast<bool>(in);
-}
 
 } // namespace
 
@@ -171,29 +153,20 @@ ParameterStore::serialize() const
 }
 
 bool
-ParameterStore::save(std::ostream &out) const
-{
-    const std::string bytes = serialize();
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    return static_cast<bool>(out);
-}
-
-bool
 ParameterStore::saveFile(const std::string &path) const
 {
-    std::ofstream out(path, std::ios::binary);
-    return out && save(out);
+    return writeFileAtomic(path, serialize());
 }
 
 bool
-ParameterStore::load(std::istream &in)
+ParameterStore::load(std::string_view bytes)
 {
+    ByteReader in{bytes};
     std::uint32_t magic = 0, version = 0, blocks = 0, choices = 0;
     std::uint64_t seed = 0, count = 0, payloadBytes = 0, checksum = 0;
-    if (!readPod(in, magic) || !readPod(in, version) ||
-        !readPod(in, blocks) || !readPod(in, choices) ||
-        !readPod(in, seed) || !readPod(in, count) ||
-        !readPod(in, payloadBytes) || !readPod(in, checksum)) {
+    if (!in.pod(magic) || !in.pod(version) || !in.pod(blocks) ||
+        !in.pod(choices) || !in.pod(seed) || !in.pod(count) ||
+        !in.pod(payloadBytes) || !in.pod(checksum)) {
         warn("parameter checkpoint: truncated header");
         return false;
     }
@@ -217,84 +190,47 @@ ParameterStore::load(std::istream &in)
              " seed ", _seed);
         return false;
     }
-    if (count > static_cast<std::uint64_t>(blocks) * choices) {
-        warn("parameter checkpoint: layer count ", count,
-             " exceeds the ", blocks, "x", choices, " space");
+    const std::string_view payload = in.rest;
+    if (count > _params.size() || payloadBytes != count * kLayerBytes ||
+        payload.size() != payloadBytes) {
+        warn("parameter checkpoint: ", count, " layers of the ", blocks,
+             "x", choices, " space in ", payloadBytes,
+             " payload bytes, ", payload.size(), " present");
         return false;
     }
-
-    // Pull exactly payloadBytes off the stream in chunks, so a
-    // corrupted length field fails at end-of-stream instead of
-    // attempting one huge allocation up front.
-    std::string bytes;
-    {
-        std::uint64_t remaining = payloadBytes;
-        char buf[65536];
-        while (remaining > 0) {
-            auto want = static_cast<std::streamsize>(
-                remaining < sizeof(buf) ? remaining : sizeof(buf));
-            in.read(buf, want);
-            std::streamsize got = in.gcount();
-            if (got <= 0) {
-                warn("parameter checkpoint: payload truncated (",
-                     bytes.size(), " of ", payloadBytes, " bytes)");
-                return false;
-            }
-            bytes.append(buf, static_cast<std::size_t>(got));
-            remaining -= static_cast<std::uint64_t>(got);
-        }
-    }
-    if (payloadChecksum(version, bytes) != checksum) {
+    if (payloadChecksum(version, payload.data(), payload.size()) !=
+        checksum) {
         warn("parameter checkpoint: payload checksum mismatch");
         return false;
     }
 
-    // Checksum verified: the payload is byte-identical to what a
-    // same-shape store saved, so parsing below mutates this store
-    // only with data that will parse to completion. Every layer may
-    // now hold older bits under a version seen before: a new epoch
-    // tells stamp() readers apart.
-    _epoch++;
-    std::size_t off = 0;
-    auto take = [&bytes, &off](void *dst, std::size_t n) {
-        if (bytes.size() - off < n)
-            return false;
-        std::memcpy(dst, bytes.data() + off, n);
-        off += n;
-        return true;
-    };
-    for (std::uint64_t i = 0; i < count; i++) {
-        std::uint64_t key = 0, layerVersion = 0;
-        if (!take(&key, sizeof(key)) ||
-            !take(&layerVersion, sizeof(layerVersion))) {
-            warn("parameter checkpoint: payload ends inside layer ",
-                 i);
+    // A checksum is no proof of origin: check every layer key before
+    // the first write, so a rejected payload leaves the store as it
+    // was.
+    std::vector<std::size_t> slots(static_cast<std::size_t>(count));
+    for (std::size_t i = 0; i < slots.size(); i++) {
+        std::uint64_t key = 0;
+        std::memcpy(&key, payload.data() + i * kLayerBytes, sizeof(key));
+        const std::uint64_t block = key >> 32, choice = key & 0xffffffffULL;
+        if (block >= blocks || choice >= choices) {
+            warn("parameter checkpoint: layer (", block, ", ", choice,
+                 ") outside the space");
             return false;
         }
-        LayerId layer{static_cast<std::uint32_t>(key >> 32),
-                      static_cast<std::uint32_t>(key & 0xffffffffULL)};
-        if (static_cast<int>(layer.block) >= _space.numBlocks() ||
-            static_cast<int>(layer.choice) >=
-                _space.choicesPerBlock()) {
-            warn("parameter checkpoint: layer (", layer.block, ", ",
-                 layer.choice, ") outside the space");
-            return false;
-        }
-        LayerParams &params = materialize(layer);
-        if (!take(params.weight.data().data(),
-                  params.weight.size() * sizeof(float)) ||
-            !take(params.bias.data().data(),
-                  params.bias.size() * sizeof(float))) {
-            warn("parameter checkpoint: payload ends inside layer (",
-                 layer.block, ", ", layer.choice, ")");
-            return false;
-        }
-        _versions[slot(layer)] = layerVersion;
+        slots[i] = block * choices + choice;
     }
-    if (off != bytes.size()) {
-        warn("parameter checkpoint: ", bytes.size() - off,
-             " trailing payload bytes");
-        return false;
+
+    // Every layer may now hold older bits under a version seen
+    // before: a new epoch tells stamp() readers apart.
+    _epoch++;
+    ByteReader layers{payload};
+    for (std::size_t index : slots) {
+        LayerParams &params = materialize(layerAt(index));
+        layers.rest.remove_prefix(sizeof(std::uint64_t));  // the key
+        layers.pod(_versions[index]);
+        layers.raw(params.weight.data().data(),
+                   kLayerDim * sizeof(float));
+        layers.raw(params.bias.data().data(), kLayerDim * sizeof(float));
     }
     return true;
 }
@@ -302,12 +238,8 @@ ParameterStore::load(std::istream &in)
 bool
 ParameterStore::loadFile(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        warn("cannot open parameter checkpoint file ", path);
-        return false;
-    }
-    return load(in);
+    std::string bytes;
+    return readFile(path, bytes) && load(bytes);
 }
 
 std::uint64_t

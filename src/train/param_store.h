@@ -10,17 +10,17 @@
  *
  * The layers live in a dense table indexed by block *
  * choicesPerBlock + choice, which is also LayerId::key() order, so
- * every walk over the table (save, touchedHash, supernetHash) visits
- * layers in key order.
+ * every walk over the table (serialize, touchedHash, supernetHash)
+ * visits layers in key order.
  */
 
 #ifndef NASPIPE_TRAIN_PARAM_STORE_H
 #define NASPIPE_TRAIN_PARAM_STORE_H
 
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/logging.h"
@@ -147,39 +147,36 @@ class ParameterStore
      * process, or mid-run fault recovery. Format v3: a fixed 48-byte
      * header (magic "NASP", format version, space shape, init seed,
      * layer count, payload length, payload checksum) followed by a
-     * length-delimited payload of per-layer key + version counter +
-     * raw fp32 bytes; load restores them bitwise (untouched layers
-     * re-materialize from the seed, so a loaded store is
-     * indistinguishable from the original). The payload is length-
-     * delimited so a store checkpoint can be embedded inside a larger
-     * run-checkpoint stream. Version 3 checksums the payload with
-     * checksumBytes; version 2, which is otherwise identical, with
-     * byte FNV-1a (hashBytes), and still loads.
+     * payload of per-layer key + version counter + raw fp32 bytes;
+     * load restores them bitwise (untouched layers re-materialize
+     * from the seed, so a loaded store is indistinguishable from the
+     * original). A run checkpoint embeds these bytes as its store
+     * section. Version 3 checksums the payload with checksumBytes;
+     * version 2, which is otherwise identical, with byte FNV-1a
+     * (hashBytes), and still loads.
      * @{ */
     /**
-     * The whole save() stream in one string of exactly its size
+     * The whole checkpoint in one string of exactly its size
      * (header + materialized layers x (16 + 2 x kLayerDim x 4) bytes),
      * written and checksummed in place.
      */
     std::string serialize() const;
 
-    /** Write serialize() to a stream; returns false on I/O failure. */
-    bool save(std::ostream &out) const;
-
-    /** Serialize to a file. */
+    /** writeFileAtomic() serialize() to @p path; false on failure. */
     bool saveFile(const std::string &path) const;
 
     /**
-     * Restore from a stream produced by save(). Never aborts the
-     * process: a truncated stream, a corrupted byte (checksum
-     * mismatch), an unknown format version, or a space-shape/seed
-     * mismatch all log the reason and return false. The store is only
-     * mutated after the checksum verifies.
+     * Restore from @p bytes, exactly one serialize() output. Never
+     * aborts the process: a truncated or overlong view, a corrupted
+     * byte (checksum mismatch), an unknown format version, a
+     * space-shape/seed mismatch, or a layer outside the space all log
+     * the reason and return false, with the store untouched: it is
+     * only mutated once every check, every layer key included, passed.
      * @return true iff the store now matches the checkpoint bitwise.
      */
-    bool load(std::istream &in);
+    bool load(std::string_view bytes);
 
-    /** Restore from a file. */
+    /** load() a whole file; false (with a logged reason) on failure. */
     bool loadFile(const std::string &path);
     /** @} */
 

@@ -1,11 +1,12 @@
 #include "train/run_checkpoint.h"
 
-#include <cstdio>
 #include <cstring>
-#include <fstream>
+#include <ostream>
 #include <utility>
 
+#include "common/byte_reader.h"
 #include "common/byte_writer.h"
+#include "common/file_io.h"
 #include "common/logging.h"
 #include "common/rng.h"
 
@@ -18,17 +19,6 @@ constexpr std::uint32_t kRunCheckpointMagic = 0x4e505243;  // "NPRC"
 /// magic, version, payload bytes
 constexpr std::size_t kChecksumOffset = 4 + 4 + 8;
 constexpr std::size_t kHeaderBytes = kChecksumOffset + 8;
-
-/**
- * The payload checksum of format @p version: byte FNV-1a up to
- * version 2, the word-parallel checksum from version 3 on.
- */
-std::uint64_t
-payloadChecksum(std::uint32_t version, const std::string &bytes)
-{
-    return version < 3 ? hashBytes(bytes.data(), bytes.size())
-                       : checksumBytes(bytes.data(), bytes.size());
-}
 
 void
 writeBlob(ByteWriter &w, const std::string &bytes)
@@ -44,61 +34,15 @@ writeDoubles(ByteWriter &w, const std::vector<double> &values)
     w.raw(values.data(), values.size() * sizeof(double));
 }
 
-/** Bounds-checked cursor over an in-memory payload. */
-class Cursor
+bool
+readDoubles(ByteReader &in, std::vector<double> &out)
 {
-  public:
-    explicit Cursor(const std::string &bytes) : _bytes(bytes) {}
-
-    template <typename T>
-    bool
-    pod(T &value)
-    {
-        return raw(&value, sizeof(T));
-    }
-
-    bool
-    blob(std::string &out)
-    {
-        std::uint64_t size = 0;
-        if (!pod(size) || remaining() < size)
-            return false;
-        out.assign(_bytes.data() + _off,
-                   static_cast<std::size_t>(size));
-        _off += static_cast<std::size_t>(size);
-        return true;
-    }
-
-    bool
-    doubles(std::vector<double> &out)
-    {
-        std::uint64_t count = 0;
-        if (!pod(count) || remaining() / sizeof(double) < count)
-            return false;
-        out.resize(static_cast<std::size_t>(count));
-        return raw(out.data(), out.size() * sizeof(double));
-    }
-
-    bool exhausted() const { return _off == _bytes.size(); }
-
-  private:
-    std::uint64_t remaining() const { return _bytes.size() - _off; }
-
-    bool
-    raw(void *dst, std::size_t n)
-    {
-        if (_bytes.size() - _off < n)
-            return false;
-        if (n == 0)
-            return true;  // dst may be an empty vector's null data()
-        std::memcpy(dst, _bytes.data() + _off, n);
-        _off += n;
-        return true;
-    }
-
-    const std::string &_bytes;
-    std::size_t _off = 0;
-};
+    std::uint64_t count = 0;
+    if (!in.pod(count) || in.rest.size() / sizeof(double) < count)
+        return false;
+    out.resize(static_cast<std::size_t>(count));
+    return in.raw(out.data(), out.size() * sizeof(double));
+}
 
 } // namespace
 
@@ -151,27 +95,15 @@ RunCheckpoint::save(std::ostream &out) const
 }
 
 bool
-RunCheckpoint::load(std::istream &in)
+RunCheckpoint::load(std::string_view bytes, Sections *inPlace)
 {
+    ByteReader in{bytes};
     std::uint32_t magic = 0, version = 0;
     std::uint64_t payloadBytes = 0, checksum = 0;
-    {
-        char header[kHeaderBytes];
-        in.read(header, sizeof(header));
-        if (in.gcount() != static_cast<std::streamsize>(
-                               sizeof(header))) {
-            warn("run checkpoint: truncated header");
-            return false;
-        }
-        std::size_t off = 0;
-        auto field = [&](auto &value) {
-            std::memcpy(&value, header + off, sizeof(value));
-            off += sizeof(value);
-        };
-        field(magic);
-        field(version);
-        field(payloadBytes);
-        field(checksum);
+    if (!in.pod(magic) || !in.pod(version) || !in.pod(payloadBytes) ||
+        !in.pod(checksum)) {
+        warn("run checkpoint: truncated header");
+        return false;
     }
     if (magic != kRunCheckpointMagic) {
         warn("run checkpoint: bad magic ", magic,
@@ -183,36 +115,23 @@ RunCheckpoint::load(std::istream &in)
              " (this build reads versions 1 to ", kFormatVersion, ")");
         return false;
     }
-
-    // Chunked read so a corrupted length field fails at end-of-stream
-    // instead of attempting one huge allocation.
-    std::string bytes;
-    {
-        std::uint64_t remaining = payloadBytes;
-        char buf[65536];
-        while (remaining > 0) {
-            auto want = static_cast<std::streamsize>(
-                remaining < sizeof(buf) ? remaining : sizeof(buf));
-            in.read(buf, want);
-            std::streamsize got = in.gcount();
-            if (got <= 0) {
-                warn("run checkpoint: payload truncated (",
-                     bytes.size(), " of ", payloadBytes, " bytes)");
-                return false;
-            }
-            bytes.append(buf, static_cast<std::size_t>(got));
-            remaining -= static_cast<std::uint64_t>(got);
-        }
+    const std::string_view payload = in.rest;
+    if (payload.size() != payloadBytes) {
+        warn("run checkpoint: ", payload.size(), " payload bytes, the ",
+             "header says ", payloadBytes);
+        return false;
     }
-    if (payloadChecksum(version, bytes) != checksum) {
+    if (payloadChecksum(version, payload.data(), payload.size()) !=
+        checksum) {
         warn("run checkpoint: payload checksum mismatch");
         return false;
     }
 
     RunCheckpoint parsed;
     parsed.formatVersion = version;
-    Cursor cur(bytes);
+    ByteReader cur{payload};
     std::uint32_t precision = 0;
+    Sections sections;
     if (!cur.pod(parsed.seed) || !cur.pod(parsed.spaceBlocks) ||
         !cur.pod(parsed.spaceChoices) ||
         (version >= 2 && !cur.pod(precision)) ||
@@ -221,10 +140,10 @@ RunCheckpoint::load(std::istream &in)
         !cur.pod(parsed.totalSubnets) || !cur.pod(parsed.completed) ||
         !cur.pod(parsed.simSeconds) || !cur.pod(parsed.busySeconds) ||
         !cur.pod(parsed.checkpointsWritten) ||
-        !cur.doubles(parsed.losses) ||
-        !cur.doubles(parsed.completionSec) ||
-        !cur.blob(parsed.storeBytes) ||
-        !cur.blob(parsed.accessLogBytes) || !cur.exhausted()) {
+        !readDoubles(cur, parsed.losses) ||
+        !readDoubles(cur, parsed.completionSec) ||
+        !cur.section(sections.store) ||
+        !cur.section(sections.accessLog) || !cur.exhausted()) {
         warn("run checkpoint: malformed payload");
         return false;
     }
@@ -238,6 +157,12 @@ RunCheckpoint::load(std::istream &in)
              ", total ", parsed.totalSubnets, ")");
         return false;
     }
+    if (inPlace) {
+        *inPlace = sections;
+    } else {
+        parsed.storeBytes.assign(sections.store);
+        parsed.accessLogBytes.assign(sections.accessLog);
+    }
     *this = std::move(parsed);
     return true;
 }
@@ -245,34 +170,14 @@ RunCheckpoint::load(std::istream &in)
 bool
 RunCheckpoint::saveFileAtomic(const std::string &path) const
 {
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        bool ok = out && save(out);
-        out.close();  // the final flush can fail too (disk full)
-        if (!ok || out.fail()) {
-            warn("cannot write run checkpoint to ", tmp);
-            std::remove(tmp.c_str());
-            return false;
-        }
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        warn("cannot rename ", tmp, " to ", path);
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
+    return writeFileAtomic(path, serialize());
 }
 
 bool
 RunCheckpoint::loadFile(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        warn("cannot open run checkpoint file ", path);
-        return false;
-    }
-    return load(in);
+    std::string bytes;
+    return readFile(path, bytes) && load(bytes);
 }
 
 } // namespace naspipe

@@ -4,7 +4,7 @@
  *
  * A RunCheckpoint captures everything the pipeline runtime needs to
  * resume a partially trained supernet deterministically: the store's
- * weights (ParameterStore stream), the access log, the per-subnet
+ * weights (ParameterStore bytes), the access log, the per-subnet
  * losses and completion times observed so far, and the scheduler
  * frontier (the completed-subnet count). Checkpoints are only taken
  * at pipeline-drain barriers, where no subnet is in flight, so under
@@ -22,9 +22,10 @@
  * full history. Version 1 and 2 files still load, verified with
  * FNV-1a: version 1 carries no precision (compatibility then does
  * not check it) and its log section is the full v1 history, from
- * which the cursors are rebuilt. Loading never aborts the process —
- * truncation, bit corruption, and version/shape mismatches all log a
- * reason and return false.
+ * which the cursors are rebuilt. load() parses a byte view in place
+ * and never aborts the process — truncation, bit corruption,
+ * trailing bytes, and version/shape mismatches all log a reason and
+ * return false.
  * saveFileAtomic() writes via a temp file plus rename so a crash
  * mid-write never leaves a half-written checkpoint at the target
  * path.
@@ -36,6 +37,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "tensor/kernels/precision.h"
@@ -85,17 +87,22 @@ struct RunCheckpoint {
     /** Per-subnet completion times in seconds, indexed by subnet ID. */
     std::vector<double> completionSec;
 
-    /** ParameterStore::save() stream of the drained store. */
+    /** ParameterStore::serialize() bytes of the drained store. */
     std::string storeBytes;
 
     /**
-     * AccessLog::saveTo() stream of the store's access log (the v1
-     * history stream when formatVersion is 1).
+     * AccessLog::serialize() bytes of the store's access log (the v1
+     * history section when formatVersion is 1).
      */
     std::string accessLogBytes;
 
+    /** The two blobs of a checkpoint, as views into its bytes. */
+    struct Sections {
+        std::string_view store, accessLog;
+    };
+
     /**
-     * The whole save() stream in one string of exactly its size,
+     * The whole checkpoint in one string of exactly its size,
      * written and checksummed in place (the store blob is copied
      * once).
      */
@@ -105,19 +112,18 @@ struct RunCheckpoint {
     bool save(std::ostream &out) const;
 
     /**
-     * Restore from a stream written by save(). Logs the reason and
-     * returns false on truncated, corrupted, or mismatched-version
-     * input; this object is unchanged unless it returns true.
+     * Restore from @p bytes, exactly one serialize() output; a length
+     * field past its end fails at once. Logs the reason and returns
+     * false on bad input; this object is unchanged unless it returns
+     * true. With @p inPlace the two blobs are not copied: they stay
+     * empty here and @p inPlace views them in @p bytes.
      */
-    bool load(std::istream &in);
+    bool load(std::string_view bytes, Sections *inPlace = nullptr);
 
-    /**
-     * Write to @p path atomically: serialize to "<path>.tmp", then
-     * rename over @p path. Returns false (and logs) on any failure.
-     */
+    /** writeFileAtomic() serialize() to @p path; false on failure. */
     bool saveFileAtomic(const std::string &path) const;
 
-    /** Read from a file; false (with a logged reason) on failure. */
+    /** load() a whole file; false (with a logged reason) on failure. */
     bool loadFile(const std::string &path);
 };
 

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 
 #include "core/engine.h"
 #include "schedule/ssp_scheduler.h"
@@ -127,10 +126,8 @@ TEST(Extensions, CheckpointFromRunRestoresSearchResult)
     RunResult run = runTraining(space, config);
     ASSERT_FALSE(run.oom);
 
-    std::stringstream buffer;
-    ASSERT_TRUE(run.store->save(buffer));
     ParameterStore restored(space, 9);
-    ASSERT_TRUE(restored.load(buffer));
+    ASSERT_TRUE(restored.load(run.store->serialize()));
     EXPECT_EQ(restored.supernetHash(), run.supernetHash);
 
     NumericExecutor::Config ec;

@@ -14,15 +14,31 @@
  *   naspipe_cli --space S --gpus G --steps 32 --seed 7
  *               --executor threads [--precision fp16]
  * and update the table below, the only committed copy of the grid.
+ *
+ * The same runs on the simulator with a drained checkpoint every 8
+ * subnets also pin the bytes of the last NPRC file they write
+ * (kCheckpointPins), which must load and serialize back to itself.
+ * Those bytes move with the trajectory and with any change to the
+ * NPRC, NASP or access-log layouts. Recapture them with:
+ *   naspipe_cli --space S --gpus 4 --steps 32 --seed 7 --executor sim
+ *               --ckpt-interval 8 --ckpt F [--precision fp16]
+ *               [--verify-csp]
+ * (--verify-csp keeps the access history) and take hashBytes of F,
+ * which a failing row prints.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 
+#include "common/rng.h"
 #include "core/engine.h"
 #include "exec/parallel_runtime.h"
+#include "train/run_checkpoint.h"
 #include "verify/csp_oracle.h"
 
 namespace naspipe {
@@ -73,6 +89,34 @@ constexpr Golden kGoldens[] = {
      0x7df4511c1a20f704ULL},
 };
 
+struct CheckpointPin {
+    const char *space;
+    kernels::PrecisionMode mode;
+    bool accessHistory;
+    std::uint64_t fileHash;  ///< hashBytes of the whole NPRC file
+};
+
+// seed 7, 32 steps, 4 workers, --executor sim, ckptInterval 8: the
+// file holds the drained checkpoint at 32 completed subnets.
+constexpr CheckpointPin kCheckpointPins[] = {
+    {"NLP.c1", kernels::PrecisionMode::Fp32, false,
+     0x34ca05e53915ea6dULL},
+    {"NLP.c1", kernels::PrecisionMode::Fp32, true,
+     0x3d67f68dc797b19fULL},
+    {"CV.c1", kernels::PrecisionMode::Fp32, false,
+     0x48a477813b5a3e57ULL},
+    {"CV.c1", kernels::PrecisionMode::Fp32, true,
+     0x63a5fd1d164769abULL},
+    {"NLP.c1", kernels::PrecisionMode::Fp16Rne, false,
+     0xf5e87fff87137a55ULL},
+    {"NLP.c1", kernels::PrecisionMode::Fp16Rne, true,
+     0x0e942d04de8c723dULL},
+    {"CV.c1", kernels::PrecisionMode::Fp16Rne, false,
+     0xf9546b629ad00b58ULL},
+    {"CV.c1", kernels::PrecisionMode::Fp16Rne, true,
+     0x7490f66ed5bf6d66ULL},
+};
+
 TEST(NumericGolden, EveryModeWorkersExecutorLandsOnTheGoldenHash)
 {
     for (const Golden &g : kGoldens) {
@@ -108,6 +152,42 @@ TEST(NumericGolden, EveryModeWorkersExecutorLandsOnTheGoldenHash)
         EXPECT_EQ(sim.losses, thr.losses);
         EXPECT_EQ(thr.supernetHash, g.hash)
             << "trained weights moved off the committed golden";
+    }
+}
+
+TEST(NumericGolden, SimCheckpointFilesLandOnTheirPinnedBytes)
+{
+    const std::string path =
+        ::testing::TempDir() + "naspipe_golden_pin.ckpt";
+    for (const CheckpointPin &p : kCheckpointPins) {
+        SCOPED_TRACE(std::string(p.space) + " " +
+                     kernels::precisionModeName(p.mode) +
+                     (p.accessHistory ? " with" : " without") +
+                     " access history");
+        SearchSpace space = makeSpaceByName(p.space);
+        RuntimeConfig c;
+        c.system = naspipeSystem();
+        c.numStages = 4;
+        c.totalSubnets = 32;
+        c.seed = 7;
+        c.precision = p.mode;
+        c.accessHistory = p.accessHistory;
+        c.ckptInterval = 8;
+        c.ckptPath = path;
+        RunResult r = runTraining(space, c);
+        ASSERT_FALSE(r.failed) << r.error;
+        ASSERT_EQ(r.metrics.checkpointsWritten, 4);
+
+        std::ifstream in(path, std::ios::binary);
+        const std::string bytes(std::istreambuf_iterator<char>(in), {});
+        EXPECT_EQ(hashBytes(bytes.data(), bytes.size()), p.fileHash)
+            << std::hex << "file hash 0x"
+            << hashBytes(bytes.data(), bytes.size());
+        RunCheckpoint ckpt;
+        ASSERT_TRUE(ckpt.loadFile(path));
+        EXPECT_TRUE(ckpt.serialize() == bytes)
+            << "the file does not serialize back to itself";
+        std::remove(path.c_str());
     }
 }
 

@@ -20,9 +20,10 @@
 #include <cstring>
 #include <cstdio>
 #include <fstream>
-#include <iterator>
+#include <functional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "exec/parallel_runtime.h"
@@ -34,6 +35,24 @@
 namespace naspipe {
 namespace {
 
+/** Write `bytes` verbatim over `path`. */
+void
+writeFile(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(),
+              static_cast<std::streamsize>(bytes.size()));
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+}
+
 /** A store with a few deterministic training writes applied. */
 void
 scribble(ParameterStore &store)
@@ -44,23 +63,14 @@ scribble(ParameterStore &store)
     store.read(LayerId{2, 1}, 3);
 }
 
-std::string
-serialized(ParameterStore &store)
-{
-    std::stringstream buffer;
-    EXPECT_TRUE(store.save(buffer));
-    return buffer.str();
-}
-
 TEST(CheckpointProperties, StoreSaveLoadHashIdentity)
 {
     SearchSpace space = makeTinySpace();
     ParameterStore store(space, 7);
     scribble(store);
 
-    std::stringstream buffer(serialized(store));
     ParameterStore restored(space, 7);
-    ASSERT_TRUE(restored.load(buffer));
+    ASSERT_TRUE(restored.load(store.serialize()));
     EXPECT_EQ(store.supernetHash(), restored.supernetHash());
     EXPECT_EQ(store.touchedHash(), restored.touchedHash());
 }
@@ -72,9 +82,8 @@ TEST(CheckpointProperties, StoreLoadPreservesVersions)
     scribble(store);
     ASSERT_EQ(store.version(LayerId{1, 2}), 2u);
 
-    std::stringstream buffer(serialized(store));
     ParameterStore restored(space, 7);
-    ASSERT_TRUE(restored.load(buffer));
+    ASSERT_TRUE(restored.load(store.serialize()));
     EXPECT_EQ(restored.version(LayerId{1, 2}), 2u);
     EXPECT_EQ(restored.version(LayerId{0, 0}), 1u);
     EXPECT_EQ(restored.version(LayerId{2, 1}), 0u);
@@ -109,9 +118,8 @@ TEST(CheckpointProperties, MidRunStoreHashIdenticalAcrossGpuCounts)
         ASSERT_TRUE(ckpt.loadFile(path));
         EXPECT_EQ(ckpt.completed, 16u) << gpus << " GPUs";
 
-        std::istringstream storeBytes(ckpt.storeBytes);
         ParameterStore restored(space, 7);
-        ASSERT_TRUE(restored.load(storeBytes));
+        ASSERT_TRUE(restored.load(ckpt.storeBytes));
         hashes[slot++] = restored.supernetHash();
         std::remove(path.c_str());
     }
@@ -126,16 +134,15 @@ TEST(CheckpointProperties, EveryStoreByteFlipIsRejectedCleanly)
     SearchSpace space = makeTinySpace();
     ParameterStore store(space, 7);
     scribble(store);
-    std::string bytes = serialized(store);
+    std::string bytes = store.serialize();
     ASSERT_GT(bytes.size(), 64u);
 
     for (std::size_t pos = 0; pos < bytes.size();
          pos += (pos < 64 ? 1 : 37)) {
         std::string damaged = bytes;
         damaged[pos] ^= 0x01;
-        std::stringstream buffer(damaged);
         ParameterStore restored(space, 7);
-        EXPECT_FALSE(restored.load(buffer))
+        EXPECT_FALSE(restored.load(damaged))
             << "byte flip at " << pos << " accepted";
     }
 }
@@ -145,14 +152,59 @@ TEST(CheckpointProperties, EveryStoreTruncationIsRejectedCleanly)
     SearchSpace space = makeTinySpace();
     ParameterStore store(space, 7);
     scribble(store);
-    std::string bytes = serialized(store);
+    std::string bytes = store.serialize();
 
     for (std::size_t len = 0; len < bytes.size();
          len += (len < 64 ? 1 : 53)) {
-        std::stringstream buffer(bytes.substr(0, len));
         ParameterStore restored(space, 7);
-        EXPECT_FALSE(restored.load(buffer))
+        EXPECT_FALSE(restored.load(bytes.substr(0, len)))
             << "truncation to " << len << " bytes accepted";
+    }
+}
+
+TEST(CheckpointProperties, RejectedStoreLoadLeavesTheStoreUntouched)
+{
+    // A checksum is no proof of origin: a payload that verifies but
+    // names a layer outside the space in its last record must be
+    // refused before any earlier record lands.
+    SearchSpace space = makeTinySpace();
+    ParameterStore source(space, 7);
+    scribble(source);
+    std::string bytes = source.serialize();
+    const std::size_t layerBytes = 16 + 2 * kLayerDim * sizeof(float);
+    ASSERT_EQ(bytes.size(), 48 + 3 * layerBytes);
+    const std::uint64_t outside =
+        static_cast<std::uint64_t>(space.numBlocks()) << 32;
+    std::memcpy(bytes.data() + 48 + 2 * layerBytes, &outside,
+                sizeof(outside));
+    const std::uint64_t sum =
+        checksumBytes(bytes.data() + 48, bytes.size() - 48);
+    std::memcpy(bytes.data() + 40, &sum, sizeof(sum));
+
+    ParameterStore target(space, 7);
+    target.write(LayerId{1, 2}, 5).weight[1] = 2.5f;
+    target.write(LayerId{0, 0}, 6);
+    const std::uint64_t touched = target.touchedHash();
+    std::vector<ParameterStore::LayerStamp> stamps;
+    for (int b = 0; b < space.numBlocks(); b++) {
+        for (int c = 0; c < space.choicesPerBlock(); c++) {
+            stamps.push_back(target.stamp(
+                LayerId{static_cast<std::uint32_t>(b),
+                        static_cast<std::uint32_t>(c)}));
+        }
+    }
+    EXPECT_FALSE(target.load(bytes));
+    EXPECT_EQ(target.touchedHash(), touched);
+    EXPECT_EQ(target.materializedLayers(), 2u);
+    std::size_t i = 0;
+    for (int b = 0; b < space.numBlocks(); b++) {
+        for (int c = 0; c < space.choicesPerBlock(); c++) {
+            EXPECT_EQ(target.stamp(
+                          LayerId{static_cast<std::uint32_t>(b),
+                                  static_cast<std::uint32_t>(c)}),
+                      stamps[i++])
+                << "layer (" << b << ", " << c << ")";
+        }
     }
 }
 
@@ -160,20 +212,18 @@ TEST(CheckpointProperties, StoreMismatchReturnsFalseNotFatal)
 {
     SearchSpace space = makeTinySpace();
     ParameterStore store(space, 7);
-    std::string bytes = serialized(store);
+    std::string bytes = store.serialize();
 
     // Wrong seed.
     {
-        std::stringstream buffer(bytes);
         ParameterStore otherSeed(space, 8);
-        EXPECT_FALSE(otherSeed.load(buffer));
+        EXPECT_FALSE(otherSeed.load(bytes));
     }
     // Wrong space shape.
     {
         SearchSpace bigger("other", SpaceFamily::Nlp, 6, 3, 5);
-        std::stringstream buffer(bytes);
         ParameterStore otherShape(bigger, 7);
-        EXPECT_FALSE(otherShape.load(buffer));
+        EXPECT_FALSE(otherShape.load(bytes));
     }
 }
 
@@ -193,11 +243,8 @@ TEST(CheckpointProperties, RunCheckpointRoundTrip)
     ckpt.storeBytes = "store-payload-stand-in";
     ckpt.accessLogBytes = std::string("log\0bytes", 9);
 
-    std::stringstream buffer;
-    ASSERT_TRUE(ckpt.save(buffer));
-
     RunCheckpoint loaded;
-    ASSERT_TRUE(loaded.load(buffer));
+    ASSERT_TRUE(loaded.load(ckpt.serialize()));
     EXPECT_EQ(loaded.seed, 42u);
     EXPECT_EQ(loaded.spaceBlocks, 12u);
     EXPECT_EQ(loaded.spaceChoices, 4u);
@@ -223,23 +270,19 @@ TEST(CheckpointProperties, RunCheckpointCorruptionRejected)
     ckpt.losses = {0.5, 0.4};
     ckpt.completionSec = {1.0, 2.0};
     ckpt.storeBytes = "store";
-    std::stringstream buffer;
-    ASSERT_TRUE(ckpt.save(buffer));
-    std::string bytes = buffer.str();
+    std::string bytes = ckpt.serialize();
 
     for (std::size_t pos = 0; pos < bytes.size();
          pos += (pos < 32 ? 1 : 11)) {
         std::string damaged = bytes;
         damaged[pos] ^= 0x80;
-        std::stringstream in(damaged);
         RunCheckpoint loaded;
-        EXPECT_FALSE(loaded.load(in))
+        EXPECT_FALSE(loaded.load(damaged))
             << "byte flip at " << pos << " accepted";
     }
     for (std::size_t len = 0; len < bytes.size(); len += 9) {
-        std::stringstream in(bytes.substr(0, len));
         RunCheckpoint loaded;
-        EXPECT_FALSE(loaded.load(in))
+        EXPECT_FALSE(loaded.load(bytes.substr(0, len)))
             << "truncation to " << len << " bytes accepted";
     }
 }
@@ -290,7 +333,11 @@ TEST(CheckpointProperties, SerializeIsSaveAtExactSize)
     ParameterStore store(space, 7);
     scribble(store);
     const std::string storeBytes = store.serialize();
-    EXPECT_EQ(storeBytes, serialized(store));
+    const std::string path =
+        ::testing::TempDir() + "naspipe_exact_size_store.bin";
+    ASSERT_TRUE(store.saveFile(path));
+    EXPECT_EQ(storeBytes, readFile(path));
+    std::remove(path.c_str());
     // 48-byte header, then key + version + weight + bias per layer.
     EXPECT_EQ(storeBytes.size(),
               48 + store.materializedLayers() *
@@ -317,14 +364,12 @@ TEST(CheckpointProperties, ChecksumIsPickedByFormatVersion)
     const std::string runBytes = sampleRunCheckpoint(store).serialize();
 
     auto storeLoads = [&space](const std::string &bytes) {
-        std::stringstream in(bytes);
         ParameterStore restored(space, 7);
-        return restored.load(in);
+        return restored.load(bytes);
     };
     auto runLoads = [](const std::string &bytes) {
-        std::stringstream in(bytes);
         RunCheckpoint loaded;
-        return loaded.load(in);
+        return loaded.load(bytes);
     };
     // Version 3 carries checksumBytes; version 2 (and NPRC version 1)
     // byte FNV-1a. Each verifies only under its own version.
@@ -349,10 +394,8 @@ TEST(CheckpointProperties, RunCheckpointRejectsInconsistentCounts)
     ckpt.completed = 3;
     ckpt.losses = {0.5, 0.4};  // too short
     ckpt.completionSec = {1.0, 2.0, 3.0};
-    std::stringstream buffer;
-    ASSERT_TRUE(ckpt.save(buffer));
     RunCheckpoint loaded;
-    EXPECT_FALSE(loaded.load(buffer));
+    EXPECT_FALSE(loaded.load(ckpt.serialize()));
 }
 
 TEST(CheckpointProperties, AccessLogRoundTrip)
@@ -361,11 +404,9 @@ TEST(CheckpointProperties, AccessLogRoundTrip)
     log.record(LayerId{0, 1}, 2, AccessKind::Read);
     log.record(LayerId{0, 1}, 2, AccessKind::Write);
     log.record(LayerId{3, 0}, 5, AccessKind::Read);
-    std::stringstream buffer;
-    log.saveTo(buffer);
 
     AccessLog loaded(4, 2, /*keepHistory=*/true);
-    ASSERT_TRUE(loaded.loadFrom(buffer));
+    ASSERT_TRUE(loaded.loadFrom(log.serialize()));
     EXPECT_EQ(loaded.totalRecords(), log.totalRecords());
     EXPECT_EQ(loaded.renderOrder(LayerId{0, 1}),
               log.renderOrder(LayerId{0, 1}));
@@ -392,14 +433,13 @@ TEST(CheckpointProperties, AccessLogCursorsRoundTripWithoutHistory)
 {
     AccessLog log(4, 2);
     scribble(log);
-    std::stringstream buffer;
-    log.saveTo(buffer);
+    const std::string bytes = log.serialize();
     // Counter, shape, flags and one 24-byte cursor per layer: the
     // section's size depends on the space only.
-    EXPECT_EQ(buffer.str().size(), 3 * 8 + 8 * 24u);
+    EXPECT_EQ(bytes.size(), 3 * 8 + 8 * 24u);
 
     AccessLog loaded(4, 2);
-    ASSERT_TRUE(loaded.loadFrom(buffer));
+    ASSERT_TRUE(loaded.loadFrom(bytes));
     EXPECT_EQ(loaded.totalRecords(), 4u);
     EXPECT_EQ(loaded.touchedLayers(), log.touchedLayers());
     EXPECT_EQ(loaded.violatedLayers(), 2);
@@ -414,9 +454,8 @@ TEST(CheckpointProperties, AccessLogHistoryOptInMustMatch)
 {
     AccessLog plain(4, 2);
     scribble(plain);
-    std::stringstream noHistory;
-    plain.saveTo(noHistory);
-    // A log that keeps history refuses a stream without one...
+    const std::string noHistory = plain.serialize();
+    // A log that keeps history refuses a section without one...
     AccessLog keeper(4, 2, /*keepHistory=*/true);
     EXPECT_FALSE(keeper.loadFrom(noHistory));
     EXPECT_EQ(keeper.totalRecords(), 0u);
@@ -425,17 +464,15 @@ TEST(CheckpointProperties, AccessLogHistoryOptInMustMatch)
     // has it.
     AccessLog full(4, 2, /*keepHistory=*/true);
     scribble(full);
-    std::stringstream withHistory;
-    full.saveTo(withHistory);
+    const std::string withHistory = full.serialize();
     AccessLog cursorsOnly(4, 2);
     ASSERT_TRUE(cursorsOnly.loadFrom(withHistory));
     EXPECT_EQ(cursorsOnly.violatedLayers(), full.violatedLayers());
     EXPECT_EQ(cursorsOnly.totalRecords(), full.totalRecords());
 
-    // A stream saved for another space shape is refused.
-    std::stringstream again(noHistory.str());
+    // A section saved for another space shape is refused.
     AccessLog otherShape(2, 4);
-    EXPECT_FALSE(otherShape.loadFrom(again));
+    EXPECT_FALSE(otherShape.loadFrom(noHistory));
 }
 
 TEST(CheckpointProperties, AccessLogRejectsDamagedStream)
@@ -445,14 +482,11 @@ TEST(CheckpointProperties, AccessLogRejectsDamagedStream)
         AccessLog log(4, 2, history);
         log.record(LayerId{0, 1}, 2, AccessKind::Read);
         log.record(LayerId{1, 0}, 3, AccessKind::Write);
-        std::stringstream buffer;
-        log.saveTo(buffer);
-        std::string bytes = buffer.str();
+        std::string bytes = log.serialize();
 
         for (std::size_t len = 0; len < bytes.size(); len += 5) {
-            std::stringstream in(bytes.substr(0, len));
             AccessLog loaded(4, 2, history);
-            EXPECT_FALSE(loaded.loadFrom(in))
+            EXPECT_FALSE(loaded.loadFrom(bytes.substr(0, len)))
                 << "truncation to " << len << " accepted";
             EXPECT_EQ(loaded.totalRecords(), 0u);
         }
@@ -465,9 +499,8 @@ TEST(CheckpointProperties, AccessLogRejectsDamagedStream)
         for (char flip : {'\x40', '\x02'}) {
             std::string damaged = bytes;
             damaged[state] = static_cast<char>(damaged[state] ^ flip);
-            std::stringstream in(damaged);
             AccessLog loaded(4, 2, history);
-            bool accepted = loaded.loadFrom(in);
+            bool accepted = loaded.loadFrom(damaged);
             if (flip == '\x40' || history) {
                 EXPECT_FALSE(accepted)
                     << "state flip " << int(flip) << " accepted";
@@ -501,24 +534,6 @@ TEST(CheckpointProperties, CheckpointSizeIsFlatInSteps)
     std::uint64_t at2k = lastCheckpointBytes(2048);
     std::uint64_t at4k = lastCheckpointBytes(4096);
     EXPECT_EQ(at4k - at2k, 2048u * 16u);
-}
-
-/** Write `bytes` verbatim over `path`. */
-void
-writeFile(const std::string &path, const std::string &bytes)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(bytes.size()));
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
 }
 
 TEST(CheckpointProperties, CorruptRunCheckpointFileIsRejectedCleanly)
@@ -612,36 +627,43 @@ TEST(CheckpointProperties, MissingFilesAreCleanFalses)
 
 TEST(CheckpointProperties, AtomicSaveLeavesNoTempFileBehind)
 {
-    RunCheckpoint ckpt;
-    ckpt.completed = 0;
+    // Run checkpoints and parameter stores share one atomic writer.
     std::string path =
         ::testing::TempDir() + "naspipe_atomic_test.ckpt";
+    RunCheckpoint ckpt;
+    ckpt.completed = 0;
     ASSERT_TRUE(ckpt.saveFileAtomic(path));
-    std::ifstream tmp(path + ".tmp");
-    EXPECT_FALSE(tmp.good());
+    EXPECT_FALSE(std::ifstream(path + ".tmp").good());
     RunCheckpoint loaded;
     EXPECT_TRUE(loaded.loadFile(path));
+
+    SearchSpace space = makeTinySpace();
+    ParameterStore store(space, 7);
+    scribble(store);
+    ASSERT_TRUE(store.saveFile(path));
+    EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+    ParameterStore restored(space, 7);
+    EXPECT_TRUE(restored.loadFile(path));
     std::remove(path.c_str());
 }
 
-TEST(CheckpointProperties, FailedAtomicSaveKeepsOldFileAndNoTemp)
+/**
+ * A larger save that runs out of room mid-write (disk full, quota)
+ * must report failure, keep the file @p saveSmall wrote, and leave
+ * no temp file: @p saveBig runs in a forked child under a 600-byte
+ * RLIMIT_FSIZE, with SIGXFSZ ignored so the write fails with EFBIG
+ * instead of killing it. @p load reads the file back.
+ */
+void
+expectFailedSaveKeepsOldFile(const std::string &path,
+                             const std::function<bool()> &saveSmall,
+                             const std::function<bool()> &saveBig,
+                             const std::function<bool()> &load)
 {
-    std::string path =
-        ::testing::TempDir() + "naspipe_fsize_test.ckpt";
-    auto slurp = [&path] {
-        std::ifstream in(path, std::ios::binary);
-        return std::string(std::istreambuf_iterator<char>(in), {});
-    };
-    RunCheckpoint small;
-    ASSERT_TRUE(small.saveFileAtomic(path));
-    const std::string before = slurp();
+    ASSERT_TRUE(saveSmall());
+    const std::string before = readFile(path);
     ASSERT_LT(before.size(), 600u);
 
-    // A larger save runs out of room mid-write (disk full, quota):
-    // a forked child under a 600-byte RLIMIT_FSIZE, with SIGXFSZ
-    // ignored so the write fails with EFBIG instead of killing it.
-    RunCheckpoint big;
-    big.storeBytes.assign(10000, 'x');
     pid_t child = fork();
     ASSERT_GE(child, 0);
     if (child == 0) {
@@ -650,7 +672,7 @@ TEST(CheckpointProperties, FailedAtomicSaveKeepsOldFileAndNoTemp)
         getrlimit(RLIMIT_FSIZE, &limit);
         limit.rlim_cur = 600;
         setrlimit(RLIMIT_FSIZE, &limit);
-        _exit(big.saveFileAtomic(path) ? 1 : 0);
+        _exit(saveBig() ? 1 : 0);
     }
     int status = 0;
     ASSERT_EQ(waitpid(child, &status, 0), child);
@@ -658,13 +680,39 @@ TEST(CheckpointProperties, FailedAtomicSaveKeepsOldFileAndNoTemp)
     EXPECT_EQ(WEXITSTATUS(status), 0)
         << "a save past the size limit must report failure";
 
-    EXPECT_EQ(slurp(), before);
-    RunCheckpoint loaded;
-    EXPECT_TRUE(loaded.loadFile(path));
+    EXPECT_EQ(readFile(path), before);
+    EXPECT_TRUE(load());
     EXPECT_FALSE(std::ifstream(path + ".tmp").good())
         << "the failed save left its temp file behind";
     std::remove(path.c_str());
     std::remove((path + ".tmp").c_str());
+}
+
+TEST(CheckpointProperties, FailedAtomicSaveKeepsOldFileAndNoTemp)
+{
+    std::string path =
+        ::testing::TempDir() + "naspipe_fsize_test.ckpt";
+    {
+        SCOPED_TRACE("run checkpoint");
+        RunCheckpoint small;
+        RunCheckpoint big;
+        big.storeBytes.assign(10000, 'x');
+        expectFailedSaveKeepsOldFile(
+            path, [&] { return small.saveFileAtomic(path); },
+            [&] { return big.saveFileAtomic(path); },
+            [&] { return RunCheckpoint().loadFile(path); });
+    }
+    {
+        SCOPED_TRACE("parameter store");
+        SearchSpace space = makeTinySpace();
+        ParameterStore small(space, 7);
+        ParameterStore big(space, 7);
+        big.materializeAll();
+        expectFailedSaveKeepsOldFile(
+            path, [&] { return small.saveFile(path); },
+            [&] { return big.saveFile(path); },
+            [&] { return ParameterStore(space, 7).loadFile(path); });
+    }
 }
 
 } // namespace

@@ -16,7 +16,6 @@
 #include <map>
 #include <mutex>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -658,10 +657,7 @@ TEST(ServeService, FinishAssertionReachesRunCaller)
     RunCheckpoint ckpt;
     ASSERT_TRUE(ckpt.loadFile(spec.ckptPath));
     ParameterStore store(space, spec.seed, spec.precision);
-    {
-        std::istringstream in(ckpt.storeBytes);
-        ASSERT_TRUE(store.load(in));
-    }
+    ASSERT_TRUE(store.load(ckpt.storeBytes));
     store.materializeAll();
     for (int b = 0; b < space.numBlocks(); b++) {
         for (int c = 0; c < space.choicesPerBlock(); c++) {

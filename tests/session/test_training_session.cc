@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -368,6 +370,11 @@ TEST(TrainingSessionCore, RollbackToTheLastCheckpointReplays)
     ASSERT_TRUE(f.drive(8));  // the crash falls due at 6 completions
     ASSERT_EQ(f.session.finished(), 6);
 
+    // The rollback restores from the last checkpoint's own bytes and
+    // leaves them as they were.
+    const std::string target = f.session.lastCheckpoint();
+    ASSERT_FALSE(target.empty());
+
     // The phase rebuild runs after the re-init, before the restore.
     bool rebuilt = false;
     auto report = f.session.rollback(
@@ -383,6 +390,7 @@ TEST(TrainingSessionCore, RollbackToTheLastCheckpointReplays)
     EXPECT_EQ(f.backend.restored,
               (std::vector<SubnetId>{0, 1, 2, 3}));
     EXPECT_EQ(f.session.finished(), 4);
+    EXPECT_EQ(f.session.lastCheckpoint(), target);
     // Crash time plus the modeled 5 s restart; busy time resumes
     // from the checkpoint's.
     EXPECT_DOUBLE_EQ(f.session.secOffset(), 2.0 + 5.0);
@@ -450,7 +458,13 @@ TEST(TrainingSessionCore, ResumeAdoptsTheFileClockAndCount)
     EXPECT_EQ(f.session.finished(), 4);
     EXPECT_DOUBLE_EQ(f.session.secOffset(), 0.1 * 4);
     EXPECT_DOUBLE_EQ(f.session.busyOffset(), 0.05 * 4);
-    EXPECT_FALSE(f.session.lastCheckpoint().empty());
+    // A current-format file already is the rollback target.
+    {
+        std::ifstream in(producing.ckptPath, std::ios::binary);
+        const std::string file(std::istreambuf_iterator<char>(in), {});
+        ASSERT_FALSE(file.empty());
+        EXPECT_EQ(f.session.lastCheckpoint(), file);
+    }
 
     EXPECT_FALSE(f.drive(8));
     RunResult r = f.session.collect(10.0, 1.0);
@@ -465,6 +479,27 @@ TEST(TrainingSessionCore, ResumeAdoptsTheFileClockAndCount)
     EXPECT_TRUE(stranger.backend.restored.empty());
     EXPECT_EQ(stranger.session.finished(), 0);
     std::remove(producing.ckptPath.c_str());
+
+    // Older files (the committed v1 and v2 fixtures: CV.c3, 2 stages,
+    // 16 subnets, seed 7) become a current-format rollback target
+    // that restores again onto the same weights.
+    SearchSpace cv = makeSpaceByName("CV.c3");
+    const RuntimeConfig fixtureConfig = config(16, 16);
+    for (const char *name : {"cv_c3_v1.ckpt", "cv_c3_v2.ckpt"}) {
+        SCOPED_TRACE(name);
+        Fixture old(cv, fixtureConfig);
+        ASSERT_TRUE(old.session.resume(std::string(NASPIPE_TEST_DATA_DIR) +
+                                       "/" + name));
+        const std::uint64_t weights = old.session.store()->supernetHash();
+        RunCheckpoint kept;
+        ASSERT_TRUE(kept.load(old.session.lastCheckpoint()));
+        EXPECT_EQ(kept.formatVersion, RunCheckpoint::kFormatVersion);
+        Fixture again(cv, fixtureConfig);
+        ASSERT_TRUE(again.session.restore(kept));
+        EXPECT_EQ(again.session.store()->supernetHash(), weights);
+        EXPECT_EQ(again.session.lastCheckpoint(),
+                  old.session.lastCheckpoint());
+    }
 }
 
 TEST(TrainingSessionCore, AdmissibleAgreesWithPumpOne)

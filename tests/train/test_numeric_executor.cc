@@ -10,7 +10,6 @@
 #include <array>
 #include <cmath>
 #include <map>
-#include <sstream>
 
 #include "common/rng.h"
 #include "tensor/kernels/tanh.h"
@@ -442,12 +441,11 @@ TEST_F(KeptTanhFixture, ImmediateRecomputesAfterLoadRestoresAVersion)
     // Materialized, so the checkpoints carry every layer.
     store.materializeAll();
     refStore.materializeAll();
-    std::stringstream fresh, fresh2, trained, trained2;
-    ASSERT_TRUE(store.save(fresh));
-    ASSERT_TRUE(refStore.save(fresh2));
+    const std::string fresh = store.serialize();
+    const std::string fresh2 = refStore.serialize();
     train(Subnet(0, {0, 1}));  // version 1 with P's bits
-    ASSERT_TRUE(store.save(trained));
-    ASSERT_TRUE(refStore.save(trained2));
+    const std::string trained = store.serialize();
+    const std::string trained2 = refStore.serialize();
     ASSERT_TRUE(store.load(fresh));
     ASSERT_TRUE(refStore.load(fresh2));
     train(Subnet(1, {0, 1}));  // version 1 again, Q's bits

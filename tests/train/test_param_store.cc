@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <sstream>
 
 #include "train/param_store.h"
 
@@ -108,8 +107,7 @@ TEST_F(StoreFixture, LoadKeepsAFullyMaterializedStoreFull)
     // included, back to the checkpoint's.
     store.materializeAll();
     store.write(LayerId{1, 2}, 0).weight[3] = 0.5f;
-    std::stringstream buffer;
-    ASSERT_TRUE(store.save(buffer));
+    const std::string buffer = store.serialize();
 
     ParameterStore restored(space, 7);
     restored.materializeAll();
@@ -127,8 +125,7 @@ TEST_F(StoreFixture, StampChangesOnWriteAndLoad)
 {
     LayerId layer{1, 1};
     store.materializeAll();
-    std::stringstream before;
-    ASSERT_TRUE(store.save(before));
+    const std::string before = store.serialize();
     ParameterStore::LayerStamp fresh = store.stamp(layer);
     store.write(layer, 0);
     ParameterStore::LayerStamp written = store.stamp(layer);
@@ -147,8 +144,7 @@ TEST_F(StoreFixture, CheckpointRoundTripsBitwise)
     // Train a little, checkpoint, restore into a fresh store.
     store.write(LayerId{1, 2}, 0).weight[3] = 0.123f;
     store.write(LayerId{0, 0}, 1).bias[7] = -4.5f;
-    std::stringstream buffer;
-    ASSERT_TRUE(store.save(buffer));
+    const std::string buffer = store.serialize();
 
     ParameterStore restored(space, 7);
     ASSERT_TRUE(restored.load(buffer));
@@ -170,8 +166,7 @@ TEST_F(StoreFixture, CheckpointFileRoundTrip)
 
 TEST_F(StoreFixture, CheckpointRejectsGarbage)
 {
-    std::stringstream buffer("not a checkpoint");
-    EXPECT_FALSE(store.load(buffer));
+    EXPECT_FALSE(store.load("not a checkpoint"));
 }
 
 TEST_F(StoreFixture, CheckpointRejectsMismatchedStore)
@@ -179,8 +174,7 @@ TEST_F(StoreFixture, CheckpointRejectsMismatchedStore)
     // A mismatched checkpoint is an expected operational condition
     // (wrong file, stale run), not a programming error: load reports
     // it and returns false instead of aborting.
-    std::stringstream buffer;
-    ASSERT_TRUE(store.save(buffer));
+    const std::string buffer = store.serialize();
     ParameterStore otherSeed(space, 8);
     EXPECT_FALSE(otherSeed.load(buffer));
     EXPECT_EQ(otherSeed.supernetHash(),
@@ -190,13 +184,9 @@ TEST_F(StoreFixture, CheckpointRejectsMismatchedStore)
 TEST_F(StoreFixture, CheckpointTruncatedStreamFails)
 {
     store.peek(LayerId{0, 0});
-    std::stringstream buffer;
-    ASSERT_TRUE(store.save(buffer));
-    std::string bytes = buffer.str();
-    std::stringstream truncated(
-        bytes.substr(0, bytes.size() - 10));
+    std::string bytes = store.serialize();
     ParameterStore restored(space, 7);
-    EXPECT_FALSE(restored.load(truncated));
+    EXPECT_FALSE(restored.load(bytes.substr(0, bytes.size() - 10)));
 }
 
 TEST_F(StoreFixture, OutOfSpaceLayerPanics)
