@@ -25,12 +25,27 @@
  *               [--verify-csp]
  * (--verify-csp keeps the access history) and take hashBytes of F,
  * which a failing row prints.
+ *
+ * kRunPins extends those pins to the other systems, to fail-stop
+ * recovery and to the evolution sampler: each row pins the last NPRC
+ * file, the supernet hash and the bits of the final loss of one
+ * --executor sim run (seed 7, 32 steps, --ckpt-interval 8). A failing
+ * row prints all three. They were captured before the simulator
+ * moved onto the commit gate and the shared completion step, so they
+ * hold the completion path to the bits it produced before. Recapture
+ * one with the command above plus the row's flags, e.g.
+ *   naspipe_cli --space NLP.c1 --gpus 4 --steps 32 --seed 7
+ *               --executor sim --ckpt-interval 8 --ckpt F
+ *               --system naspipe --inject-fault crash@12
+ * (the CLI prints the supernet hash as weights; the final loss is
+ * RunMetrics::finalLoss).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -38,6 +53,7 @@
 #include "common/rng.h"
 #include "core/engine.h"
 #include "exec/parallel_runtime.h"
+#include "schedule/ssp_scheduler.h"
 #include "train/run_checkpoint.h"
 #include "verify/csp_oracle.h"
 
@@ -117,6 +133,66 @@ constexpr CheckpointPin kCheckpointPins[] = {
      0x7490f66ed5bf6d66ULL},
 };
 
+SystemModel
+sspDefaultSystem()
+{
+    return sspSystem(2);  // the CLI's default --staleness
+}
+
+struct RunPin {
+    const char *space;
+    SystemModel (*system)();
+    int workers;
+    const char *fault;  ///< --inject-fault spec, or nullptr
+    bool evolution;
+    int recoveries;
+    std::uint64_t fileHash;      ///< hashBytes of the last NPRC file
+    std::uint64_t supernetHash;
+    std::uint64_t finalLossBits;  ///< RunMetrics::finalLoss, bitwise
+};
+
+// seed 7, 32 steps, --executor sim, ckptInterval 8.
+constexpr RunPin kRunPins[] = {
+    {"NLP.c1", naspipeSystem, 4, "crash@12", false, 1,
+     0x44d7d397dfe46a18ULL, 0x32263359c5dea6f7ULL,
+     0x3fc884de04000000ULL},
+    {"NLP.c1", naspipeSystem, 4, "drop@22,stage=1", false, 1,
+     0x34a4860682f68ddfULL, 0x32263359c5dea6f7ULL,
+     0x3fc884de04000000ULL},
+    {"NLP.c1", naspipeWithoutScheduler, 4, nullptr, false, 0,
+     0xfc5149df03403333ULL, 0x32263359c5dea6f7ULL,
+     0x3fc884de04000000ULL},
+    {"NLP.c1", vpipeSystem, 4, nullptr, false, 0,
+     0xac4320f86950c9c8ULL, 0xcc3a782bb90a4452ULL,
+     0x3fc884f801000000ULL},
+    {"NLP.c1", sspDefaultSystem, 4, nullptr, false, 0,
+     0xfd6bc5b1b5d45e97ULL, 0x20578dfbe0d4d28cULL,
+     0x3fc884ee77000000ULL},
+    {"CV.c1", gpipeSystem, 4, nullptr, false, 0,
+     0xb2631ab4f709fe56ULL, 0x05668054e47c26ceULL,
+     0x3fc29a86c2000000ULL},
+    {"NLP.c1", pipedreamSystem, 8, nullptr, false, 0,
+     0xc628f9884ccc1136ULL, 0x846828bdeab66b53ULL,
+     0x3fc8881c7b000000ULL},
+    {"NLP.c1", naspipeSystem, 4, nullptr, true, 0,
+     0xb6963666e4d8f5acULL, 0xbfdc4bf7652d46e6ULL,
+     0x3fc6ff476a000000ULL},
+};
+
+/** The checkpoint file at @p path: its bytes, after checking that it
+ *  loads and serializes back to itself. */
+std::string
+roundTrippedFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    const std::string bytes(std::istreambuf_iterator<char>(in), {});
+    RunCheckpoint ckpt;
+    EXPECT_TRUE(ckpt.loadFile(path));
+    EXPECT_TRUE(ckpt.serialize() == bytes)
+        << "the file does not serialize back to itself";
+    return bytes;
+}
+
 TEST(NumericGolden, EveryModeWorkersExecutorLandsOnTheGoldenHash)
 {
     for (const Golden &g : kGoldens) {
@@ -178,15 +254,52 @@ TEST(NumericGolden, SimCheckpointFilesLandOnTheirPinnedBytes)
         ASSERT_FALSE(r.failed) << r.error;
         ASSERT_EQ(r.metrics.checkpointsWritten, 4);
 
-        std::ifstream in(path, std::ios::binary);
-        const std::string bytes(std::istreambuf_iterator<char>(in), {});
+        const std::string bytes = roundTrippedFile(path);
         EXPECT_EQ(hashBytes(bytes.data(), bytes.size()), p.fileHash)
             << std::hex << "file hash 0x"
             << hashBytes(bytes.data(), bytes.size());
-        RunCheckpoint ckpt;
-        ASSERT_TRUE(ckpt.loadFile(path));
-        EXPECT_TRUE(ckpt.serialize() == bytes)
-            << "the file does not serialize back to itself";
+        std::remove(path.c_str());
+    }
+}
+
+TEST(NumericGolden, SimRunsLandOnTheirPinnedCheckpointHashAndLoss)
+{
+    const std::string path =
+        ::testing::TempDir() + "naspipe_golden_run_pin.ckpt";
+    for (const RunPin &p : kRunPins) {
+        RuntimeConfig c;
+        c.system = p.system();
+        SCOPED_TRACE(std::string(p.space) + " " + c.system.name + " " +
+                     std::to_string(p.workers) + " workers" +
+                     (p.fault ? std::string(" ") + p.fault : "") +
+                     (p.evolution ? " evolution" : ""));
+        SearchSpace space = makeSpaceByName(p.space);
+        c.numStages = p.workers;
+        c.totalSubnets = 32;
+        c.seed = 7;
+        c.evolutionSearch = p.evolution;
+        c.ckptInterval = 8;
+        c.ckptPath = path;
+        if (p.fault) {
+            FaultSpec f;
+            ASSERT_TRUE(parseFaultSpec(p.fault, f));
+            c.faults = {f};
+        }
+        RunResult r = runTraining(space, c);
+        ASSERT_FALSE(r.oom);
+        ASSERT_FALSE(r.failed) << r.error;
+        EXPECT_EQ(r.metrics.recoveries, p.recoveries);
+
+        const std::string bytes = roundTrippedFile(path);
+        std::uint64_t lossBits = 0;
+        std::memcpy(&lossBits, &r.metrics.finalLoss, sizeof lossBits);
+        EXPECT_EQ(hashBytes(bytes.data(), bytes.size()), p.fileHash)
+            << std::hex << "file hash 0x"
+            << hashBytes(bytes.data(), bytes.size());
+        EXPECT_EQ(r.supernetHash, p.supernetHash)
+            << std::hex << "supernet hash 0x" << r.supernetHash;
+        EXPECT_EQ(lossBits, p.finalLossBits)
+            << std::hex << "final loss bits 0x" << lossBits;
         std::remove(path.c_str());
     }
 }
