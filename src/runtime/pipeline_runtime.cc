@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "exec/commit_gate.h"
 #include "runtime/stage.h"
 #include "schedule/csp_scheduler.h"
 #include "session/training_session.h"
@@ -33,10 +34,10 @@ struct PipelineRuntime::Impl : ExecutionBackend {
     std::unique_ptr<HomePlacement> placement;
     std::unique_ptr<MirrorPlanner> mirrors;
     std::unique_ptr<FlushController> flushCtl;
-    SwapModel swap;
 
     UpdateSemantics semantics = UpdateSemantics::Immediate;
-    MessageSizer sizer;
+    /// Bytes of one boundary message, activations or gradients.
+    std::uint64_t boundaryBytes = 0;
 
     // Simulator-side bookkeeping (the session owns subnets, losses
     // and completion times). Per-subnet entries die with the subnet.
@@ -46,21 +47,14 @@ struct PipelineRuntime::Impl : ExecutionBackend {
     /// Last WRITE to a layer: (completion tick, writer stage).
     std::map<std::uint64_t, std::pair<Tick, int>> lastWrite;
     /**
-     * Per layer, the subnets that activated it, in ascending sequence
-     * ID: `dropped` counts a prefix already let go (activate() drops
-     * as many as the layer's applied writes) and `ids` holds the
-     * rest, so a layer retains at most the in-flight window, however
-     * long the run.
+     * CSP's write-visibility check, the threaded executor's gate used
+     * single-threaded: admission registers each parameterized block,
+     * a backward write commits it. Only CSP reads it, so only CSP
+     * runs register and commit (other policies write out of order).
+     * Restored subnets are not registered: the chains of a phase
+     * start at rank 0.
      */
-    struct Activators {
-        std::size_t dropped = 0;
-        std::vector<SubnetId> ids;
-    };
-    std::map<std::uint64_t, Activators> activators;
-    /// Most IDs any layer retained at once (all phases).
-    std::size_t peakRetainedActivators = 0;
-    /// Number of parameter updates applied per layer so far.
-    std::map<std::uint64_t, std::size_t> writesApplied;
+    std::unique_ptr<CommitGate> gate = std::make_unique<CommitGate>();
     /**
      * Busy seconds of this phase: a subnet folds into busyFolded in
      * sequence-ID order once it and every lower ID completed, so the
@@ -88,9 +82,7 @@ struct PipelineRuntime::Impl : ExecutionBackend {
 
     Impl(const SearchSpace &s, const RuntimeConfig &c)
         : space(s), config(c), model(c.system),
-          numStages(c.numStages), session(s, config),
-          swap(c.cluster.gpu.pcieBytesPerSec,
-               c.cluster.gpu.pcieLatency)
+          numStages(c.numStages), session(s, config)
     {
         session.attach(this);
     }
@@ -113,22 +105,20 @@ struct PipelineRuntime::Impl : ExecutionBackend {
     bool canAdmit(SubnetId next) const override;
     void admit(SubnetId id) override;
     void restoreCompleted(SubnetId id) override;
+    void applyFault(const DueFault &fault) override;
     /** The modelled stages own no cores: search on this thread. */
     int searchThreads(int) const override { return 1; }
 
     void buildPhase();
-    void activate(const Subnet &sn);
     bool upstreamWritesDone(int stage, SubnetId id) const;
     void injectSubnets();
     double busySum() const;
-    void checkFaults(Tick end);
-    void takeCheckpoint(Tick end);
     void resetRunState();
     bool beginRecovery();
     void tryDispatch(int k);
     void startForward(int k, SubnetId id);
     void startBackward(int k, SubnetId id);
-    void onSubnetComplete(int k, SubnetId id, Tick end);
+    void onSubnetComplete(SubnetId id, Tick end);
     Tick taskDuration(const Subnet &sn, int lo, int hi,
                       TaskType type) const;
     Tick mirrorPushDelay(int writerStage, int readerStage,
@@ -142,7 +132,7 @@ struct PipelineRuntime::Impl : ExecutionBackend {
 void
 PipelineRuntime::Impl::buildPhase()
 {
-    ClusterConfig cc = config.cluster;
+    ClusterConfig cc;
     cc.numStages = numStages;
     cluster = std::make_unique<Cluster>(sim, cc);
 
@@ -161,9 +151,8 @@ PipelineRuntime::Impl::buildPhase()
     else
         semantics = UpdateSemantics::Immediate;
 
-    sizer.boundaryBytesPerSample =
-        session.activationModel().boundaryBytesPerSample;
-    sizer.batch = session.batch();
+    boundaryBytes = session.activationModel().boundaryBytesPerSample *
+                    static_cast<std::uint64_t>(session.batch());
 
     for (int k = 0; k < numStages; k++) {
         Stage::Hooks hooks;
@@ -195,25 +184,8 @@ PipelineRuntime::Impl::upstreamWritesDone(int stage, SubnetId id) const
     const Subnet &sn = subnetOf(id);
     auto [lo, hi] = blockRange(stage, id);
     for (int b = lo; b <= hi; b++) {
-        if (!space.parameterized(b, sn.choice(b)))
-            continue;
-        std::uint64_t key = sn.layer(b).key();
-        auto actIt = activators.find(key);
-        NASPIPE_ASSERT(actIt != activators.end(),
-                       "candidate's own activation missing");
-        // Exact unless the dropped prefix reaches past id; then
-        // earlier == dropped <= applied, and so is the true count:
-        // the verdict is the same.
-        const Activators &act = actIt->second;
-        auto earlier =
-            act.dropped +
-            static_cast<std::size_t>(
-                std::lower_bound(act.ids.begin(), act.ids.end(), id) -
-                act.ids.begin());
-        auto wIt = writesApplied.find(key);
-        std::size_t applied = wIt == writesApplied.end() ? 0
-                                                         : wIt->second;
-        if (applied < earlier)
+        if (space.parameterized(b, sn.choice(b)) &&
+            !gate->readable(gate->resolve(sn.layer(b).key(), id)))
             return false;
     }
     return true;
@@ -260,7 +232,7 @@ PipelineRuntime::Impl::mirrorPushDelay(int writerStage,
     // The active push travels GPU-to-GPU (peer DMA within a host,
     // Ethernet across hosts) without staging through host memory.
     Tick delay = 0;
-    const InterconnectConfig &ic = config.cluster.interconnect;
+    const InterconnectConfig ic{};
     bool cross = cluster->hostOf(writerStage) !=
                  cluster->hostOf(readerStage);
     double bw =
@@ -305,35 +277,15 @@ PipelineRuntime::Impl::canAdmit(SubnetId next) const
 }
 
 void
-PipelineRuntime::Impl::activate(const Subnet &sn)
-{
-    for (int b = 0; b < sn.size(); b++) {
-        if (!space.parameterized(b, sn.choice(b)))
-            continue;
-        std::uint64_t key = sn.layer(b).key();
-        Activators &act = activators[key];
-        // Each activator writes a layer once, so the applied writes
-        // never outnumber the activators; drop as many.
-        auto wIt = writesApplied.find(key);
-        std::size_t applied = wIt == writesApplied.end() ? 0
-                                                         : wIt->second;
-        NASPIPE_ASSERT(applied - act.dropped <= act.ids.size(),
-                       "more writes than activators on layer ", key);
-        act.ids.erase(act.ids.begin(),
-                      act.ids.begin() + static_cast<std::ptrdiff_t>(
-                                            applied - act.dropped));
-        act.dropped = applied;
-        act.ids.push_back(sn.id());
-        peakRetainedActivators =
-            std::max(peakRetainedActivators, act.ids.size());
-    }
-}
-
-void
 PipelineRuntime::Impl::admit(SubnetId id)
 {
     const Subnet &sn = subnetOf(id);
-    activate(sn);
+    if (model.policy == PolicyKind::Csp) {
+        for (int b = 0; b < sn.size(); b++) {
+            if (space.parameterized(b, sn.choice(b)))
+                gate->registerActivation(sn.layer(b).key(), id);
+        }
+    }
     if (model.mirroring) {
         auto entries = mirrors->plan(sn, session.partitionOf(id));
         mirrors->activate(entries);
@@ -363,7 +315,6 @@ void
 PipelineRuntime::Impl::restoreCompleted(SubnetId id)
 {
     const Subnet &sn = subnetOf(id);
-    activate(sn);
     // A restored subnet never runs a backward, so it pushes no
     // mirror sync: activating its mirrors is all it needs.
     if (model.mirroring)
@@ -374,10 +325,6 @@ PipelineRuntime::Impl::restoreCompleted(SubnetId id)
     for (auto &stage : stages) {
         stage->registerSubnet(sn);
         stage->mutableDeps().markFinished(sn.id());
-    }
-    for (int b = 0; b < sn.size(); b++) {
-        if (space.parameterized(b, sn.choice(b)))
-            writesApplied[sn.layer(b).key()]++;
     }
     if (flushCtl)
         flushCtl->onSubnetComplete(sn.id());
@@ -502,8 +449,8 @@ PipelineRuntime::Impl::startForward(int k, SubnetId id)
             busyOpen.at(id).seconds += ticksToSec(end - start);
             if (k + 1 < numStages) {
                 Tick arrival =
-                    cluster->link(k, k + 1).sendFrom(
-                        end, sizer.fwdBytes());
+                    cluster->link(k, k + 1).sendFrom(end,
+                                                     boundaryBytes);
                 sim.scheduleAt(
                     arrival,
                     [this, k, id] {
@@ -574,7 +521,8 @@ PipelineRuntime::Impl::startBackward(int k, SubnetId id)
                         continue;
                     std::uint64_t key = subnet.layer(b).key();
                     lastWrite[key] = {end, k};
-                    writesApplied[key]++;
+                    if (model.policy == PolicyKind::Csp)
+                        gate->commit(gate->resolve(key, id), k);
                 }
             }
 
@@ -595,7 +543,7 @@ PipelineRuntime::Impl::startBackward(int k, SubnetId id)
 
             if (k > 0) {
                 Tick arrival = cluster->link(k, k - 1).sendFrom(
-                    end, sizer.bwdBytes());
+                    end, boundaryBytes);
                 auto carried = pendingMeta(k);
                 sim.scheduleAt(
                     arrival,
@@ -606,7 +554,7 @@ PipelineRuntime::Impl::startBackward(int k, SubnetId id)
                     },
                     EventPriority::Transfer);
             } else {
-                onSubnetComplete(k, id, end);
+                onSubnetComplete(id, end);
             }
             if (model.policy == PolicyKind::Csp) {
                 // Newly visible writes may unblock forward
@@ -621,7 +569,7 @@ PipelineRuntime::Impl::startBackward(int k, SubnetId id)
 }
 
 void
-PipelineRuntime::Impl::onSubnetComplete(int, SubnetId id, Tick end)
+PipelineRuntime::Impl::onSubnetComplete(SubnetId id, Tick end)
 {
     mirrorEntries.erase(id);
     busyOpen.at(id).completed = true;
@@ -642,8 +590,6 @@ PipelineRuntime::Impl::onSubnetComplete(int, SubnetId id, Tick end)
             loss = session.exec().finishSubnet(subnetOf(id));
         }
     }
-    bool atBarrier = session.recordCompletion(
-        id, loss, session.secOffset() + ticksToSec(end));
 
     bool mayInject = true;
     if (flushCtl) {
@@ -654,14 +600,8 @@ PipelineRuntime::Impl::onSubnetComplete(int, SubnetId id, Tick end)
             if (config.numeric &&
                 semantics == UpdateSemantics::Deferred) {
                 session.exec().applyDeferredUpdates(pendingFinish);
-                for (SubnetId fid : pendingFinish) {
-                    const Subnet &fsn = subnetOf(fid);
-                    for (int b = 0; b < fsn.size(); b++) {
-                        if (space.parameterized(b, fsn.choice(b)))
-                            writesApplied[fsn.layer(b).key()]++;
-                    }
-                    session.exec().finishSubnet(fsn);
-                }
+                for (SubnetId fid : pendingFinish)
+                    session.exec().finishSubnet(subnetOf(fid));
                 pendingFinish.clear();
             }
             session.trace()->add(TraceRecord{
@@ -669,15 +609,25 @@ PipelineRuntime::Impl::onSubnetComplete(int, SubnetId id, Tick end)
         }
     }
 
-    // Completions form the fault plan's logical clock.
-    checkFaults(end);
-    if (crashed)
-        return;  // the world is frozen; run() performs the recovery
-
-    if (atBarrier)
-        takeCheckpoint(end);  // resumes injection after the write
-    else if (mayInject)
+    // After the flush, so a barrier checkpoint holds its weights.
+    TrainingSession::Step step =
+        session.applyCompletion(id, loss, ticksToSec(end), busySum());
+    if (step.failStop) {
+        crashed = true;
+        sim.stop();  // the world is frozen; run() performs the recovery
+        return;
+    }
+    if (step.checkpointed) {
+        Tick resume = end + ticksFromSec(step.ckptWriteSeconds);
+        session.trace()->add(TraceRecord{
+            end, resume, 0, TraceKind::Checkpoint, -1,
+            "completed=" + std::to_string(session.finished())});
+        // Injection resumes once the write completes: the modeled
+        // cost of a checkpoint is the pipeline drain plus the write.
+        sim.scheduleAt(resume, [this] { injectSubnets(); });
+    } else if (mayInject) {
         injectSubnets();
+    }
 }
 
 double
@@ -690,63 +640,33 @@ PipelineRuntime::Impl::busySum() const
 }
 
 void
-PipelineRuntime::Impl::checkFaults(Tick end)
+PipelineRuntime::Impl::applyFault(const DueFault &f)
 {
-    for (const FaultSpec &f : session.dueFaults(end)) {
-        int stage = std::clamp(f.stage, 0, numStages - 1);
-        switch (f.kind) {
-          case FaultKind::GpuCrash:
-            cluster->failStage(stage);
-            crashed = true;
-            break;
-          case FaultKind::LinkDrop: {
-            if (numStages < 2)
-                break;  // a one-stage pipeline has no links
-            int b = std::min(stage, numStages - 2);
-            cluster->dropBoundary(b);
-            crashed = true;
-            break;
-          }
-          case FaultKind::StageStall: {
-            // Occupy the stage's compute engine for the stall window;
-            // the scheduled dispatch un-wedges a stage that went idle
-            // behind the stall once it lifts.
-            Tick dur = ticksFromMs(f.durationMs);
-            Tick start =
-                cluster->gpu(stage).compute().reserveFrom(end, dur);
-            sim.scheduleAt(start + dur,
-                           [this, stage] { tryDispatch(stage); });
-            break;
-          }
-          case FaultKind::LinkDegrade: {
-            if (numStages < 2)
-                break;
-            int b = std::min(stage, numStages - 2);
-            cluster->degradeBoundary(b, f.factor);
-            sim.scheduleAt(end + ticksFromMs(f.durationMs),
-                           [this, b] { cluster->restoreBoundary(b); });
-            break;
-          }
-        }
+    Tick now = sim.now();
+    switch (f.spec.kind) {
+      case FaultKind::GpuCrash:
+        cluster->failStage(f.stage);
+        break;
+      case FaultKind::LinkDrop:
+        cluster->dropBoundary(f.link);
+        break;
+      case FaultKind::StageStall: {
+        // Occupy the stage's compute engine for the stall window;
+        // the scheduled dispatch un-wedges a stage that went idle
+        // behind the stall once it lifts.
+        Tick dur = ticksFromMs(f.spec.durationMs);
+        Tick start =
+            cluster->gpu(f.stage).compute().reserveFrom(now, dur);
+        sim.scheduleAt(start + dur,
+                       [this, k = f.stage] { tryDispatch(k); });
+        break;
+      }
+      case FaultKind::LinkDegrade:
+        cluster->degradeBoundary(f.link, f.spec.factor);
+        sim.scheduleAt(now + ticksFromMs(f.spec.durationMs),
+                       [this, b = f.link] { cluster->restoreBoundary(b); });
+        break;
     }
-    if (crashed)
-        sim.stop();
-}
-
-void
-PipelineRuntime::Impl::takeCheckpoint(Tick end)
-{
-    RunCheckpoint ckpt = session.buildCheckpoint(
-        session.secOffset() + ticksToSec(end),
-        session.busyOffset() + busySum());
-    double writeSec = session.commitCheckpoint(ckpt);
-    session.trace()->add(TraceRecord{
-        end, end + ticksFromSec(writeSec), 0, TraceKind::Checkpoint,
-        -1, "completed=" + std::to_string(session.finished())});
-    // Injection resumes once the write completes: the modeled cost
-    // of a checkpoint is the pipeline drain plus this write time.
-    sim.scheduleAt(end + ticksFromSec(writeSec),
-                   [this] { injectSubnets(); });
 }
 
 void
@@ -761,8 +681,7 @@ PipelineRuntime::Impl::resetRunState()
     flushCtl.reset();
     mirrorEntries.clear();
     lastWrite.clear();
-    activators.clear();
-    writesApplied.clear();
+    gate = std::make_unique<CommitGate>();
     busyFolded = 0.0;
     busyOpen.clear();
     pendingFinish.clear();
@@ -834,12 +753,6 @@ PipelineRuntime::PipelineRuntime(const SearchSpace &space,
 }
 
 PipelineRuntime::~PipelineRuntime() = default;
-
-std::size_t
-PipelineRuntime::peakRetainedActivators() const
-{
-    return _impl->peakRetainedActivators;
-}
 
 RunResult
 PipelineRuntime::run()

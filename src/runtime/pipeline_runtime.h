@@ -27,7 +27,6 @@
 #include "partition/mirror.h"
 #include "partition/partitioner.h"
 #include "partition/placement.h"
-#include "runtime/messages.h"
 #include "runtime/metrics.h"
 #include "fault/fault_plan.h"
 #include "schedule/bsp_scheduler.h"
@@ -94,7 +93,6 @@ struct RuntimeConfig {
      * a run that keeps it resumes only from a checkpoint that has it.
      */
     bool accessHistory = false;
-    ClusterConfig cluster;     ///< numStages is overridden
 
     /** @name Fault injection and recovery
      * Deterministic fault plan plus the checkpoint/recovery knobs.
@@ -145,9 +143,10 @@ struct RuntimeConfig {
     /**
      * Observer of every CommitGate commit, called from worker threads
      * as (layerKey, committing subnet, chain rank, stage). Honored by
-     * the threaded executor only (the simulator has no commit gate);
-     * the determinism audit layer's CspOracle attaches here to check
-     * commit monotonicity live. Must be thread-safe.
+     * the threaded executor only: the simulator's gate, which checks
+     * write visibility under CSP, reports no commits. The determinism
+     * audit layer's CspOracle attaches here to check commit
+     * monotonicity live. Must be thread-safe.
      */
     std::function<void(std::uint64_t, SubnetId, std::size_t, int)>
         commitObserver;
@@ -199,13 +198,6 @@ class PipelineRuntime
 
     /** Execute the run to completion and collect the results. */
     RunResult run();
-
-    /**
-     * The most activator IDs any layer's dependency check retained
-     * at once during run(): at most the in-flight window, however
-     * long the run.
-     */
-    std::size_t peakRetainedActivators() const;
 
   private:
     struct Impl;

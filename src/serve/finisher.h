@@ -17,7 +17,7 @@
  * or job state. The coordinator polls finished results without
  * blocking, or waits for one when it has nothing else to do. An
  * exception thrown by a finish (a NASPIPE_ASSERT) travels back with
- * its job ID for the coordinator to rethrow on its own thread.
+ * its job ID, and the coordinator fails that job with it.
  */
 
 #ifndef NASPIPE_SERVE_FINISHER_H

@@ -350,55 +350,42 @@ ServeJob::applyCompletion(
     float loss = 0.0f;
     if (_config.numeric)
         loss = _session.exec().finishSubnet(run->subnet);
-    double at =
-        _session.secOffset() + (nowSeconds - _phaseStart);
-    bool atBarrier =
-        _session.recordCompletion(run->subnet.id(), loss, at);
-
     // The job's fault plan runs on the job's own logical clock (its
-    // completion count) — neighbors never advance it.
-    const int numStages = _config.numStages;
-    for (const FaultSpec &f :
-         _session.dueFaults(ticksFromSec(nowSeconds - _phaseStart))) {
-        int stage = std::clamp(f.stage, 0, numStages - 1);
-        // A link fault hits the link below `link`; a one-stage
-        // pipeline has no links (the simulator ignores it too).
-        int link = std::min(stage, numStages - 2);
-        int ticks = std::max(1, static_cast<int>(f.durationMs));
-        switch (f.kind) {
-          case FaultKind::GpuCrash:
-            beginFailStop("injected fault: " + f.describe(), stage);
-            break;
-          case FaultKind::LinkDrop:
-            // The downstream end of the dropped link loses its
-            // traffic — fail-stop for the stage behind it.
-            if (numStages >= 2)
-                beginFailStop("injected fault: " + f.describe(),
-                              link + 1);
-            break;
-          case FaultKind::StageStall:
-            _hooks.perturb(f.kind, stage, ticks);
-            break;
-          case FaultKind::LinkDegrade:
-            if (numStages >= 2)
-                _hooks.perturb(f.kind, link, ticks);
-            break;
-        }
-    }
-    if (_failStopPending)
+    // completion count): neighbors never advance it.
+    if (_session
+            .applyCompletion(run->subnet.id(), loss,
+                             nowSeconds - _phaseStart, 0.0)
+            .failStop)
         return;  // no checkpoint at a crash-coincident barrier
 
     _policy.noteProgress();
-    if (atBarrier) {
-        RunCheckpoint ckpt = _session.buildCheckpoint(
-            _session.secOffset() + (nowSeconds - _phaseStart),
-            _session.busyOffset());
-        _session.commitCheckpoint(ckpt);
-    }
     if (_session.finished() == _session.totalSubnets())
         finish(nowSeconds);
     else
         refreshDrainState();
+}
+
+void
+ServeJob::applyFault(const DueFault &f)
+{
+    int ticks = std::max(1, static_cast<int>(f.spec.durationMs));
+    switch (f.spec.kind) {
+      case FaultKind::GpuCrash:
+        beginFailStop("injected fault: " + f.spec.describe(), f.stage);
+        break;
+      case FaultKind::LinkDrop:
+        // The downstream end of the dropped link loses its traffic:
+        // fail-stop for the stage behind it.
+        beginFailStop("injected fault: " + f.spec.describe(),
+                      f.link + 1);
+        break;
+      case FaultKind::StageStall:
+        _hooks.perturb(f.spec.kind, f.stage, ticks);
+        break;
+      case FaultKind::LinkDegrade:
+        _hooks.perturb(f.spec.kind, f.link, ticks);
+        break;
+    }
 }
 
 bool
@@ -509,6 +496,7 @@ ServeJob::fail(const std::string &reason)
     _result.retriesExhausted = _retriesExhausted;
     _result.error = reason;
     _result.plan = _session.plan();
+    _finishing = false;
     setState(JobState::Failed);
 }
 

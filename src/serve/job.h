@@ -191,6 +191,9 @@ class ServeJob : public ExecutionBackend
     bool canAdmit(SubnetId next) const override;
     void admit(SubnetId id) override;
     void restoreCompleted(SubnetId id) override;
+    /** Fail-stop faults flip the job to Recovering; stall and degrade
+     *  go to the pool's perturb hook. */
+    void applyFault(const DueFault &fault) override;
     /**
      * The width decided when the job began finishing: while other
      * tenants keep the stage pool busy, the search runs on one
@@ -220,11 +223,11 @@ class ServeJob : public ExecutionBackend
     bool admissible();
 
     /**
-     * Apply one completed subnet: compute the loss, record it, fire
-     * due faults (fail-stop flips the job to Recovering; stall and
-     * degrade go to the pool), take the drained checkpoint at a
-     * barrier, and start finishing the job when this was the last
-     * subnet. @p nowSeconds is the service wall clock.
+     * Apply one completed subnet: compute the loss, run the session's
+     * completion step (record, due faults through applyFault(), the
+     * drained checkpoint at a barrier), and start finishing the job
+     * when this was the last subnet. @p nowSeconds is the service
+     * wall clock.
      */
     void applyCompletion(const std::shared_ptr<const SubnetRun> &run,
                          double nowSeconds);

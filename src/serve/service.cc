@@ -324,11 +324,21 @@ void
 SearchService::installFinished(std::vector<JobFinisher::Finished> done)
 {
     for (JobFinisher::Finished &f : done) {
-        if (f.error)
-            std::rethrow_exception(f.error);
         _finishSeconds += f.seconds;
         ServeJob &job = *_jobs.at(f.jobId);
-        job.complete(std::move(f.result));
+        if (f.error) {
+            // A failed finish fails its own job only.
+            std::string why = "unknown exception";
+            try {
+                std::rethrow_exception(f.error);
+            } catch (const std::exception &e) {
+                why = e.what();
+            } catch (...) {
+            }
+            job.fail("post-run search failed: " + why);
+        } else {
+            job.complete(std::move(f.result));
+        }
         finalizeJob(job);
     }
 }

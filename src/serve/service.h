@@ -207,7 +207,8 @@ class SearchService
     void handOff(ServeJob &job);
     /** Drop job @p job's scheduler slot and admission window. */
     void release(const ServeJob &job);
-    /** Install finished results (rethrowing a finish's exception). */
+    /** Install finished results; a finish that threw fails its job
+     *  with the exception's message. */
     void installFinished(std::vector<JobFinisher::Finished> done);
     /** Whether any job may still dispatch into the pool. */
     bool poolNeeded() const;

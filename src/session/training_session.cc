@@ -18,6 +18,12 @@ constexpr double kRecoverySeconds = 5.0;
 
 } // namespace
 
+void
+ExecutionBackend::applyFault(const DueFault &fault)
+{
+    panic("backend cannot apply fault ", fault.spec.describe());
+}
+
 TrainingSession::TrainingSession(const SearchSpace &space,
                                  const RuntimeConfig &config)
     : _space(space), _config(config), _model(config.system),
@@ -36,7 +42,7 @@ TrainingSession::initRun()
     // Capacity planning decides whether this system can run at all
     // and at which batch size; an explicitly pinned batch (the
     // reproducibility methodology) is checked against capacity too.
-    CapacityPlanner planner(_space, _config.cluster.gpu, _activation);
+    CapacityPlanner planner(_space, GpuConfig{}, _activation);
     _plan = _config.batch > 0
                 ? planner.planWithBatch(_model, _numStages,
                                         _config.batch)
@@ -231,6 +237,41 @@ TrainingSession::recordCompletion(SubnetId id, float loss,
     if (effectiveFeedbackLag() == 0)
         deliverScoresBelow(_config.totalSubnets);
     return ckptEnabled() && _finished == _nextCkptAt;
+}
+
+TrainingSession::Step
+TrainingSession::applyCompletion(SubnetId id, float loss,
+                                 double phaseSeconds,
+                                 double phaseBusySeconds)
+{
+    NASPIPE_ASSERT(_backend, "no execution backend attached");
+    bool atBarrier =
+        recordCompletion(id, loss, _secOffset + phaseSeconds);
+    Step step;
+    // Completions form the fault plan's logical clock, the same on
+    // every executor. Each spec fires once, even after a rollback
+    // rewinds the count past its trigger.
+    for (const FaultSpec &f : _injector.due(_finished)) {
+        DueFault due{f, std::clamp(f.stage, 0, _numStages - 1), 0,
+                     faultIsFailStop(f.kind)};
+        due.link = std::min(due.stage, _numStages - 2);
+        Tick at = ticksFromSec(phaseSeconds);
+        _trace->add(TraceRecord{at, at, due.stage, TraceKind::Fault,
+                                -1, f.describe()});
+        inform("fault injected: ", f.describe());
+        bool linkFault = f.kind == FaultKind::LinkDrop ||
+                         f.kind == FaultKind::LinkDegrade;
+        if (linkFault && _numStages < 2)
+            continue;  // a one-stage pipeline has no links
+        step.failStop = step.failStop || due.failStop;
+        _backend->applyFault(due);
+    }
+    if (step.failStop || !atBarrier)
+        return step;
+    step.checkpointed = true;
+    step.ckptWriteSeconds = commitCheckpoint(buildCheckpoint(
+        _secOffset + phaseSeconds, _busyOffset + phaseBusySeconds));
+    return step;
 }
 
 int
@@ -436,19 +477,6 @@ TrainingSession::setTimeOffsets(double secOffset, double busyOffset)
     _busyOffset = busyOffset;
 }
 
-std::vector<FaultSpec>
-TrainingSession::dueFaults(Tick at)
-{
-    std::vector<FaultSpec> due = _injector.due(_finished);
-    for (const FaultSpec &f : due) {
-        int stage = std::clamp(f.stage, 0, _numStages - 1);
-        _trace->add(TraceRecord{at, at, stage, TraceKind::Fault, -1,
-                                f.describe()});
-        inform("fault injected: ", f.describe());
-    }
-    return due;
-}
-
 std::optional<TrainingSession::Rollback>
 TrainingSession::rollback(double secAtCrash, double busyAtCrash,
                           double extraDowntimeSeconds,
@@ -519,7 +547,7 @@ TrainingSession::collect(double totalSeconds, double busyTotal)
         static_cast<double>(_plan.residentParamBytesPerGpu +
                             _plan.activationBytesPerGpu +
                             CapacityPlanner::kReserveBytes) /
-        static_cast<double>(_config.cluster.gpu.memoryBytes) *
+        static_cast<double>(GpuConfig{}.memoryBytes) *
         _numStages;
     m.cpuMemBytes = _plan.cpuMemBytesTotal;
     m.reportedParamBytes = _plan.reportedParamBytes;

@@ -48,6 +48,19 @@
 namespace naspipe {
 
 /**
+ * A fault-plan spec that fell due, resolved once onto a pipeline of
+ * D stages for every executor.
+ */
+struct DueFault {
+    FaultSpec spec;
+    int stage = 0;  ///< spec.stage clamped to [0, D - 1]
+    /** The link a link fault hits, between stages link and link + 1:
+     *  min(stage, D - 2). */
+    int link = 0;
+    bool failStop = false;  ///< the run must roll back
+};
+
+/**
  * What an executor must provide to run under a TrainingSession. All
  * calls arrive on the coordinator thread.
  */
@@ -84,6 +97,15 @@ class ExecutionBackend
     virtual void restoreCompleted(SubnetId id) = 0;
 
     /**
+     * Map a due fault onto the executor: the simulator's hardware
+     * models, or a job's fail-stop or pool perturbation. Called by
+     * TrainingSession::applyCompletion() for each applicable fault,
+     * in plan order, after the session logged and traced it.
+     * Default: panic, for a backend that runs no fault plan.
+     */
+    virtual void applyFault(const DueFault &fault);
+
+    /**
      * Threads collect()'s post-run search may fan candidates out
      * over. collect() runs after the executor drained, so by default
      * the search borrows one thread per idle stage plus the
@@ -107,6 +129,15 @@ class ExecutionBackend
 class TrainingSession
 {
   public:
+    /** What applyCompletion() did after recording the completion. */
+    struct Step {
+        /** A fail-stop fault fired: no checkpoint was taken, and the
+         *  executor rolls back. */
+        bool failStop = false;
+        bool checkpointed = false;  ///< committed a barrier checkpoint
+        double ckptWriteSeconds = 0.0;  ///< its modeled write time
+    };
+
     /** What one rollback() rewound: completed counts at the crash and
      *  at the restored checkpoint (0 when none was taken yet). */
     struct Rollback {
@@ -175,6 +206,22 @@ class TrainingSession
      */
     bool recordCompletion(SubnetId id, float loss, double atSeconds);
 
+    /**
+     * The completion step of every executor. In order: record subnet
+     * @p id's completion with loss @p loss, @p phaseSeconds into this
+     * run phase; resolve each fault now due on the completed-count
+     * clock to a DueFault and hand it to the backend's applyFault()
+     * (a link fault on a one-stage pipeline is inapplicable: logged
+     * and traced only); then, unless a fail-stop fired, build and
+     * commit the checkpoint when this completion reached a drained
+     * barrier. @p phaseBusySeconds is the executor's busy time in
+     * this phase (0 when it models none); the checkpoint adds the
+     * offsets to both times. Besides a checkpoint, it allocates
+     * nothing unless a fault is due.
+     */
+    Step applyCompletion(SubnetId id, float loss, double phaseSeconds,
+                         double phaseBusySeconds);
+
     /** @name Feedback-lag-exact score delivery
      * @{ */
     int effectiveFeedbackLag() const;
@@ -226,17 +273,8 @@ class TrainingSession
     const std::string &lastCheckpoint() const { return _lastCkpt; }
     /** @} */
 
-    /** @name Faults and fail-stop rollback
+    /** @name Fail-stop rollback
      * @{ */
-    /**
-     * Fault-plan specs due at the current completion count — the
-     * logical clock every executor shares. Each spec fires once, even
-     * after a rollback rewinds the count past its trigger. Each due
-     * fault is logged and traced at @p at; the caller maps it onto
-     * its own target (sim hardware, a worker latch, a job).
-     */
-    std::vector<FaultSpec> dueFaults(Tick at);
-
     /**
      * Roll the run back to the last drained checkpoint (subnet 0
      * when none was taken): charge the fault counters, initRun(),

@@ -94,12 +94,16 @@ TEST(PipelineRuntime, BspViolatesDependenciesInLargeBulks)
     EXPECT_GT(result.metrics.causalViolations, 0);
 }
 
-TEST(PipelineRuntime, ActivatorsStayWithinTheInflightWindow)
+TEST(PipelineRuntime, GateHoldsALongRunAcrossARollback)
 {
-    // The dependency check's per-layer activator lists drop the
-    // applied prefix, so a long run retains no more IDs per layer
-    // than it has subnets in flight — with and without a rollback
-    // that restores a prefix.
+    // The write-visibility check is the commit gate: a long CSP run
+    // commits every write in rank order (the gate aborts otherwise),
+    // before and after a rollback that rebuilds the gate and restores
+    // a prefix without registering it. The gate drops each layer's
+    // committed prefix at registration, so it retains no more
+    // activators per layer than there are subnets in flight;
+    // CommitGateProperties.RetainedActivatorsStayBoundedByTheWindow
+    // holds that bound.
     SearchSpace space = makeSpaceByName("NLP.c1");
     RuntimeConfig config = smallConfig(naspipeSystem(), 4, 2048);
     config.traceEnabled = false;
@@ -115,10 +119,6 @@ TEST(PipelineRuntime, ActivatorsStayWithinTheInflightWindow)
     ASSERT_FALSE(result.failed) << result.error;
     EXPECT_EQ(result.metrics.finishedSubnets, 2048);
     EXPECT_EQ(result.metrics.recoveries, 1);
-    EXPECT_GT(runtime.peakRetainedActivators(), 0u);
-    EXPECT_LE(runtime.peakRetainedActivators(),
-              static_cast<std::size_t>(
-                  config.system.effectiveInflight(config.numStages)));
 }
 
 TEST(PipelineRuntime, TraceRecordsAllTasks)

@@ -640,13 +640,14 @@ TEST(ServeService, QueuedAdmissionReplaysAcrossReruns)
             << "rerun " << rerun << " admitted differently";
 }
 
-TEST(ServeService, FinishAssertionReachesRunCaller)
+TEST(ServeService, FinishAssertionFailsOnlyItsJob)
 {
     // A final-barrier checkpoint whose weights are all NaN (and whose
     // checksums are valid) resumes at its end, so the job finishes at
     // admission. Every candidate then evaluates to NaN and the search
-    // asserts on a finisher thread; run() rethrows it on the caller's
-    // thread, out of runTrainingThreaded.
+    // asserts on a finisher thread. That fails the job with the
+    // assertion's message; its neighbor in the batch trains on to
+    // its solo hash, and run() reports a failed job.
     constexpr int kStages = 2;
     JobSpec spec = job("NLP.c1", 11, 12);
     spec.ckptInterval = 4;
@@ -674,21 +675,27 @@ TEST(ServeService, FinishAssertionReachesRunCaller)
     ckpt.storeBytes = store.serialize();
     ASSERT_TRUE(ckpt.saveFileAtomic(spec.ckptPath));
 
-    RuntimeConfig c;
-    c.system = naspipeSystem();
-    c.numStages = kStages;
-    c.totalSubnets = spec.steps;
-    c.seed = spec.seed;
-    c.ckptInterval = spec.ckptInterval;
-    c.resumePath = spec.ckptPath;
-    try {
-        runTrainingThreaded(space, c);
-        ADD_FAILURE() << "run() returned despite a failed finish";
-    } catch (const std::logic_error &e) {
-        EXPECT_NE(std::string(e.what()).find("non-negative"),
-                  std::string::npos)
-            << e.what();
-    }
+    ServiceConfig sc;
+    sc.numStages = kStages;
+    SearchService service(sc);
+    std::string why;
+    std::vector<int> ids =
+        service.submitBatch({spec, job("CV.c1", 3, 16)}, &why);
+    ASSERT_EQ(ids, (std::vector<int>{1, 2})) << why;
+    service.drain();
+    EXPECT_EQ(service.run(), SearchService::JobFailed)
+        << service.serviceError();
+
+    const ServeJob *poisoned = service.job(1);
+    ASSERT_NE(poisoned, nullptr);
+    EXPECT_EQ(poisoned->state(), JobState::Failed);
+    EXPECT_NE(poisoned->error().find("non-negative"), std::string::npos)
+        << poisoned->error();
+    const ServeJob *neighbor = service.job(2);
+    ASSERT_NE(neighbor, nullptr);
+    ASSERT_EQ(neighbor->state(), JobState::Done) << neighbor->error();
+    EXPECT_EQ(neighbor->result().supernetHash,
+              soloRun("CV.c1", 3, 16, kStages).supernetHash);
     std::remove(spec.ckptPath.c_str());
 }
 

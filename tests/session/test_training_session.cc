@@ -44,11 +44,16 @@ class MockBackend : public ExecutionBackend
     {
         restored.push_back(id);
     }
+    void applyFault(const DueFault &fault) override
+    {
+        faults.push_back(fault);
+    }
 
     bool veto = false;
     mutable int canAdmitCalls = 0;
     std::vector<SubnetId> admitted;
     std::vector<SubnetId> restored;
+    std::vector<DueFault> faults;
 };
 
 RuntimeConfig
@@ -79,11 +84,11 @@ struct Fixture {
     }
     /**
      * Train subnet @p id start to finish on this thread — every
-     * stage forward, the loss, every stage backward — and record it
-     * at 0.1 s per subnet. Completing in ID order is a valid CSP
-     * interleaving, so the weights match any executor's.
+     * stage forward, the loss, every stage backward — and return its
+     * loss. Completing in ID order is a valid CSP interleaving, so
+     * the weights match any executor's.
      */
-    bool execute(SubnetId id)
+    float train(SubnetId id)
     {
         const Subnet &sn = session.subnetOf(id);
         NumericExecutor &exec = session.exec();
@@ -101,26 +106,24 @@ struct Fixture {
                 exec.backwardStage(sn, lo, hi,
                                    UpdateSemantics::Immediate, k);
         }
-        return session.recordCompletion(id, exec.finishSubnet(sn),
-                                        0.1 * (id + 1));
+        return exec.finishSubnet(sn);
     }
     /**
-     * Train until @p until subnets completed, committing a checkpoint
-     * (busy = 0.05 s per subnet) at every drained barrier. Returns
-     * true when it stopped early because a fault fell due.
+     * Train until @p until subnets completed, each through the
+     * completion step at 0.1 s and 0.05 busy s per subnet into the
+     * phase, so every drained barrier commits a checkpoint. Returns
+     * true when it stopped early because a fail-stop fault fired.
      */
     bool drive(int until)
     {
         while (session.finished() < until) {
             session.pump();
             auto id = static_cast<SubnetId>(session.finished());
-            bool atBarrier = execute(id);
-            if (!session.dueFaults(0).empty())
+            if (session
+                    .applyCompletion(id, train(id), 0.1 * (id + 1),
+                                     0.05 * (id + 1))
+                    .failStop)
                 return true;
-            if (atBarrier) {
-                session.commitCheckpoint(session.buildCheckpoint(
-                    0.1 * (id + 1), 0.05 * (id + 1)));
-            }
         }
         return false;
     }
@@ -404,6 +407,90 @@ TEST(TrainingSessionCore, RollbackToTheLastCheckpointReplays)
     EXPECT_DOUBLE_EQ(r.metrics.recoverySeconds, 5.0);
     EXPECT_DOUBLE_EQ(r.metrics.lostComputeSeconds, 1.5 - 0.05 * 4);
     EXPECT_EQ(r.supernetHash, want);
+}
+
+TEST(TrainingSessionCore, CompletionStepResolvesEachFaultOnce)
+{
+    SearchSpace space = makeSpaceByName("NLP.c1");
+    RuntimeConfig c = config(8, 4);
+    c.numStages = 3;
+    c.ckptInterval = 2;
+    std::vector<FaultSpec> plan(3);
+    plan[0].kind = FaultKind::StageStall;
+    plan[0].atStep = 2;
+    plan[0].stage = 7;  // clamps to the last stage
+    plan[1].kind = FaultKind::LinkDegrade;
+    plan[1].atStep = 2;
+    plan[1].stage = 2;  // the last stage's link is the one below it
+    plan[2].kind = FaultKind::LinkDrop;
+    plan[2].atStep = 4;
+    c.faults = plan;
+    Fixture f(space, c);
+
+    ASSERT_EQ(f.session.pump(), 2);  // up to the barrier at 2
+    TrainingSession::Step step =
+        f.session.applyCompletion(0, 0.5f, 0.1, 0.05);
+    EXPECT_FALSE(step.failStop);
+    EXPECT_FALSE(step.checkpointed);
+    EXPECT_TRUE(f.backend.faults.empty());
+
+    // Two transient faults, then the barrier checkpoint at the
+    // phase's times.
+    step = f.session.applyCompletion(1, 0.5f, 0.2, 0.125);
+    ASSERT_EQ(f.backend.faults.size(), 2u);
+    for (const DueFault &due : f.backend.faults) {
+        EXPECT_EQ(due.stage, 2);
+        EXPECT_EQ(due.link, 1);
+        EXPECT_FALSE(due.failStop);
+    }
+    EXPECT_EQ(f.backend.faults[0].spec.kind, FaultKind::StageStall);
+    EXPECT_EQ(f.backend.faults[1].spec.kind, FaultKind::LinkDegrade);
+    EXPECT_FALSE(step.failStop);
+    ASSERT_TRUE(step.checkpointed);
+    EXPECT_GT(step.ckptWriteSeconds, 0.0);
+    const std::string atTwo = f.session.lastCheckpoint();
+    RunCheckpoint ckpt;
+    ASSERT_TRUE(ckpt.load(atTwo));
+    EXPECT_EQ(ckpt.completed, 2u);
+    EXPECT_DOUBLE_EQ(ckpt.simSeconds, 0.2);
+    EXPECT_DOUBLE_EQ(ckpt.busySeconds, 0.125);
+
+    // A fail-stop at the next barrier leaves the checkpoint untaken.
+    ASSERT_EQ(f.session.pump(), 2);
+    f.session.applyCompletion(2, 0.5f, 0.3, 0.15);
+    step = f.session.applyCompletion(3, 0.5f, 0.4, 0.2);
+    ASSERT_EQ(f.backend.faults.size(), 3u);
+    EXPECT_EQ(f.backend.faults[2].stage, 0);
+    EXPECT_EQ(f.backend.faults[2].link, 0);
+    EXPECT_TRUE(f.backend.faults[2].failStop);
+    EXPECT_TRUE(step.failStop);
+    EXPECT_FALSE(step.checkpointed);
+    EXPECT_EQ(f.session.lastCheckpoint(), atTwo);
+    EXPECT_EQ(f.session.faults().firedCount(), 3);
+}
+
+TEST(TrainingSessionCore, LinkFaultsDoNotApplyToOneStage)
+{
+    SearchSpace space = makeSpaceByName("NLP.c1");
+    RuntimeConfig c = config(4, 4);
+    c.numStages = 1;
+    std::vector<FaultSpec> plan(2);
+    plan[0].kind = FaultKind::LinkDrop;
+    plan[0].atStep = 1;
+    plan[1].kind = FaultKind::GpuCrash;
+    plan[1].atStep = 2;
+    plan[1].stage = 3;
+    c.faults = plan;
+    Fixture f(space, c);
+    ASSERT_EQ(f.session.pump(), 4);
+    // The drop fires (it is counted) but has no link to hit.
+    EXPECT_FALSE(f.session.applyCompletion(0, 0.5f, 0.1, 0.0).failStop);
+    EXPECT_TRUE(f.backend.faults.empty());
+    EXPECT_EQ(f.session.faults().firedCount(), 1);
+    EXPECT_TRUE(f.session.applyCompletion(1, 0.5f, 0.2, 0.0).failStop);
+    ASSERT_EQ(f.backend.faults.size(), 1u);
+    EXPECT_EQ(f.backend.faults[0].stage, 0);
+    EXPECT_TRUE(f.backend.faults[0].failStop);
 }
 
 TEST(TrainingSessionCore, RollbackWithoutACheckpointRestartsAtZero)
