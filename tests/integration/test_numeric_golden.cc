@@ -39,6 +39,15 @@
  *               --system naspipe --inject-fault crash@12
  * (the CLI prints the supernet hash as weights; the final loss is
  * RunMetrics::finalLoss).
+ *
+ * kCachePins pins the simulator's parameter-cache accounting
+ * (RunMetrics cacheHitRate bits, prefetched and synchronously fetched
+ * bytes, peak resident bytes and the §4.2 budget) for one NASPipe run
+ * whose budget forces LRU evictions, one VPipe (SwapOnDemand) run and
+ * one CV run, all --executor sim at seed 7 over 64 steps (by then the
+ * NASPipe run's peak sits within one layer of its budget). They hold
+ * the residency bookkeeping to the counts it produced before it moved
+ * into a dense per-layer table. A failing row prints its new value.
  */
 
 #include <gtest/gtest.h>
@@ -179,6 +188,27 @@ constexpr RunPin kRunPins[] = {
      0x3fc6ff476a000000ULL},
 };
 
+struct CachePin {
+    const char *space;
+    SystemModel (*system)();
+    int workers;
+    std::uint64_t hitRateBits;  ///< RunMetrics::cacheHitRate, bitwise
+    std::uint64_t prefetchedBytes;
+    std::uint64_t syncFetchedBytes;
+    std::uint64_t peakBytes;
+    std::uint64_t budgetBytes;
+};
+
+// seed 7, 64 steps, --executor sim, no checkpoints.
+constexpr CachePin kCachePins[] = {
+    {"NLP.c1", naspipeSystem, 4, 0x3fefd7b7eacc9687ULL, 28870717728ULL,
+     243558573ULL, 992037390ULL, 1040612577ULL},
+    {"NLP.c1", vpipeSystem, 4, 0x3fc0cb8727c065c4ULL, 0ULL,
+     50613584347ULL, 271494628ULL, 346870857ULL},
+    {"CV.c1", naspipeSystem, 4, 0x3fef4296efb8f89aULL, 21282522872ULL,
+     1154457293ULL, 718351573ULL, 719419542ULL},
+};
+
 /** The checkpoint file at @p path: its bytes, after checking that it
  *  loads and serializes back to itself. */
 std::string
@@ -301,6 +331,36 @@ TEST(NumericGolden, SimRunsLandOnTheirPinnedCheckpointHashAndLoss)
         EXPECT_EQ(lossBits, p.finalLossBits)
             << std::hex << "final loss bits 0x" << lossBits;
         std::remove(path.c_str());
+    }
+}
+
+TEST(NumericGolden, SimCacheAccountingLandsOnItsPins)
+{
+    for (const CachePin &p : kCachePins) {
+        RuntimeConfig c;
+        c.system = p.system();
+        SCOPED_TRACE(std::string(p.space) + " " + c.system.name + " " +
+                     std::to_string(p.workers) + " workers");
+        SearchSpace space = makeSpaceByName(p.space);
+        c.numStages = p.workers;
+        c.totalSubnets = 64;
+        c.seed = 7;
+        RunResult r = runTraining(space, c);
+        ASSERT_FALSE(r.oom);
+        ASSERT_FALSE(r.failed) << r.error;
+        ASSERT_TRUE(r.metrics.cacheHitRate.has_value());
+
+        std::uint64_t rateBits = 0;
+        std::memcpy(&rateBits, &*r.metrics.cacheHitRate, sizeof rateBits);
+        EXPECT_EQ(rateBits, p.hitRateBits)
+            << std::hex << "hit rate bits 0x" << rateBits;
+        EXPECT_EQ(r.metrics.prefetchedBytes, p.prefetchedBytes)
+            << "prefetched bytes";
+        EXPECT_EQ(r.metrics.syncFetchedBytes, p.syncFetchedBytes)
+            << "sync fetched bytes";
+        EXPECT_EQ(r.metrics.cachePeakBytes, p.peakBytes) << "peak bytes";
+        EXPECT_EQ(r.metrics.cacheBudgetBytes, p.budgetBytes)
+            << "budget bytes";
     }
 }
 
