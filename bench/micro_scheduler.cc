@@ -4,13 +4,16 @@
  * the paper claims the SCHEDULE() call costs <0.01 s against
  * second-scale subnet executions (§3.2 complexity analysis); these
  * benchmarks verify the claim holds across queue lengths and space
- * sizes, and also time the predictor and the balanced partitioner.
+ * sizes, and also time the predictor, the balanced partitioner and
+ * one subnet's context-manager bookkeeping on a stage worker.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
 
+#include "memory/context_manager.h"
+#include "memory/swap_model.h"
 #include "partition/partitioner.h"
 #include "schedule/csp_scheduler.h"
 #include "schedule/dependency.h"
@@ -158,6 +161,51 @@ BM_DependencyDensity(benchmark::State &state)
     }
 }
 BENCHMARK(BM_DependencyDensity);
+
+void
+BM_ContextManagerSubnet(benchmark::State &state)
+{
+    // One NLP.c1 subnet on a lone threaded worker (the whole supernet
+    // on one stage) under PredictivePrefetch at the solo budget. Per
+    // subnet the worker makes five prefetch scans (inbox arrival plus
+    // the two queued forwards before the forward and again before the
+    // backward), two ensureResident passes and one evictSubnet, each
+    // call advancing the logical clock like StageWorker.
+    SearchSpace space = makeSpaceByName("NLP.c1");
+    const std::uint64_t budget =
+        3 * CapacityPlanner(space, GpuConfig{})
+                .plan(naspipeSystem(), 1)
+                .residentParamBytesPerGpu;
+    ContextManager ctx(space, MemoryMode::PredictivePrefetch, budget);
+    UniformSampler sampler(space, 19);
+    std::vector<Subnet> ring;
+    for (int i = 0; i < 64; i++)
+        ring.push_back(sampler.next());
+    const int hi = space.numBlocks() - 1;
+    const std::size_t n = ring.size();
+    std::size_t k = 0;
+    Tick clock = 0;
+    for (auto _ : state) {
+        const Subnet &run = ring[k];
+        const Subnet &next = ring[(k + 1) % n];
+        const Subnet &after = ring[(k + 2) % n];
+        ctx.prefetch(run, 0, hi, ++clock);  // inbox arrival
+        ctx.prefetch(next, 0, hi, ++clock);
+        ctx.prefetch(after, 0, hi, ++clock);
+        ctx.ensureResident(run, 0, hi, ++clock);  // forward
+        ctx.prefetch(next, 0, hi, ++clock);
+        ctx.prefetch(after, 0, hi, ++clock);
+        ctx.ensureResident(run, 0, hi, ++clock);  // backward
+        ctx.evictSubnet(run, 0, hi, clock);
+        k = (k + 1) % n;
+    }
+    benchmark::DoNotOptimize(ctx.memory().residentBytes());
+    state.counters["hit_rate"] = ctx.memory().hitStats().rate();
+    state.counters["forced_evictions"] = benchmark::Counter(
+        static_cast<double>(ctx.stats().forcedEvictions),
+        benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_ContextManagerSubnet);
 
 } // namespace
 } // namespace naspipe

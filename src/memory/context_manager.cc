@@ -8,7 +8,9 @@ namespace naspipe {
 
 ContextManager::ContextManager(const SearchSpace &space, MemoryMode mode,
                                std::uint64_t budgetBytes, Gpu *gpu)
-    : _space(space), _mode(mode), _budgetBytes(budgetBytes), _gpu(gpu)
+    : _mode(mode), _budgetBytes(budgetBytes), _gpu(gpu),
+      _memory(mode == MemoryMode::AllResident ? GpuMemoryManager()
+                                              : GpuMemoryManager(space))
 {
 }
 
@@ -42,7 +44,7 @@ ContextManager::fetchLayer(const LayerId &layer, std::uint64_t bytes,
     // asynchronous with compute (§4.2). Without copy engines the
     // layer is usable at once.
     Tick done = _gpu ? _gpu->h2d().transferFrom(now, bytes) : now;
-    return _memory.admit(layer, bytes, done);
+    return _memory.admit(layer, done);
 }
 
 void
@@ -64,13 +66,10 @@ ContextManager::prefetch(const Subnet &subnet, int lo, int hi, Tick now)
         return;
     _stats.prefetchRequests++;
     for (int b = lo; b <= hi; b++) {
-        std::uint64_t bytes =
-            _space.spec(b, subnet.choice(b)).paramBytes;
-        if (bytes == 0)
-            continue;  // skip candidates have no context
         LayerId layer = subnet.layer(b);
-        if (_memory.tracked(layer))
-            continue;
+        std::uint64_t bytes = _memory.bytes(layer);
+        if (bytes == 0 || _memory.tracked(layer))
+            continue;  // skip candidates have no context
         fetchLayer(layer, bytes, now);
         _stats.prefetchedBytes += bytes;
     }
@@ -105,11 +104,10 @@ ContextManager::ensureResident(const Subnet &subnet, int lo, int hi,
 
     Tick ready = now;
     for (int b = lo; b <= hi; b++) {
-        std::uint64_t bytes =
-            _space.spec(b, subnet.choice(b)).paramBytes;
+        LayerId layer = subnet.layer(b);
+        std::uint64_t bytes = _memory.bytes(layer);
         if (bytes == 0)
             continue;  // skip candidates have no context
-        LayerId layer = subnet.layer(b);
         Tick available;
         if (_memory.tracked(layer)) {
             available = _memory.availableAt(layer);
@@ -145,10 +143,9 @@ ContextManager::evictSubnet(const Subnet &subnet, int lo, int hi,
 {
     if (_mode != MemoryMode::PredictivePrefetch)
         return;
-    for (int b = lo; b <= hi; b++) {
-        if (_space.spec(b, subnet.choice(b)).paramBytes > 0)
-            evictLayer(subnet.layer(b), now);
-    }
+    // Skip candidates are never tracked, so evicting them is a no-op.
+    for (int b = lo; b <= hi; b++)
+        evictLayer(subnet.layer(b), now);
 }
 
 void

@@ -24,6 +24,15 @@
  * shared ParameterStore) models copies that are usable at once. The
  * manager is pure bookkeeping: it never gates execution, so
  * residency decisions cannot perturb the trained weights.
+ *
+ * The resident set is GpuMemoryManager's dense slot table, one slot
+ * per candidate layer shaped from the search space at construction
+ * and holding the layer's parameter bytes, so a prefetch scan,
+ * ensureResident or evictSubnet reads each layer's bytes from its
+ * slot (0 = skip candidate) and allocates nothing. Slot index order
+ * is (block, choice) order, which is the LRU tie-break; a tracked
+ * list keeps the victim search and reset proportional to the
+ * resident layers. An AllResident manager allocates no table.
  */
 
 #ifndef NASPIPE_MEMORY_CONTEXT_MANAGER_H
@@ -103,9 +112,6 @@ class ContextManager
     /** Resident-set accounting. */
     const GpuMemoryManager &memory() const { return _memory; }
 
-    /** Cache-hit rate over all ensureResident classifications. */
-    double cacheHitRate() const { return _memory.hitStats().rate(); }
-
     const ContextStats &stats() const { return _stats; }
 
     void reset();
@@ -116,7 +122,6 @@ class ContextManager
     void evictLayer(const LayerId &layer, Tick now);
     void enforceBudget(std::uint64_t incomingBytes, Tick now);
 
-    const SearchSpace &_space;
     MemoryMode _mode;
     std::uint64_t _budgetBytes;
     Gpu *_gpu;

@@ -2,62 +2,54 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
+#include "supernet/search_space.h"
 
 namespace naspipe {
 
-bool
-GpuMemoryManager::tracked(const LayerId &layer) const
+GpuMemoryManager::GpuMemoryManager(const SearchSpace &space)
+    : _choicesPerBlock(
+          static_cast<std::uint32_t>(space.choicesPerBlock())),
+      _slots(static_cast<std::size_t>(space.totalLayers()))
 {
-    return _layers.count(layer.key()) > 0;
-}
-
-bool
-GpuMemoryManager::usable(const LayerId &layer, Tick now) const
-{
-    auto it = _layers.find(layer.key());
-    return it != _layers.end() && it->second.availableAt <= now;
+    for (int b = 0; b < space.numBlocks(); b++) {
+        for (int c = 0; c < space.choicesPerBlock(); c++) {
+            _slots[static_cast<std::size_t>(b) * _choicesPerBlock +
+                   static_cast<std::size_t>(c)]
+                .bytes = space.spec(b, c).paramBytes;
+        }
+    }
 }
 
 Tick
-GpuMemoryManager::admit(const LayerId &layer, std::uint64_t bytes,
-                        Tick availableAt)
+GpuMemoryManager::admit(const LayerId &layer, Tick availableAt)
 {
-    auto [it, inserted] = _layers.try_emplace(
-        layer.key(), ResidentLayer{bytes, availableAt, availableAt});
-    if (!inserted)
-        return it->second.availableAt;
-    _residentBytes += bytes;
+    Slot &s = slot(layer);
+    if (s.position != kUntracked)
+        return s.availableAt;
+    s.availableAt = availableAt;
+    s.lastUse = availableAt;
+    s.position = static_cast<std::uint32_t>(_tracked.size());
+    _tracked.push_back(index(layer));
+    _residentBytes += s.bytes;
     _peakBytes = std::max(_peakBytes, _residentBytes);
     return availableAt;
-}
-
-Tick
-GpuMemoryManager::availableAt(const LayerId &layer) const
-{
-    auto it = _layers.find(layer.key());
-    NASPIPE_ASSERT(it != _layers.end(), "layer not tracked");
-    return it->second.availableAt;
-}
-
-void
-GpuMemoryManager::touch(const LayerId &layer, Tick now)
-{
-    auto it = _layers.find(layer.key());
-    if (it != _layers.end())
-        it->second.lastUse = std::max(it->second.lastUse, now);
 }
 
 std::uint64_t
 GpuMemoryManager::evict(const LayerId &layer)
 {
-    auto it = _layers.find(layer.key());
-    if (it == _layers.end())
+    Slot &s = slot(layer);
+    if (s.position == kUntracked)
         return 0;
-    std::uint64_t bytes = it->second.bytes;
-    _residentBytes -= bytes;
-    _layers.erase(it);
-    return bytes;
+    // Swap-remove from the tracked list, re-pointing the slot that
+    // moves into the hole.
+    const std::uint32_t moved = _tracked.back();
+    _tracked[s.position] = moved;
+    _slots[moved].position = s.position;
+    _tracked.pop_back();
+    s.position = kUntracked;
+    _residentBytes -= s.bytes;
+    return s.bytes;
 }
 
 bool
@@ -68,16 +60,21 @@ GpuMemoryManager::lruVictim(LayerId &victim, Tick before) const
     // in flight, lastUse in the future) is in use.
     bool found = false;
     Tick best = 0;
-    for (const auto &[key, layer] : _layers) {
-        if (layer.lastUse >= before)
+    std::uint32_t bestIndex = 0;
+    for (std::uint32_t i : _tracked) {
+        const Tick lastUse = _slots[i].lastUse;
+        if (lastUse >= before)
             continue;
-        if (!found || layer.lastUse < best) {
-            best = layer.lastUse;
-            victim.block = static_cast<std::uint32_t>(key >> 32);
-            victim.choice =
-                static_cast<std::uint32_t>(key & 0xffffffffULL);
+        if (!found || lastUse < best ||
+            (lastUse == best && i < bestIndex)) {
+            best = lastUse;
+            bestIndex = i;
             found = true;
         }
+    }
+    if (found) {
+        victim.block = bestIndex / _choicesPerBlock;
+        victim.choice = bestIndex % _choicesPerBlock;
     }
     return found;
 }
@@ -85,7 +82,9 @@ GpuMemoryManager::lruVictim(LayerId &victim, Tick before) const
 void
 GpuMemoryManager::reset()
 {
-    _layers.clear();
+    for (std::uint32_t i : _tracked)
+        _slots[i].position = kUntracked;
+    _tracked.clear();
     _residentBytes = 0;
     _peakBytes = 0;
     _hits.reset();

@@ -59,7 +59,7 @@ TEST_F(ContextFixture, ColdAccessIsAMissWithSyncFetch)
     ctx.ensureResident(subnet(), 0, 3, sim.now());
     EXPECT_EQ(ctx.memory().hitStats().misses(), 4u);
     EXPECT_EQ(ctx.stats().syncFetches, 4u);
-    EXPECT_DOUBLE_EQ(ctx.cacheHitRate(), 0.0);
+    EXPECT_DOUBLE_EQ(ctx.memory().hitStats().rate(), 0.0);
 }
 
 TEST_F(ContextFixture, SecondAccessHits)
@@ -69,7 +69,7 @@ TEST_F(ContextFixture, SecondAccessHits)
     // e.g. the backward pass
     ctx.ensureResident(subnet(), 0, 3, sim.now());
     EXPECT_EQ(ctx.memory().hitStats().hits(), 4u);
-    EXPECT_DOUBLE_EQ(ctx.cacheHitRate(), 0.5);
+    EXPECT_DOUBLE_EQ(ctx.memory().hitStats().rate(), 0.5);
 }
 
 TEST_F(ContextFixture, EvictionFreesAndCopiesBack)

@@ -1,72 +1,92 @@
 /**
  * @file
- * GPU resident-set manager tests.
+ * GPU resident-set manager tests, over a small search space whose
+ * layers' parameter bytes shape the manager's table.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "memory/gpu_memory.h"
+#include "supernet/search_space.h"
 
 namespace naspipe {
 namespace {
 
+const SearchSpace &
+space()
+{
+    static const SearchSpace s("m", SpaceFamily::Nlp, 10, 10, 3);
+    return s;
+}
+
+std::uint64_t
+bytesOf(const LayerId &layer)
+{
+    return space().spec(layer).paramBytes;
+}
+
 TEST(GpuMemoryManager, AdmitAndQuery)
 {
-    GpuMemoryManager mem;
+    GpuMemoryManager mem(space());
     LayerId layer{1, 2};
     EXPECT_FALSE(mem.tracked(layer));
-    mem.admit(layer, 100, 50);
+    EXPECT_EQ(mem.bytes(layer), bytesOf(layer));
+    mem.admit(layer, 50);
     EXPECT_TRUE(mem.tracked(layer));
-    EXPECT_FALSE(mem.usable(layer, 49));  // copy in flight
-    EXPECT_TRUE(mem.usable(layer, 50));
-    EXPECT_EQ(mem.residentBytes(), 100u);
+    EXPECT_GT(mem.availableAt(layer), 49u);  // copy in flight at 49
+    EXPECT_LE(mem.availableAt(layer), 50u);  // usable at 50
+    EXPECT_EQ(mem.residentBytes(), bytesOf(layer));
 }
 
 TEST(GpuMemoryManager, DoubleAdmitKeepsFirstCopy)
 {
-    GpuMemoryManager mem;
+    GpuMemoryManager mem(space());
     LayerId layer{0, 0};
-    Tick first = mem.admit(layer, 100, 10);
-    Tick second = mem.admit(layer, 100, 99);
+    Tick first = mem.admit(layer, 10);
+    Tick second = mem.admit(layer, 99);
     EXPECT_EQ(first, 10u);
     EXPECT_EQ(second, 10u);  // earlier copy wins
-    EXPECT_EQ(mem.residentBytes(), 100u);  // not double counted
+    EXPECT_EQ(mem.residentBytes(), bytesOf(layer));  // not double counted
 }
 
 TEST(GpuMemoryManager, EvictReleasesBytes)
 {
-    GpuMemoryManager mem;
+    GpuMemoryManager mem(space());
     LayerId a{0, 0}, b{0, 1};
-    mem.admit(a, 100, 0);
-    mem.admit(b, 50, 0);
-    EXPECT_EQ(mem.evict(a), 100u);
-    EXPECT_EQ(mem.residentBytes(), 50u);
+    mem.admit(a, 0);
+    mem.admit(b, 0);
+    EXPECT_EQ(mem.evict(a), bytesOf(a));
+    EXPECT_EQ(mem.residentBytes(), bytesOf(b));
     EXPECT_EQ(mem.evict(a), 0u);  // idempotent
     EXPECT_EQ(mem.residentLayers(), 1u);
 }
 
 TEST(GpuMemoryManager, PeakBytesHighWaterMark)
 {
-    GpuMemoryManager mem;
-    mem.admit(LayerId{0, 0}, 100, 0);
-    mem.admit(LayerId{0, 1}, 100, 0);
-    mem.evict(LayerId{0, 0});
-    mem.admit(LayerId{0, 2}, 50, 0);
-    EXPECT_EQ(mem.peakBytes(), 200u);
+    GpuMemoryManager mem(space());
+    LayerId a{0, 0}, b{0, 1}, c{0, 2};
+    mem.admit(a, 0);
+    mem.admit(b, 0);
+    mem.evict(a);
+    mem.admit(c, 0);
+    EXPECT_EQ(mem.peakBytes(), std::max(bytesOf(a) + bytesOf(b),
+                                        bytesOf(b) + bytesOf(c)));
 }
 
 TEST(GpuMemoryManager, AvailabilityQueryPanicsOnUnknown)
 {
-    GpuMemoryManager mem;
+    GpuMemoryManager mem(space());
     EXPECT_THROW(mem.availableAt(LayerId{9, 9}), std::logic_error);
 }
 
 TEST(GpuMemoryManager, TouchUpdatesLru)
 {
-    GpuMemoryManager mem;
+    GpuMemoryManager mem(space());
     LayerId a{0, 0}, b{0, 1};
-    mem.admit(a, 10, 0);
-    mem.admit(b, 10, 0);
+    mem.admit(a, 0);
+    mem.admit(b, 0);
     mem.touch(a, 100);
     mem.touch(b, 50);
     LayerId victim;
@@ -76,9 +96,9 @@ TEST(GpuMemoryManager, TouchUpdatesLru)
 
 TEST(GpuMemoryManager, LruVictimRespectsCutoff)
 {
-    GpuMemoryManager mem;
+    GpuMemoryManager mem(space());
     LayerId a{0, 0};
-    mem.admit(a, 10, 0);
+    mem.admit(a, 0);
     mem.touch(a, 100);
     LayerId victim;
     EXPECT_FALSE(mem.lruVictim(victim, 50));
@@ -87,9 +107,30 @@ TEST(GpuMemoryManager, LruVictimRespectsCutoff)
     EXPECT_TRUE(mem.lruVictim(victim, 101));
 }
 
+TEST(GpuMemoryManager, LruVictimTiesGoToTheLowestLayer)
+{
+    // Equal last uses resolve in (block, choice) order whatever the
+    // order of admission or eviction.
+    GpuMemoryManager mem(space());
+    LayerId a{2, 7}, b{3, 1}, c{2, 8}, d{1, 9};
+    mem.admit(a, 5);
+    mem.admit(b, 5);
+    mem.admit(c, 5);
+    mem.admit(d, 5);
+    LayerId victim;
+    ASSERT_TRUE(mem.lruVictim(victim, 6));
+    EXPECT_EQ(victim, d);
+    mem.evict(d);
+    ASSERT_TRUE(mem.lruVictim(victim, 6));
+    EXPECT_EQ(victim, a);
+    mem.evict(a);
+    ASSERT_TRUE(mem.lruVictim(victim, 6));
+    EXPECT_EQ(victim, c);
+}
+
 TEST(GpuMemoryManager, HitStatsIntegration)
 {
-    GpuMemoryManager mem;
+    GpuMemoryManager mem(space());
     mem.hitStats().hit(9);
     mem.hitStats().miss();
     EXPECT_DOUBLE_EQ(mem.hitStats().rate(), 0.9);
@@ -97,13 +138,25 @@ TEST(GpuMemoryManager, HitStatsIntegration)
 
 TEST(GpuMemoryManager, ResetClearsEverything)
 {
-    GpuMemoryManager mem;
-    mem.admit(LayerId{0, 0}, 10, 0);
+    GpuMemoryManager mem(space());
+    mem.admit(LayerId{0, 0}, 0);
     mem.hitStats().hit();
     mem.reset();
     EXPECT_EQ(mem.residentBytes(), 0u);
     EXPECT_EQ(mem.peakBytes(), 0u);
     EXPECT_EQ(mem.hitStats().total(), 0u);
+    EXPECT_EQ(mem.residentLayers(), 0u);
+    EXPECT_FALSE(mem.tracked(LayerId{0, 0}));
+}
+
+TEST(GpuMemoryManager, WithoutATableNothingIsTracked)
+{
+    GpuMemoryManager mem;
+    EXPECT_EQ(mem.residentLayers(), 0u);
+    LayerId victim;
+    EXPECT_FALSE(mem.lruVictim(victim, 1));
+    mem.reset();
+    EXPECT_EQ(mem.peakBytes(), 0u);
 }
 
 } // namespace
