@@ -52,9 +52,9 @@ struct PipelineRuntime::Impl : ExecutionBackend {
      * a backward write commits it. Only CSP reads it, so only CSP
      * runs register and commit (other policies write out of order).
      * Restored subnets are not registered: the chains of a phase
-     * start at rank 0.
+     * start at rank 0. Rebuilt by newGate() at every phase.
      */
-    std::unique_ptr<CommitGate> gate = std::make_unique<CommitGate>();
+    std::unique_ptr<CommitGate> gate;
     /**
      * Busy seconds of this phase: a subnet folds into busyFolded in
      * sequence-ID order once it and every lower ID completed, so the
@@ -82,9 +82,20 @@ struct PipelineRuntime::Impl : ExecutionBackend {
 
     Impl(const SearchSpace &s, const RuntimeConfig &c)
         : space(s), config(c), model(c.system),
-          numStages(c.numStages), session(s, config)
+          numStages(c.numStages), session(s, config), gate(newGate())
     {
         session.attach(this);
+    }
+
+    /** A fresh gate, reporting its commits to config.commitObserver
+     *  (a live CspOracle) when one is attached. */
+    std::unique_ptr<CommitGate>
+    newGate() const
+    {
+        auto g = std::make_unique<CommitGate>();
+        if (config.commitObserver)
+            g->onCommitEvent(config.commitObserver);
+        return g;
     }
 
     const Subnet &
@@ -681,7 +692,7 @@ PipelineRuntime::Impl::resetRunState()
     flushCtl.reset();
     mirrorEntries.clear();
     lastWrite.clear();
-    gate = std::make_unique<CommitGate>();
+    gate = newGate();
     busyFolded = 0.0;
     busyOpen.clear();
     pendingFinish.clear();
@@ -704,6 +715,9 @@ PipelineRuntime::Impl::beginRecovery()
         simAtCrash, busyAtCrash, 0.0,
         [this] {
             resetRunState();
+            // The new gate's chains restart at rank 0.
+            if (config.recoveryObserver)
+                config.recoveryObserver(session.recoveries());
             buildPhase();
         });
     return rolled.has_value();

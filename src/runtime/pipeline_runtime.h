@@ -131,8 +131,10 @@ struct RuntimeConfig {
      */
     int watchdogPollMs = 2;
     /**
-     * Called by the threaded executor at the start of each recovery
-     * epoch with the 1-based recovery count, before workers respawn.
+     * Called by either executor at the start of each recovery epoch
+     * with the 1-based recovery count, after the commit gate is
+     * rebuilt and before the phase resumes (threads: before workers
+     * respawn).
      * Recovery recreates the commit gate, so per-layer chains restart
      * at rank 0; a live CspOracle attached via commitObserver must
      * reset its chain cursors here (CspOracle::resetLiveChains).
@@ -142,11 +144,11 @@ struct RuntimeConfig {
 
     /**
      * Observer of every CommitGate commit, called from worker threads
-     * as (layerKey, committing subnet, chain rank, stage). Honored by
-     * the threaded executor only: the simulator's gate, which checks
-     * write visibility under CSP, reports no commits. The determinism
-     * audit layer's CspOracle attaches here to check commit
-     * monotonicity live. Must be thread-safe.
+     * as (layerKey, committing subnet, chain rank, stage). Both
+     * executors honor it; the simulator's gate commits only under
+     * CSP, the one policy that reads its write visibility. The
+     * determinism audit layer's CspOracle attaches here to check
+     * commit monotonicity live. Must be thread-safe.
      */
     std::function<void(std::uint64_t, SubnetId, std::size_t, int)>
         commitObserver;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/commit_gate.h"
+#include "runtime/pipeline_runtime.h"
 #include "train/access_log.h"
 #include "verify/csp_oracle.h"
 
@@ -245,4 +246,40 @@ TEST(CspOracle, ClearResetsEverything)
     // Chain cursors were dropped too: rank 0 is fresh again.
     oracle.observeCommit(kLayer.key(), 3, 0, 0);
     EXPECT_TRUE(oracle.ok());
+}
+
+TEST(CspOracle, SimulatorCommitsFeedTheLiveOracleAcrossRecovery)
+{
+    // The simulator's CSP gate reports every commit to the attached
+    // observer, and a rollback's rebuilt gate restarts its chains at
+    // rank 0 after recoveryObserver dropped the live cursors.
+    SearchSpace space = makeSpaceByName("NLP.c1");
+    RuntimeConfig c;
+    c.system = naspipeSystem();
+    c.numStages = 4;
+    c.totalSubnets = 32;
+    c.seed = 7;
+    c.ckptInterval = 8;
+    c.accessHistory = true;
+    FaultSpec crash;
+    ASSERT_TRUE(parseFaultSpec("crash@12", crash));
+    c.faults = {crash};
+    CspOracle oracle;
+    int recoveries = 0;
+    c.commitObserver = [&oracle](std::uint64_t layerKey,
+                                 SubnetId subnet, std::size_t rank,
+                                 int stage) {
+        oracle.observeCommit(layerKey, subnet, rank, stage);
+    };
+    c.recoveryObserver = [&oracle, &recoveries](int count) {
+        recoveries = count;
+        oracle.resetLiveChains();
+    };
+    RunResult r = runTraining(space, c);
+    ASSERT_FALSE(r.failed) << r.error;
+    EXPECT_EQ(r.metrics.recoveries, 1);
+    EXPECT_EQ(recoveries, 1);
+    EXPECT_GT(oracle.observedCommits(), 0u);
+    EXPECT_TRUE(oracle.auditLog(r.store->accessLog()));
+    EXPECT_TRUE(oracle.ok()) << oracle.report();
 }

@@ -28,8 +28,8 @@
  *
  * --verify-csp runs the CspOracle over the run: the run keeps its
  * full access history (off otherwise), which is audited post-run
- * (both executors), and with --executor threads the oracle
- * additionally observes every CommitGate commit live. Violations
+ * (both executors), and the oracle additionally observes every
+ * CommitGate commit live (the simulator's gate commits under CSP). Violations
  * print a report naming layer, stage and the offending sequence IDs,
  * and the process exits 4. Such a run resumes only from a checkpoint
  * that kept the history too.
@@ -307,7 +307,7 @@ main(int argc, char **argv)
             argError(argv[0], "--executor threads: " + why);
     }
     CspOracle oracle;
-    if (verifyCsp && threaded) {
+    if (verifyCsp) {
         // Live half of the audit: watch every CommitGate commit for
         // causal-chain monotonicity as it happens.
         config.commitObserver = [&oracle](std::uint64_t layerKey,
