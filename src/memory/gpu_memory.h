@@ -18,7 +18,8 @@
  * tracked slots, with a back-pointer in each slot, keeps the victim
  * search and reset at O(resident layers) rather than O(table). A
  * default-constructed manager has no table: it suits a stage whose
- * contexts are AllResident, which never asks it about a layer.
+ * contexts are AllResident, which never asks it about a layer; a
+ * layer outside the table panics.
  */
 
 #ifndef NASPIPE_MEMORY_GPU_MEMORY_H
@@ -127,7 +128,12 @@ class GpuMemoryManager
     std::uint32_t
     index(const LayerId &layer) const
     {
-        return layer.block * _choicesPerBlock + layer.choice;
+        const std::uint32_t i =
+            layer.block * _choicesPerBlock + layer.choice;
+        NASPIPE_ASSERT(layer.choice < _choicesPerBlock &&
+                           i < _slots.size(),
+                       "layer outside the residency table");
+        return i;
     }
     Slot &slot(const LayerId &layer) { return _slots[index(layer)]; }
     const Slot &

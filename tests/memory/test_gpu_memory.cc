@@ -149,6 +149,15 @@ TEST(GpuMemoryManager, ResetClearsEverything)
     EXPECT_FALSE(mem.tracked(LayerId{0, 0}));
 }
 
+TEST(GpuMemoryManager, LayersOutsideTheTablePanic)
+{
+    GpuMemoryManager mem(space());
+    EXPECT_THROW(mem.tracked(LayerId{10, 0}), std::logic_error);
+    EXPECT_THROW(mem.tracked(LayerId{0, 10}), std::logic_error);
+    GpuMemoryManager empty;
+    EXPECT_THROW(empty.tracked(LayerId{0, 0}), std::logic_error);
+}
+
 TEST(GpuMemoryManager, WithoutATableNothingIsTracked)
 {
     GpuMemoryManager mem;
