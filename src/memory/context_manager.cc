@@ -68,8 +68,10 @@ ContextManager::prefetch(const Subnet &subnet, int lo, int hi, Tick now)
     for (int b = lo; b <= hi; b++) {
         LayerId layer = subnet.layer(b);
         std::uint64_t bytes = _memory.bytes(layer);
+        // Skip candidates have no context; a tracked layer is resident
+        // or already on its way.
         if (bytes == 0 || _memory.tracked(layer))
-            continue;  // skip candidates have no context
+            continue;
         fetchLayer(layer, bytes, now);
         _stats.prefetchedBytes += bytes;
     }

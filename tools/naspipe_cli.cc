@@ -29,9 +29,9 @@
  * --verify-csp runs the CspOracle over the run: the run keeps its
  * full access history (off otherwise), which is audited post-run
  * (both executors), and the oracle additionally observes every
- * CommitGate commit live (the simulator's gate commits under CSP). Violations
- * print a report naming layer, stage and the offending sequence IDs,
- * and the process exits 4. Such a run resumes only from a checkpoint
+ * CommitGate commit live (the simulator's gate commits under CSP).
+ * Violations print a report naming layer, stage and the offending
+ * sequence IDs, and the process exits 4. Such a run resumes only from a checkpoint
  * that kept the history too.
  *
  * --inject-fault works with both executors: the simulator transitions
