@@ -10,7 +10,7 @@
  * reproducibility for speed.
  *
  * `--executor threads` runs the same sweep on the threaded executor
- * (supervised workers, watchdog, in-place recovery) instead of the
+ * (one stage worker per stage, in-place recovery) instead of the
  * simulator; the bitwise column then certifies that real-thread
  * recovery lands on the same weights too.
  */

@@ -17,8 +17,6 @@ lockRankName(LockRank rank)
         return "serve.finisher";
     case LockRank::ServePoolIncident:
         return "serve.pool_incident";
-    case LockRank::FaultWatchdog:
-        return "fault.watchdog";
     case LockRank::ExecQueue:
         return "exec.queue";
     case LockRank::ExecWorkerSignal:

@@ -62,7 +62,7 @@ namespace naspipe {
  * meaningful only through their relative order.
  *
  * Rationale for the order: control-plane locks (service client
- * state, incident latches, watchdog) sit above the data plane they
+ * state, incident latches) sit above the data plane they
  * coordinate; within the data plane, the pipeline hand-off path
  * (queue → worker signal; the commit gate itself is lock-free)
  * precedes the training-state lock it may reach while executing a
@@ -77,10 +77,8 @@ enum class LockRank : int {
     /// serve::JobFinisher work/result FIFO (coordinator and finisher
     /// threads; a leaf: nothing is acquired while it is held).
     ServeFinisher = 15,
-    /// SharedStagePool watchdog-incident latch (solo and serve).
+    /// SharedStagePool worker-incident latch (solo and serve).
     ServePoolIncident = 20,
-    /// fault::Watchdog polling-loop control (stop flag, incidents).
-    FaultWatchdog = 40,
     /// BoundedTaskQueue buffer (stage inboxes, completion queues).
     ExecQueue = 50,
     /// StageWorker scheduling-loop signal (wakeup counter, stop).

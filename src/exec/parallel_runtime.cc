@@ -30,6 +30,10 @@ ParallelRuntime::supported(const RuntimeConfig &config,
 
 namespace {
 
+/** The --obs-wall hang deadline: a threaded run fails when no subnet
+ *  completes for this long while work is in flight. */
+constexpr double kWallDeadlineSeconds = 30.0;
+
 /**
  * Fill the executor half of a solo run's metrics from its joined
  * pool: per-stage accounting, the bubble ratio, the worker busy
@@ -100,8 +104,8 @@ runTrainingThreaded(const SearchSpace &space,
     }
     serve::ServiceConfig sc;
     sc.numStages = config.numStages;
-    sc.watchdogPollMs = config.watchdogPollMs;
-    sc.wallDeadline = config.wallWatchdog;
+    sc.wallDeadlineSeconds =
+        config.wallWatchdog ? kWallDeadlineSeconds : 0.0;
     if (config.commitObserver) {
         sc.commitObserver = [observer = config.commitObserver](
                                 int, std::uint64_t layerKey,

@@ -32,7 +32,10 @@ SharedStagePool::SharedStagePool(const SearchSpace &space,
                       _completions->push(std::move(run));
                   }
                 : std::function<
-                      void(std::shared_ptr<const SubnetRun>)>());
+                      void(std::shared_ptr<const SubnetRun>)>(),
+            [this](int stage, const std::string &what) {
+                reportIncident(stage, what);
+            });
     }
 }
 
@@ -49,28 +52,20 @@ SharedStagePool::start()
     obs::TimePoint epoch = obs::now();
     for (auto &worker : _workers)
         worker->start(epoch, _config.recordTrace);
-
-    // Crash detection is state-based (deterministic); the wall hang
-    // deadline is opt-in.
-    fault::Watchdog::Config wc;
-    wc.wallDeadline = _config.wallDeadline;
-    wc.deadlineSeconds = _config.deadlineSeconds;
-    wc.pollMs = _config.watchdogPollMs;
-    std::vector<const fault::WorkerHeartbeat *> hearts;
-    hearts.reserve(_workers.size());
-    for (const auto &worker : _workers)
-        hearts.push_back(&worker->heartbeat());
-    _watchdog = std::make_unique<fault::Watchdog>(
-        wc, std::move(hearts),
-        [this](int worker, const std::string &reason) {
-            {
-                std::lock_guard<RankedMutex> lock(_poolIncidentMu);
-                _incidentStage = worker;
-                _incidentReason = reason;
-            }
-            _completions->push(nullptr);
-        });
     _started = true;
+}
+
+void
+SharedStagePool::reportIncident(int stage, const std::string &what)
+{
+    {
+        std::lock_guard<RankedMutex> lock(_poolIncidentMu);
+        if (_incidentStage >= 0)
+            return;  // one incident per pool: the first is the cause
+        _incidentStage = stage;
+        _incidentReason = what;
+    }
+    _completions->push(nullptr);
 }
 
 void
@@ -95,9 +90,6 @@ SharedStagePool::shutdown()
 {
     if (!_started || _joined)
         return;
-    // Watchdog first: a clean drain flips every heartbeat to Exited,
-    // which must not read as an incident.
-    _watchdog.reset();
     for (auto &worker : _workers)
         worker->requestStop();
     for (auto &worker : _workers)
@@ -110,10 +102,11 @@ SharedStagePool::abort()
 {
     if (!_started || _joined)
         return;
-    // Watchdog first (it could re-fire on a dying worker), then abort
-    // every worker — requestAbort closes each inbox, so a survivor
-    // blocked pushing to a dead stage is released — then join.
-    _watchdog.reset();
+    // Nobody pops completions any more: close the queue so neither
+    // stage 0 nor a dying worker's sentinel can block on it. Then
+    // abort every worker — requestAbort closes each inbox, so a
+    // survivor blocked pushing to a dead stage is released — and join.
+    _completions->close();
     for (auto &worker : _workers)
         worker->requestAbort();
     for (auto &worker : _workers)

@@ -2,8 +2,8 @@
  * @file
  * SharedStagePool — the StageWorker pipeline every threaded run uses.
  *
- * D worker threads (one per pipeline stage), one completion queue and
- * one watchdog. Tasks carry their job's binding, so a worker resolves
+ * D worker threads (one per pipeline stage) and one completion
+ * queue. Tasks carry their job's binding, so a worker resolves
  * the right search space / commit gate / numeric executor per task
  * and holds no job state itself. The search service (src/serve) runs
  * one pool for all its jobs — every tenant, or the solo threaded
@@ -11,9 +11,10 @@
  * recovery a pure coordinator-side operation (no thread is ever torn
  * down on a job fault).
  *
- * The watchdog reports the first worker incident by pushing the
- * nullptr sentinel into the completion queue — the coordinator
- * learns about failures exactly where it already blocks.
+ * A worker whose task throws reports itself: the first such incident
+ * is latched and a nullptr sentinel pushed into the completion queue,
+ * so the coordinator learns about failures exactly where it already
+ * blocks.
  */
 
 #ifndef NASPIPE_EXEC_POOL_H
@@ -26,7 +27,6 @@
 #include "common/lock_rank.h"
 #include "exec/stage_worker.h"
 #include "exec/task_queue.h"
-#include "fault/watchdog.h"
 
 namespace naspipe {
 
@@ -40,11 +40,6 @@ class SharedStagePool
         std::size_t inboxCapacity = 16;
         /** Per-worker context manager and predictor. */
         StageContextConfig context;
-        /** Watchdog heartbeat scan cadence (--watchdog-interval-ms). */
-        int watchdogPollMs = 2;
-        /** Opt-in wall-clock hang deadline (timing-dependent). */
-        bool wallDeadline = false;
-        double deadlineSeconds = 30.0;
         bool recordTrace = false;
     };
 
@@ -59,7 +54,7 @@ class SharedStagePool
     SharedStagePool(const SharedStagePool &) = delete;
     SharedStagePool &operator=(const SharedStagePool &) = delete;
 
-    /** Start the workers and the watchdog (the trace origin). */
+    /** Start the workers (the trace origin). */
     void start();
 
     /** Submit a bound forward into stage 0 (coordinator thread). */
@@ -69,7 +64,7 @@ class SharedStagePool
     void notifyAll();
 
     /** Fully-retired subnets (stage 0 backward done) plus the
-     *  watchdog's nullptr incident sentinel. */
+     *  nullptr sentinel of the first worker incident. */
     BoundedTaskQueue<std::shared_ptr<const SubnetRun>> &
     completions()
     {
@@ -79,7 +74,8 @@ class SharedStagePool
     /** Clean shutdown: drain-stop the workers and join. */
     void shutdown();
 
-    /** Quiesce: abandon queued work and join (also after a crash). */
+    /** Quiesce: abandon queued work and join (also after a worker
+     *  incident). The coordinator pops no completion afterwards. */
     void abort();
 
     /** @name Per-stage transient fault latches (StageWorker::inject*)
@@ -94,7 +90,8 @@ class SharedStagePool
     }
     /** @} */
 
-    /** Last watchdog incident (valid after the nullptr sentinel). */
+    /** The first worker incident (valid after the nullptr
+     *  sentinel). */
     std::string incidentDescription() const;
 
     /** Post-join per-stage accounting. */
@@ -109,6 +106,10 @@ class SharedStagePool
         return *_workers[static_cast<std::size_t>(stage)];
     }
 
+    /** A dying worker's sink: latch the first incident and push the
+     *  sentinel (worker thread). */
+    void reportIncident(int stage, const std::string &what);
+
     const Config _config;
 
     std::vector<std::unique_ptr<StageWorker>> _workers;
@@ -116,9 +117,6 @@ class SharedStagePool
         BoundedTaskQueue<std::shared_ptr<const SubnetRun>>>
         _completions;
 
-    // Declared after the queue: the watchdog's incident callback
-    // pushes the sentinel into it, so it must be destroyed first.
-    std::unique_ptr<fault::Watchdog> _watchdog;
     mutable RankedMutex _poolIncidentMu{LockRank::ServePoolIncident};
     int _incidentStage = -1;
     std::string _incidentReason;

@@ -33,11 +33,13 @@ StageWorker::StageWorker(int stage, int numStages,
 void
 StageWorker::connect(
     StageWorker *next, StageWorker *prev,
-    std::function<void(std::shared_ptr<const SubnetRun>)> complete)
+    std::function<void(std::shared_ptr<const SubnetRun>)> complete,
+    std::function<void(int, const std::string &)> died)
 {
     _next = next;
     _prev = prev;
     _complete = std::move(complete);
+    _died = std::move(died);
 }
 
 void
@@ -45,7 +47,7 @@ StageWorker::start(obs::TimePoint epoch, bool recordTrace)
 {
     _epoch = epoch;
     _recordTrace = recordTrace;
-    _thread = std::thread([this] { runLoop(); });
+    _thread = std::thread([this] { run(); });
 }
 
 void
@@ -221,7 +223,6 @@ StageWorker::execForward(RunPtr task)
     double end = secondsSinceEpoch();
     _stats.busySec += end - start;
     _stats.forwards++;
-    _hb.beat();
     if (_recordTrace) {
         _traceRecords.push_back(TraceRecord{
             ticksFromSec(start), ticksFromSec(end), _stage,
@@ -267,7 +268,6 @@ StageWorker::execBackward(RunPtr task)
     double end = secondsSinceEpoch();
     _stats.busySec += end - start;
     _stats.backwards++;
-    _hb.beat();
     if (!claims.empty()) {
         if (_lastCommitSec >= 0.0)
             _obs.commitGapSeconds.record(end - _lastCommitSec);
@@ -297,15 +297,31 @@ void
 StageWorker::stallFor(int ticks)
 {
     // A stall models a transient slowdown: the worker stays alive
-    // (state Stalled, heartbeat frozen) but executes nothing for a
-    // bounded number of short waits. Bounded waits — not a condition
-    // wait — so the stall ends even if no signal ever arrives.
-    _hb.setState(fault::WorkerState::Stalled);
+    // but executes nothing for a bounded number of short waits.
+    // Bounded waits — not a condition wait — so the stall ends even
+    // if no signal ever arrives; a stop request ends it early.
     std::unique_lock<RankedMutex> lock(_signalMu);
     for (int i = 0; i < ticks && !_stop; i++)
         _cv.wait_for(lock, std::chrono::milliseconds(1));
-    lock.unlock();
-    _hb.setState(fault::WorkerState::Running);
+}
+
+void
+StageWorker::run()
+{
+    // A task that throws kills this worker, not the process: it takes
+    // no more work (its inbox closes, as on abort, so no peer blocks
+    // pushing to it) and reports itself to the pool.
+    std::string what;
+    try {
+        runLoop();
+        return;
+    } catch (const std::exception &e) {
+        what = e.what();
+    } catch (...) {
+        what = "unknown exception";
+    }
+    _inbox.close();
+    _died(_stage, what);
 }
 
 void
@@ -328,7 +344,6 @@ StageWorker::runLoop()
         // supervised shutdown.
         if (aborting) {
             _inbox.close();
-            _hb.setState(fault::WorkerState::Exited);
             return;
         }
         int stall = _stallTicks.exchange(0);
@@ -352,10 +367,8 @@ StageWorker::runLoop()
             continue;
         }
 
-        if (stopping && _fwd.empty() && _inbox.empty()) {
-            _hb.setState(fault::WorkerState::Exited);
+        if (stopping && _fwd.empty() && _inbox.empty())
             break;
-        }
 
         // Nothing runnable: an unreadable forward means we are
         // waiting on the commit gate; truly empty queues are idle

@@ -33,13 +33,13 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/lock_rank.h"
 #include "exec/commit_gate.h"
 #include "exec/task_queue.h"
-#include "fault/heartbeat.h"
 #include "memory/context_manager.h"
 #include "obs/run_observations.h"
 #include "obs/wall_clock.h"
@@ -140,10 +140,16 @@ class StageWorker
     StageWorker(const StageWorker &) = delete;
     StageWorker &operator=(const StageWorker &) = delete;
 
-    /** Wire the pipeline; stage 0's completion sink is @p complete. */
+    /**
+     * Wire the pipeline; stage 0's completion sink is @p complete.
+     * @p died receives (stage, exception text) once, on the worker
+     * thread, if a task throws: the worker has closed its inbox and
+     * exits without taking more work.
+     */
     void connect(StageWorker *next, StageWorker *prev,
                  std::function<void(std::shared_ptr<const SubnetRun>)>
-                     complete);
+                     complete,
+                 std::function<void(int, const std::string &)> died);
 
     /** Start the worker thread; @p epoch anchors trace timestamps. */
     void start(obs::TimePoint epoch, bool recordTrace);
@@ -178,9 +184,6 @@ class StageWorker
     void injectDegrade(int tasks) { _degradeTasks = tasks; }
     /** @} */
 
-    /** Liveness signal for the watchdog (progress + state). */
-    const fault::WorkerHeartbeat &heartbeat() const { return _hb; }
-
     int stage() const { return _stage; }
 
     /** Post-join accounting. */
@@ -202,6 +205,8 @@ class StageWorker
   private:
     using RunPtr = std::shared_ptr<const SubnetRun>;
 
+    /** Thread body: runLoop(), reporting a throwing task to _died. */
+    void run();
     void runLoop();
     void drainInbox();
     /** Consume a stall latch: sleep through @p ticks bounded waits. */
@@ -226,6 +231,7 @@ class StageWorker
     StageWorker *_next = nullptr;
     StageWorker *_prev = nullptr;
     std::function<void(std::shared_ptr<const SubnetRun>)> _complete;
+    std::function<void(int, const std::string &)> _died;
 
     // Scheduling-loop signal: submit()/notify()/requestStop() bump
     // the counter so a wakeup arriving during a scan is never lost.
@@ -238,7 +244,6 @@ class StageWorker
     // Fault latches (coordinator writes, worker thread consumes).
     std::atomic<int> _stallTicks{0};
     std::atomic<int> _degradeTasks{0};
-    fault::WorkerHeartbeat _hb;
 
     // Thread-local scheduling state (worker thread only).
     std::deque<RunPtr> _bwd;

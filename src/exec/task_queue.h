@@ -15,10 +15,12 @@
 #ifndef NASPIPE_EXEC_TASK_QUEUE_H
 #define NASPIPE_EXEC_TASK_QUEUE_H
 
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <utility>
 
 #include "common/lock_rank.h"
@@ -61,18 +63,6 @@ class BoundedTaskQueue
         _ready.notify_one();
     }
 
-    /** Non-blocking push; returns false when at capacity or closed. */
-    bool
-    tryPush(T item)
-    {
-        std::lock_guard<RankedMutex> lock(_queueMu);
-        if (_closed || _items.size() >= _capacity)
-            return false;
-        _items.push_back(std::move(item));
-        _ready.notify_one();
-        return true;
-    }
-
     /**
      * Close the queue: subsequent pushes drop their item and any
      * producer blocked on a full queue is released. A dead consumer
@@ -91,29 +81,25 @@ class BoundedTaskQueue
         _ready.notify_all();
     }
 
-    /** Blocking pop of one item (consumer thread only). */
-    T
-    pop()
+    /**
+     * Pop one item (consumer thread only). Without @p timeout the
+     * wait is unbounded; with one, nothing is returned when the queue
+     * stayed empty that long (a zero timeout polls without waiting).
+     */
+    std::optional<T>
+    pop(std::optional<std::chrono::duration<double>> timeout =
+            std::nullopt)
     {
         std::unique_lock<RankedMutex> lock(_queueMu);
-        _ready.wait(lock, [this] { return !_items.empty(); });
+        auto ready = [this] { return !_items.empty(); };
+        if (!timeout)
+            _ready.wait(lock, ready);
+        else if (!_ready.wait_for(lock, *timeout, ready))
+            return std::nullopt;
         T item = std::move(_items.front());
         _items.pop_front();
         _space.notify_one();
         return item;
-    }
-
-    /** Non-blocking pop; returns false when empty. */
-    bool
-    tryPop(T &out)
-    {
-        std::lock_guard<RankedMutex> lock(_queueMu);
-        if (_items.empty())
-            return false;
-        out = std::move(_items.front());
-        _items.pop_front();
-        _space.notify_one();
-        return true;
     }
 
     /**
@@ -142,8 +128,6 @@ class BoundedTaskQueue
     }
 
     bool empty() const { return size() == 0; }
-
-    std::size_t capacity() const { return _capacity; }
 
   private:
     const std::size_t _capacity;

@@ -8,10 +8,10 @@
  * breaks NASPipe's reproducibility guarantee. This repo therefore
  * confines every wall-clock read to src/obs/ (this file) and bench/;
  * the `wall-clock` rule of tools/naspipe_lint enforces the
- * confinement. The stage workers, the watchdog and the serve
- * coordinator measure time only through these wrappers, which keeps
- * the dependency auditable: wall time may flow *out* into reports and
- * traces, never *in* to decisions.
+ * confinement. The stage workers and the serve coordinator measure
+ * time only through these wrappers, which keeps the dependency
+ * auditable: wall time may flow *out* into reports and traces, never
+ * *in* to decisions (the opt-in hang deadline can only fail a run).
  */
 
 #ifndef NASPIPE_OBS_WALL_CLOCK_H

@@ -116,20 +116,13 @@ struct RuntimeConfig {
      */
     int recoveryMaxRetries = 3;
     /**
-     * Arm the watchdog's wall-clock hang deadline (threaded executor
-     * only). Crash detection is state-based and always on; the wall
-     * deadline is opt-in because it is timing-dependent — the CLI
-     * enables it with --obs-wall.
+     * Arm the wall-clock hang deadline (threaded executor only): the
+     * run fails when no subnet completes for 30 s while work is in
+     * flight. A dying worker fails the run regardless; the deadline
+     * is opt-in because it is timing-dependent — the CLI enables it
+     * with --obs-wall.
      */
     bool wallWatchdog = false;
-    /**
-     * Heartbeat scan cadence of the watchdog's polling thread in
-     * milliseconds (CLI --watchdog-interval-ms). Purely a detection
-     * latency / idle-wakeup trade-off: crash detection is state-based,
-     * so the cadence never changes what is detected, only how fast —
-     * serve tests tighten it, battery-friendly runs relax it.
-     */
-    int watchdogPollMs = 2;
     /**
      * Called by either executor at the start of each recovery epoch
      * with the 1-based recovery count, after the commit gate is

@@ -1,9 +1,12 @@
 #include "serve/service.h"
 
 #include <algorithm>
+#include <chrono>
 #include <limits>
+#include <optional>
 
 #include "common/logging.h"
+#include "common/string_util.h"
 #include "obs/wall_clock.h"
 
 namespace naspipe {
@@ -199,9 +202,6 @@ SearchService::poolConfig() const
                                       _config.maxTotalInflight);
     pc.inboxCapacity =
         static_cast<std::size_t>(std::max<long long>(2 * windows, 16));
-    pc.watchdogPollMs = _config.watchdogPollMs;
-    pc.wallDeadline = _config.wallDeadline;
-    pc.deadlineSeconds = _config.deadlineSeconds;
     if (!_inProcess)
         return pc;
     // A lone in-process job owns the pool, so its workers manage
@@ -399,12 +399,24 @@ SearchService::progressRecovering()
 bool
 SearchService::popAndRoute()
 {
+    // Every caller has work in flight, so a completion (or a dying
+    // worker's sentinel) is due; the opt-in deadline bounds the wait.
+    std::optional<std::chrono::duration<double>> deadline;
+    if (_config.wallDeadlineSeconds > 0)
+        deadline = std::chrono::duration<double>(_config.wallDeadlineSeconds);
     obs::TimePoint waitStart = obs::now();
-    std::shared_ptr<const SubnetRun> run =
-        _pool->completions().pop();
+    std::optional<std::shared_ptr<const SubnetRun>> got =
+        _pool->completions().pop(deadline);
     _waitSeconds += obs::secondsSince(waitStart);
+    if (!got) {
+        failService("pool wall deadline: no completion within " +
+                    formatFixed(_config.wallDeadlineSeconds, 3) +
+                    " s while work was in flight");
+        return false;
+    }
+    std::shared_ptr<const SubnetRun> run = std::move(*got);
     if (!run) {
-        failService("pool watchdog incident (" +
+        failService("pool incident (" +
                     _pool->incidentDescription() + ")");
         return false;
     }

@@ -41,8 +41,9 @@
  * training on the untouched shared workers. While a crashed job
  * drains, admissions pause globally (a deterministic freeze window)
  * so the cross-job schedule replays bit-for-bit. Retry exhaustion
- * fails the one job (the per-job exit-5 path); a pool watchdog
- * incident is a *service* failure and fails every live job.
+ * fails the one job (the per-job exit-5 path); a pool incident (a
+ * worker whose task threw, or no completion within the opt-in wall
+ * deadline) is a *service* failure and fails every live job.
  */
 
 #ifndef NASPIPE_SERVE_SERVICE_H
@@ -74,9 +75,12 @@ struct ServiceConfig {
      * room. 0 = unbounded.
      */
     int maxTotalInflight = 0;
-    int watchdogPollMs = 2;   ///< pool watchdog cadence
-    bool wallDeadline = false;  ///< opt-in pool hang detector
-    double deadlineSeconds = 30.0;
+    /**
+     * Opt-in hang detector: the service fails when no completion
+     * arrives within this many seconds while work is in flight.
+     * Timing-dependent, hence off by default (0 = off).
+     */
+    double wallDeadlineSeconds = 0;
     /**
      * Observer of every job-gate commit, as (jobId, layerKey,
      * subnet, chain rank, stage). Called from pool worker threads;
@@ -215,8 +219,8 @@ class SearchService
     void progressRecovering();
     bool anyRecovering() const;
     bool allTerminal() const;
-    /** Blocking pop + route one pool event; false on the watchdog
-     *  sentinel (service failure). */
+    /** Blocking pop + route one pool event; false on a pool
+     *  incident or a missed wall deadline (service failure). */
     bool popAndRoute();
     void finalizeJob(ServeJob &job);
     void failService(const std::string &reason);

@@ -64,8 +64,7 @@ TEST_F(RankedMutexTest, RankNamesAndLevelsAreStable)
 {
     const LockRank ranks[] = {
         LockRank::ServeClient,       LockRank::ServeFinisher,
-        LockRank::ServePoolIncident,
-        LockRank::FaultWatchdog,     LockRank::ExecQueue,
+        LockRank::ServePoolIncident, LockRank::ExecQueue,
         LockRank::ExecWorkerSignal,  LockRank::TrainContext,
         LockRank::VerifyOracle,
     };

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "exec/parallel_runtime.h"
 #include "schedule/scheduler.h"
 #include "serve/service.h"
@@ -195,6 +197,25 @@ TEST(ParallelRuntime, InProcessJobMustBeAlone)
     ASSERT_FALSE(result.failed) << result.error;
     EXPECT_EQ(result.supernetHash,
               runTrainingThreaded(space, config(2, 6)).supernetHash);
+}
+
+TEST(ParallelRuntime, ADyingWorkerFailsTheRun)
+{
+    // A task that throws on a worker thread kills that worker; the
+    // run fails with the stage and the exception text, and the
+    // process lives on.
+    SearchSpace space("exec-death", SpaceFamily::Nlp, 8, 4, 3);
+    RuntimeConfig c = config(2, 64);
+    c.commitObserver = [](std::uint64_t, SubnetId subnet, std::size_t,
+                          int stage) {
+        if (stage == 1 && subnet >= 3)
+            throw std::runtime_error("observer gave up");
+    };
+    RunResult result = runTrainingThreaded(space, c);
+    ASSERT_TRUE(result.failed);
+    EXPECT_NE(result.error.find("stage 1: observer gave up"),
+              std::string::npos)
+        << result.error;
 }
 
 TEST(ParallelRuntime, RecoveryKeepsTraceAndWholeRunCounters)

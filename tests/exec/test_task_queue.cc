@@ -1,12 +1,14 @@
 /**
  * @file
  * BoundedTaskQueue unit tests: FIFO discipline, capacity
- * backpressure, and multi-producer ordering.
+ * backpressure, the timed pop, and multi-producer ordering.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -26,33 +28,64 @@ TEST(TaskQueue, FifoOrder)
     EXPECT_TRUE(q.empty());
 }
 
-TEST(TaskQueue, TryPushRespectsCapacity)
+/** Whether a push of @p item into the full @p q blocks until a pop
+ *  frees a slot, and the popped order stays FIFO. */
+void
+expectPushBlocksUntilPop(BoundedTaskQueue<int> &q, int head, int item)
 {
-    BoundedTaskQueue<int> q(2);
-    EXPECT_TRUE(q.tryPush(1));
-    EXPECT_TRUE(q.tryPush(2));
-    EXPECT_FALSE(q.tryPush(3));
-    EXPECT_EQ(q.size(), 2u);
-    EXPECT_EQ(q.pop(), 1);
-    EXPECT_TRUE(q.tryPush(3));
+    std::atomic<bool> pushed{false};
+    std::thread producer([&] {
+        q.push(item);  // the queue is full: blocks until the pop
+        pushed.store(true);
+    });
+    // The producer cannot land while the queue is at capacity.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_FALSE(pushed.load());
+    EXPECT_EQ(q.pop(), head);
+    producer.join();
+    EXPECT_TRUE(pushed.load());
 }
 
-TEST(TaskQueue, TryPopOnEmpty)
+TEST(TaskQueue, PushBlocksAtCapacity)
 {
     BoundedTaskQueue<int> q(2);
-    int out = -1;
-    EXPECT_FALSE(q.tryPop(out));
+    q.push(1);
+    q.push(2);
+    expectPushBlocksUntilPop(q, 1, 3);
+    EXPECT_EQ(q.size(), 2u);
+    EXPECT_EQ(q.pop(), 2);
+    EXPECT_EQ(q.pop(), 3);
+}
+
+TEST(TaskQueue, TimedPopOnEmptyReturnsNothing)
+{
+    BoundedTaskQueue<int> q(2);
+    EXPECT_FALSE(q.pop(std::chrono::seconds(0)).has_value());
+    EXPECT_FALSE(q.pop(std::chrono::milliseconds(5)).has_value());
     q.push(7);
-    EXPECT_TRUE(q.tryPop(out));
-    EXPECT_EQ(out, 7);
+    EXPECT_EQ(q.pop(std::chrono::seconds(0)), std::optional<int>(7));
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(TaskQueue, TimedPopWakesOnPush)
+{
+    BoundedTaskQueue<int> q(2);
+    std::thread producer([&q] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        q.push(9);
+    });
+    // The deadline is far off: only the push can end this wait.
+    std::optional<int> got = q.pop(std::chrono::seconds(60));
+    producer.join();
+    EXPECT_EQ(got, std::optional<int>(9));
 }
 
 TEST(TaskQueue, CapacityFloorIsOne)
 {
     BoundedTaskQueue<int> q(0);
-    EXPECT_EQ(q.capacity(), 1u);
-    EXPECT_TRUE(q.tryPush(1));
-    EXPECT_FALSE(q.tryPush(2));
+    q.push(1);
+    expectPushBlocksUntilPop(q, 1, 2);
+    EXPECT_EQ(q.size(), 1u);
 }
 
 TEST(TaskQueue, DrainIntoMovesEverything)
@@ -98,7 +131,7 @@ TEST(TaskQueue, MultiProducerPreservesPerProducerOrder)
     }
     std::vector<int> lastSeen(kProducers, -1);
     for (int n = 0; n < kProducers * kPerProducer; n++) {
-        int v = q.pop();
+        int v = *q.pop();
         int p = v / kPerProducer;
         int i = v % kPerProducer;
         EXPECT_GT(i, lastSeen[static_cast<std::size_t>(p)]);

@@ -3,9 +3,9 @@
  * Threaded-executor fault tolerance (the supervision layer's
  * acceptance test).
  *
- * A threaded run that loses a stage worker to a fail-stop fault must
- * recover automatically — watchdog detection, rollback to the last
- * drained checkpoint, in-place respawn, CSP-order replay — and finish
+ * A threaded run hit by an injected fail-stop fault must recover
+ * automatically — freeze, rollback to the last drained checkpoint,
+ * CSP-order replay on the same running workers — and finish
  * with weights bitwise identical to a fault-free run. Checked on the
  * paper spaces NLP.c1 and CV.c1 across 2/4/8 workers, under the live
  * CspOracle, and against the simulator driving the *same* fault plan

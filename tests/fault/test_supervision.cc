@@ -1,32 +1,26 @@
 /**
  * @file
- * Supervision-layer unit tests: the recovery policy's bounded
- * retries and exponential backoff, the heartbeat watchdog's crash
- * and hang detection, and the seeded fault plan's determinism (the
+ * Supervision-layer tests: the recovery policy's bounded retries
+ * and exponential backoff, the service's opt-in wall deadline (hang
+ * detection), and the seeded fault plan's determinism (the
  * executor-agnostic contract — one seed, one event sequence,
  * everywhere).
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <future>
 #include <string>
-#include <vector>
 
 #include "fault/fault_plan.h"
-#include "fault/heartbeat.h"
 #include "fault/recovery_policy.h"
-#include "fault/watchdog.h"
+#include "obs/wall_clock.h"
+#include "schedule/scheduler.h"
+#include "serve/service.h"
 
 namespace naspipe {
 namespace {
 
 using fault::RecoveryPolicy;
-using fault::Watchdog;
-using fault::WorkerHeartbeat;
-using fault::WorkerState;
 
 TEST(RecoveryPolicy, BacksOffExponentiallyWithCap)
 {
@@ -71,100 +65,71 @@ TEST(RecoveryPolicy, ProgressResetsTheConsecutiveCountNotTheTotal)
     EXPECT_DOUBLE_EQ(policy.nextBackoffSeconds(), 1.0);
 }
 
-TEST(WorkerHeartbeat, TracksProgressAndState)
-{
-    WorkerHeartbeat hb;
-    EXPECT_EQ(hb.progress(), 0u);
-    EXPECT_EQ(hb.state(), WorkerState::Running);
-    hb.beat();
-    hb.beat();
-    EXPECT_EQ(hb.progress(), 2u);
-    hb.setState(WorkerState::Crashed);
-    EXPECT_EQ(hb.state(), WorkerState::Crashed);
-    EXPECT_STREQ(fault::workerStateName(WorkerState::Crashed),
-                 "crashed");
-    EXPECT_STREQ(fault::workerStateName(WorkerState::Stalled),
-                 "stalled");
-}
+/** What one in-process SearchService run of a small space ended
+ *  with. */
+struct ServiceRun {
+    int outcome = -1;
+    std::string error;
+    double seconds = 0.0;  ///< wall time of run()
+    std::uint64_t hash = 0;
+};
 
-TEST(Watchdog, DetectsACrashedWorker)
+/** A two-stage in-process run under the wall deadline @p deadline
+ *  (0 = off), with the fault @p fault when non-empty. */
+ServiceRun
+runInService(const std::string &fault, double deadline)
 {
-    std::vector<WorkerHeartbeat> hearts(3);
-    std::promise<std::pair<int, std::string>> incident;
-    auto fired = incident.get_future();
-    Watchdog dog(
-        Watchdog::Config{},
-        {&hearts[0], &hearts[1], &hearts[2]},
-        [&incident](int worker, const std::string &reason) {
-            incident.set_value({worker, reason});
-        });
-    hearts[1].setState(WorkerState::Crashed);
-    ASSERT_EQ(fired.wait_for(std::chrono::seconds(10)),
-              std::future_status::ready);
-    auto [worker, reason] = fired.get();
-    EXPECT_EQ(worker, 1);
-    EXPECT_NE(reason.find("crashed"), std::string::npos);
-    EXPECT_EQ(dog.incidents(), 1);
-}
-
-TEST(Watchdog, FiresAtMostOncePerLifetime)
-{
-    std::vector<WorkerHeartbeat> hearts(2);
-    std::atomic<int> fires{0};
-    std::promise<void> first;
-    auto firstFired = first.get_future();
-    Watchdog dog(Watchdog::Config{}, {&hearts[0], &hearts[1]},
-                 [&](int, const std::string &) {
-                     if (fires.fetch_add(1) == 0)
-                         first.set_value();
-                 });
-    hearts[0].setState(WorkerState::Crashed);
-    ASSERT_EQ(firstFired.wait_for(std::chrono::seconds(10)),
-              std::future_status::ready);
-    // A second crash must not re-fire the same watchdog — the
-    // runtime re-arms by constructing a fresh one per phase.
-    hearts[1].setState(WorkerState::Crashed);
-    std::promise<void> settle;
-    settle.get_future().wait_for(std::chrono::milliseconds(20));
-    EXPECT_EQ(fires.load(), 1);
-    EXPECT_EQ(dog.incidents(), 1);
-}
-
-TEST(Watchdog, QuietWhileWorkersAreHealthy)
-{
-    std::vector<WorkerHeartbeat> hearts(2);
-    std::atomic<int> fires{0};
-    {
-        Watchdog dog(Watchdog::Config{}, {&hearts[0], &hearts[1]},
-                     [&](int, const std::string &) { fires++; });
-        // Exited is a clean drain, not an incident.
-        hearts[0].setState(WorkerState::Exited);
-        hearts[1].beat();
-        std::promise<void> settle;
-        settle.get_future().wait_for(std::chrono::milliseconds(20));
+    SearchSpace space("supervision", SpaceFamily::Nlp, 8, 4, 3);
+    RuntimeConfig c;
+    c.system = naspipeSystem();
+    c.numStages = 2;
+    c.totalSubnets = 16;
+    c.seed = 7;
+    if (!fault.empty()) {
+        FaultSpec spec;
+        std::string error;
+        EXPECT_TRUE(parseFaultSpec(fault, spec, &error)) << error;
+        c.faults.push_back(spec);
     }
-    EXPECT_EQ(fires.load(), 0);
+    serve::ServiceConfig sc;
+    sc.numStages = 2;
+    sc.wallDeadlineSeconds = deadline;
+    serve::SearchService service(sc);
+    std::string why;
+    int id = service.submitInProcess(space, c, &why);
+    EXPECT_GT(id, 0) << why;
+    ServiceRun r;
+    obs::TimePoint start = obs::now();
+    r.outcome = service.run();
+    r.seconds = obs::secondsSince(start);
+    r.error = service.serviceError();
+    r.hash = service.takeResult(id).supernetHash;
+    return r;
 }
 
-TEST(Watchdog, WallDeadlineIsOptInAndDetectsHangs)
+TEST(WallDeadline, FailsAHungRunPromptly)
 {
-    std::vector<WorkerHeartbeat> hearts(2);
-    std::promise<std::pair<int, std::string>> incident;
-    auto fired = incident.get_future();
-    Watchdog::Config config;
-    config.wallDeadline = true;
-    config.deadlineSeconds = 0.01;
-    config.pollMs = 1;
-    hearts[0].setState(WorkerState::Exited);  // hung victim is [1]
-    Watchdog dog(config, {&hearts[0], &hearts[1]},
-                 [&incident](int worker, const std::string &reason) {
-                     incident.set_value({worker, reason});
-                 });
-    ASSERT_EQ(fired.wait_for(std::chrono::seconds(10)),
-              std::future_status::ready);
-    auto [worker, reason] = fired.get();
-    EXPECT_EQ(worker, 1);
-    EXPECT_NE(reason.find("no logical progress"), std::string::npos);
+    // stage 0 stalls through 2,000 one-ms waits; nothing completes
+    // for far longer than the 0.2 s deadline.
+    ServiceRun r = runInService("stall@4,ms=2000", 0.2);
+    EXPECT_EQ(r.outcome, serve::SearchService::ServiceFailed);
+    EXPECT_NE(r.error.find("wall deadline"), std::string::npos)
+        << r.error;
+    // The abort ends the stall early instead of waiting it out.
+    EXPECT_LT(r.seconds, 1.5);
+}
+
+TEST(WallDeadline, IsOptIn)
+{
+    ServiceRun clean = runInService("", 5.0);
+    ASSERT_EQ(clean.outcome, serve::SearchService::AllDone)
+        << clean.error;
+    // The same stall without a deadline only stretches wall time.
+    ServiceRun stalled = runInService("stall@4,ms=2000", 0);
+    EXPECT_EQ(stalled.outcome, serve::SearchService::AllDone)
+        << stalled.error;
+    EXPECT_EQ(stalled.hash, clean.hash);
+    EXPECT_NE(clean.hash, 0u);
 }
 
 TEST(FaultPlan, SeededPlanIsAPureFunctionOfItsArguments)

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -802,6 +803,76 @@ TEST(ServeService, RerunMetricsExportIsByteIdentical)
     EXPECT_NE(first.find("\"serve/jobs\""), std::string::npos);
     EXPECT_NE(first.find("\"quality/supernet_hash\""),
               std::string::npos);
+}
+
+/** Occurrences of @p needle in @p text. */
+int
+countOf(const std::string &text, const std::string &needle)
+{
+    int n = 0;
+    for (std::size_t at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + needle.size()))
+        n++;
+    return n;
+}
+
+TEST(ServeService, ADyingWorkerFailsTheServiceAndEveryLiveJob)
+{
+    // Job 2's first commit throws on a worker thread: that worker
+    // dies, which is a pool incident, so every live tenant is lost.
+    ServiceConfig sc;
+    sc.numStages = 2;
+    sc.commitObserver = [](int jobId, std::uint64_t, SubnetId,
+                           std::size_t, int) {
+        if (jobId == 2)
+            throw std::runtime_error("tenant observer gave up");
+    };
+    SearchService service(sc);
+    std::string why;
+    std::vector<int> ids = service.submitBatch(
+        {job("NLP.c1", 11, 48), job("CV.c1", 3, 24)}, &why);
+    ASSERT_EQ(ids.size(), 2u) << why;
+    service.drain();
+    EXPECT_EQ(service.run(), SearchService::ServiceFailed);
+    EXPECT_NE(service.serviceError().find("tenant observer gave up"),
+              std::string::npos)
+        << service.serviceError();
+    EXPECT_NE(service.serviceError().find("stage "), std::string::npos)
+        << service.serviceError();
+    for (const JobStatus &s : service.status()) {
+        SCOPED_TRACE("job " + std::to_string(s.id));
+        EXPECT_EQ(s.state, JobState::Failed);
+        EXPECT_EQ(s.error.rfind("service failure: ", 0), 0u)
+            << s.error;
+    }
+}
+
+TEST(ServeService, TwoDyingWorkersMakeOneIncident)
+{
+    // Every commit throws, except the last stage's commits of the
+    // first subnet: its backward reaches stage 0, so both workers can
+    // die. Either way run() ends once, on one incident, and joins.
+    ServiceConfig sc;
+    sc.numStages = 2;
+    std::atomic<int> throws{0};
+    sc.commitObserver = [&throws](int, std::uint64_t, SubnetId subnet,
+                                  std::size_t, int stage) {
+        if (stage == 1 && subnet == 0)
+            return;
+        throws++;
+        throw std::runtime_error("every commit throws");
+    };
+    SearchService service(sc);
+    std::string why;
+    ASSERT_GT(service.submit(job("NLP.c1", 11, 32), &why), 0) << why;
+    service.drain();
+    EXPECT_EQ(service.run(), SearchService::ServiceFailed);
+    EXPECT_GE(throws.load(), 1);
+    EXPECT_LE(throws.load(), 2);  // one per worker, then it is gone
+    EXPECT_EQ(countOf(service.serviceError(), "every commit throws"),
+              1)
+        << service.serviceError();
+    EXPECT_EQ(service.job(1)->state(), JobState::Failed);
 }
 
 } // namespace

@@ -42,8 +42,8 @@
  * victim stage worker. Recovery retries are bounded
  * (--recovery-retries, default 3 consecutive) with modeled
  * exponential backoff; exhaustion exits 5. A real worker incident (a
- * dead worker, or with --obs-wall one hung past the wall deadline)
- * fails a threaded run with exit 3.
+ * worker whose task threw, or with --obs-wall no completion for 30 s
+ * while work is in flight) fails a threaded run with exit 3.
  *
  * Exit codes: 0 ok, 2 bad arguments or OOM, 3 run failure (bad
  * resume file, worker incident etc.), 4 CSP invariant violated,
@@ -96,8 +96,7 @@ usage(const char *argv0)
         "          [--verify-csp] [--inject-fault SPEC] "
         "[--ckpt-interval N]\n"
         "          [--recovery-retries N] "
-        "[--watchdog-interval-ms N]\n"
-        "          [--ckpt FILE.ckpt] [--resume FILE.ckpt]\n"
+        "[--ckpt FILE.ckpt] [--resume FILE.ckpt]\n"
         "          [--trace FILE.json] [--trace-out FILE.json]\n"
         "          [--metrics-out FILE.json] [--obs-wall]\n"
         "          [--checkpoint FILE.ckpt]\n"
@@ -161,7 +160,6 @@ main(int argc, char **argv)
     std::vector<FaultSpec> faults;
     int gpus = 8, steps = 64, batch = 0, staleness = 2;
     int hybrid = 0, ckptInterval = 0, recoveryRetries = 3;
-    int watchdogIntervalMs = 2;
     std::uint64_t seed = 7;
     bool evolution = false, quiet = false, verifyCsp = false;
     bool obsWall = false;
@@ -224,8 +222,6 @@ main(int argc, char **argv)
             ckptInterval = intValue(0, 1000000);
         else if (arg == "--recovery-retries")
             recoveryRetries = intValue(0, 1000);
-        else if (arg == "--watchdog-interval-ms")
-            watchdogIntervalMs = intValue(1, 60000);
         else if (arg == "--inject-fault") {
             FaultSpec spec;
             std::string why;
@@ -292,7 +288,6 @@ main(int argc, char **argv)
     config.ckptPath = ckptPath;
     config.resumePath = resumePath;
     config.recoveryMaxRetries = recoveryRetries;
-    config.watchdogPollMs = watchdogIntervalMs;
     // Crash detection stays state-based (deterministic); the wall
     // hang deadline follows the wall-observability opt-in.
     config.wallWatchdog = obsWall;

@@ -5,8 +5,8 @@
  *
  * Usage:
  *   naspipe_serve [--gpus N] [--job SPEC]... [--jobs FILE]
- *                 [--max-inflight N] [--watchdog-interval-ms N]
- *                 [--metrics-out FILE.json] [--json] [--quiet]
+ *                 [--max-inflight N] [--metrics-out FILE.json]
+ *                 [--json] [--quiet]
  *
  * Each --job flag (repeatable) describes one search as
  * comma-separated key=value pairs:
@@ -33,7 +33,8 @@
  *
  * Exit codes: 0 all jobs done, 2 bad arguments, 3 >= 1 job failed,
  * 5 >= 1 job exhausted its recovery retries, 6 service failure
- * (shared pool incident — every live job lost).
+ * (shared pool incident: a worker whose task threw — every live job
+ * lost).
  */
 
 #include <cstdio>
@@ -59,8 +60,8 @@ usage(const char *argv0)
 {
     std::printf(
         "usage: %s [--gpus N] [--job SPEC]... [--jobs FILE]\n"
-        "          [--max-inflight N] [--watchdog-interval-ms N]\n"
-        "          [--metrics-out FILE.json] [--json] [--quiet]\n"
+        "          [--max-inflight N] [--metrics-out FILE.json]\n"
+        "          [--json] [--quiet]\n"
         "job SPEC: comma-separated key=value pairs with keys\n"
         "          name space seed steps priority ckpt ckpt-path\n"
         "          precision (fp32|fp16)\n"
@@ -108,7 +109,6 @@ main(int argc, char **argv)
 {
     int gpus = 4;
     int maxInflight = 0;
-    int watchdogIntervalMs = 2;
     bool json = false;
     bool quiet = false;
     std::string metricsOut;
@@ -138,8 +138,6 @@ main(int argc, char **argv)
             gpus = intValue(1, 512);
         } else if (arg == "--max-inflight") {
             maxInflight = intValue(0, 100000);
-        } else if (arg == "--watchdog-interval-ms") {
-            watchdogIntervalMs = intValue(1, 60000);
         } else if (arg == "--job") {
             serve::JobSpec spec;
             std::string why;
@@ -187,7 +185,6 @@ main(int argc, char **argv)
     serve::ServiceConfig config;
     config.numStages = gpus;
     config.maxTotalInflight = maxInflight;
-    config.watchdogPollMs = watchdogIntervalMs;
     serve::SearchService service(config);
 
     std::string why;
