@@ -83,8 +83,6 @@ CommitGate::commit(const Claim &claim, int stage)
     // acq_rel (not relaxed) so commits() observed from another thread
     // is ordered with the per-layer counters it summarizes.
     _commits.fetch_add(1, std::memory_order_acq_rel);
-    if (_hook)
-        _hook();
 }
 
 std::size_t

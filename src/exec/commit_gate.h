@@ -16,7 +16,9 @@
  *
  * Ownership: the layer table belongs to one thread, the coordinator
  * (or a single-threaded caller such as a sequential replay or a
- * test). registerActivation() appends the subnet last in its layer's
+ * test). Each run phase's gate is built by its TrainingSession, whose
+ * registerClaims() is the one registration path of both executors.
+ * registerActivation() appends the subnet last in its layer's
  * order, so it knows the rank at once and returns the claim; the
  * caller hands claims to the workers with the task. Workers only
  * ever touch a claim's per-layer atomic counter, through readable()
@@ -84,19 +86,13 @@ class CommitGate
 
     /**
      * Commit @p claim's WRITE. Aborts if commits would leave rank
-     * order (a scheduler bug, never a data-dependent condition), then
-     * fires the commit hooks. @p stage tags the event-observer
-     * callback with the committing pipeline stage (-1 = unknown / not
-     * a pipelined caller).
+     * order (a scheduler bug, never a data-dependent condition).
+     * @p stage tags the event-observer callback with the committing
+     * pipeline stage (-1 = unknown / not a pipelined caller). Waking
+     * the readers is the caller's business: a stage worker wakes the
+     * pool once per backward that committed.
      */
     void commit(const Claim &claim, int stage = -1);
-
-    /**
-     * Hook fired after every commit. The parallel runtime uses it to
-     * wake stage workers whose forward candidates may have become
-     * schedulable.
-     */
-    void onCommit(std::function<void()> hook) { _hook = std::move(hook); }
 
     /**
      * Commit *event* observer: called on every commit with
@@ -144,7 +140,6 @@ class CommitGate
     const LayerChain *find(std::uint64_t layerKey) const;
 
     std::unordered_map<std::uint64_t, LayerChain> _chains;
-    std::function<void()> _hook;
     CommitEventHook _eventHook;
     std::atomic<std::uint64_t> _commits{0};
 };

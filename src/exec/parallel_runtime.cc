@@ -106,20 +106,7 @@ runTrainingThreaded(const SearchSpace &space,
     sc.numStages = config.numStages;
     sc.wallDeadlineSeconds =
         config.wallWatchdog ? kWallDeadlineSeconds : 0.0;
-    if (config.commitObserver) {
-        sc.commitObserver = [observer = config.commitObserver](
-                                int, std::uint64_t layerKey,
-                                SubnetId subnet, std::size_t rank,
-                                int stage) {
-            observer(layerKey, subnet, rank, stage);
-        };
-    }
-    if (config.recoveryObserver) {
-        sc.recoveryObserver = [observer = config.recoveryObserver](
-                                  int, int recoveries) {
-            observer(recoveries);
-        };
-    }
+    // The job's session attaches config's observers itself.
     serve::SearchService service(sc);
     int id = service.submitInProcess(space, config, &why);
     NASPIPE_ASSERT(id > 0, "in-process submission refused: ", why);

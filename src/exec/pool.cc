@@ -33,6 +33,7 @@ SharedStagePool::SharedStagePool(const SearchSpace &space,
                   }
                 : std::function<
                       void(std::shared_ptr<const SubnetRun>)>(),
+            [this] { notifyAll(); },
             [this](int stage, const std::string &what) {
                 reportIncident(stage, what);
             });

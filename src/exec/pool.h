@@ -60,9 +60,6 @@ class SharedStagePool
     /** Submit a bound forward into stage 0 (coordinator thread). */
     void dispatch(std::shared_ptr<const SubnetRun> run);
 
-    /** Wake every worker (commit-gate hook). */
-    void notifyAll();
-
     /** Fully-retired subnets (stage 0 backward done) plus the
      *  nullptr sentinel of the first worker incident. */
     BoundedTaskQueue<std::shared_ptr<const SubnetRun>> &
@@ -101,6 +98,10 @@ class SharedStagePool
     }
 
   private:
+    /** Wake every worker: a worker's backward that committed asks
+     *  for it once (worker thread). */
+    void notifyAll();
+
     StageWorker &workerAt(int stage)
     {
         return *_workers[static_cast<std::size_t>(stage)];

@@ -34,11 +34,13 @@ void
 StageWorker::connect(
     StageWorker *next, StageWorker *prev,
     std::function<void(std::shared_ptr<const SubnetRun>)> complete,
+    std::function<void()> wake,
     std::function<void(int, const std::string &)> died)
 {
     _next = next;
     _prev = prev;
     _complete = std::move(complete);
+    _wake = std::move(wake);
     _died = std::move(died);
 }
 
@@ -265,6 +267,8 @@ StageWorker::execBackward(RunPtr task)
         run.claims[static_cast<std::size_t>(_stage)];
     for (const CommitGate::Claim &claim : claims)
         run.job->gate->commit(claim, _stage);
+    if (!claims.empty())
+        _wake();
     double end = secondsSinceEpoch();
     _stats.busySec += end - start;
     _stats.backwards++;

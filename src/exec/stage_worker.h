@@ -73,9 +73,10 @@ struct SubnetRun {
     SubnetPartition partition;
     /**
      * Gate claims of the parameterized layers, grouped by owning
-     * stage (claims[s] in block order): what registerActivation()
-     * returned when the coordinator admitted the subnet. They point
-     * into job->gate, which the job replaces only in
+     * stage (claims[s] in block order): what
+     * TrainingSession::registerClaims() returned when the coordinator
+     * admitted the subnet. They point into job->gate, which the
+     * job's session replaces only in the rollback of
      * ServeJob::recover(), after asserting that every run of the
      * crashed phase has drained (_pendingDrain == 0) — so no claim
      * outlives its gate.
@@ -142,13 +143,17 @@ class StageWorker
 
     /**
      * Wire the pipeline; stage 0's completion sink is @p complete.
-     * @p died receives (stage, exception text) once, on the worker
+     * @p wake wakes every stage of the pool: a backward that
+     * committed at least one claim calls it once, after its last
+     * commit, since the commits may have made a queued forward on
+     * any stage readable. @p died receives (stage, exception text) once, on the worker
      * thread, if a task throws: the worker has closed its inbox and
      * exits without taking more work.
      */
     void connect(StageWorker *next, StageWorker *prev,
                  std::function<void(std::shared_ptr<const SubnetRun>)>
                      complete,
+                 std::function<void()> wake,
                  std::function<void(int, const std::string &)> died);
 
     /** Start the worker thread; @p epoch anchors trace timestamps. */
@@ -231,6 +236,7 @@ class StageWorker
     StageWorker *_next = nullptr;
     StageWorker *_prev = nullptr;
     std::function<void(std::shared_ptr<const SubnetRun>)> _complete;
+    std::function<void()> _wake;
     std::function<void(int, const std::string &)> _died;
 
     // Scheduling-loop signal: submit()/notify()/requestStop() bump

@@ -90,19 +90,6 @@ Cluster::dropBoundary(int boundary)
     link(boundary + 1, boundary).setDown();
 }
 
-bool
-Cluster::healthy() const
-{
-    for (const auto &gpu : _gpus) {
-        if (gpu->failed())
-            return false;
-    }
-    for (const auto &link : _links) {
-        if (link->down())
-            return false;
-    }
-    return true;
-}
 
 double
 Cluster::totalAluUtilization(double windowEnd) const

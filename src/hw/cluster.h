@@ -75,9 +75,6 @@ class Cluster
 
     /** Take both directions of a boundary link down (fail-stop). */
     void dropBoundary(int boundary);
-
-    /** True when no GPU has failed and no link is down. */
-    bool healthy() const;
     /** @} */
 
     /** CPU memory available for pinned parameter storage per host. */

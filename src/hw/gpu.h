@@ -62,21 +62,14 @@ class Gpu
 
     /** @name Fault state (driven by the fault injector)
      * A failed GPU is a fail-stop condition: the runtime abandons the
-     * phase and recovers from the last checkpoint, after which the
-     * device is considered replaced (repair()). The crash counter
-     * survives repair for diagnostics.
+     * phase and recovers from the last checkpoint on a rebuilt
+     * cluster.
      * @{ */
     /** Mark the device dead (fail-stop fault). */
-    void fail() { _failed = true; _crashes++; }
-
-    /** Bring a replacement device online. */
-    void repair() { _failed = false; }
+    void fail() { _failed = true; }
 
     /** Whether the device is currently dead. */
     bool failed() const { return _failed; }
-
-    /** Number of crashes injected into this device slot. */
-    int crashes() const { return _crashes; }
     /** @} */
 
     /** Clear all engine statistics (between runs). */
@@ -89,7 +82,6 @@ class Gpu
     Channel _h2d;
     Channel _d2h;
     bool _failed = false;
-    int _crashes = 0;
 };
 
 } // namespace naspipe

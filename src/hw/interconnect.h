@@ -89,7 +89,6 @@ class StageLink
     void setDown() { _down = true; }
 
     bool down() const { return _down; }
-    double slowdown() const { return _slowdown; }
     /** @} */
 
     const Channel &channel() const { return _channel; }

@@ -23,7 +23,6 @@ Arena::chunkWithRoom(std::size_t n)
     Chunk fresh;
     fresh.capacity = n > _chunkFloats ? n : _chunkFloats;
     fresh.data = std::make_unique<float[]>(fresh.capacity);
-    _reserved += fresh.capacity;
     _chunks.push_back(std::move(fresh));
     return _chunks.back();
 }
@@ -34,7 +33,6 @@ Arena::allocFloats(std::size_t n)
     Chunk &chunk = chunkWithRoom(n);
     float *out = chunk.data.get() + chunk.used;
     chunk.used += n;
-    _allocated += n;
     std::memset(out, 0, n * sizeof(float));
     return out;
 }
@@ -44,7 +42,6 @@ Arena::reset()
 {
     for (Chunk &chunk : _chunks)
         chunk.used = 0;
-    _allocated = 0;
 }
 
 } // namespace naspipe

@@ -62,15 +62,6 @@ class Arena
      */
     void reset();
 
-    /** Floats handed out since construction/reset(). */
-    std::size_t allocatedFloats() const { return _allocated; }
-
-    /** Floats of slab capacity currently reserved. */
-    std::size_t reservedFloats() const { return _reserved; }
-
-    /** Number of slabs. */
-    std::size_t chunkCount() const { return _chunks.size(); }
-
   private:
     struct Chunk {
         std::unique_ptr<float[]> data;
@@ -82,8 +73,6 @@ class Arena
 
     std::vector<Chunk> _chunks;
     std::size_t _chunkFloats;
-    std::size_t _allocated = 0;
-    std::size_t _reserved = 0;
 };
 
 } // namespace naspipe

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "schedule/asp_scheduler.h"
 
 namespace naspipe {
 
@@ -83,9 +82,12 @@ CapacityPlanner::residentParams(const SystemModel &system,
         double resident = static_cast<double>(_supernetBytes) / d;
         if (system.weightStash) {
             // Stashed weight versions of in-flight subnets (stage
-            // share of a subnet times the mean version count).
+            // share of a subnet times the mean version count). In
+            // PipeDream's 1F1B steady state stage s holds D - s
+            // versions, D - s - 1 of them extra: (D - 1) / 2 on
+            // average over the stages.
             resident += static_cast<double>(_subnetBytes) / d *
-                        WeightStash::meanStashFactor(numStages);
+                        ((d - 1.0) / 2.0);
         }
         return resident;
       }

@@ -8,13 +8,13 @@
  *    "displayTimeUnit":"ms",
  *    "otherData":{"schema":"naspipe-trace/1", ...run header...}}
  *
- * Unlike Trace::exportChromeJson (the simulator's quick exporter),
- * this one emits thread-name metadata so Perfetto labels the tracks
- * ("stage 0" .. "stage D-1"), carries the run header (space,
- * executor, mode, seed, steps) for provenance, and formats every
- * number through fixed-digit formatting — the output is a pure
- * function of the record list, so logical-mode traces are
- * byte-identical across identical-seed runs.
+ * The one Chrome trace exporter (naspipe_cli's --trace and
+ * --trace-out both write through it). It emits thread-name metadata
+ * so Perfetto labels the tracks ("stage 0" .. "stage D-1"), carries
+ * the run header (space, executor, mode, seed, steps) for
+ * provenance, and formats every number through fixed-digit
+ * formatting — the output is a pure function of the record list, so
+ * logical-mode traces are byte-identical across identical-seed runs.
  */
 
 #ifndef NASPIPE_OBS_TRACE_EXPORT_H

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "exec/commit_gate.h"
 #include "runtime/stage.h"
 #include "schedule/csp_scheduler.h"
 #include "session/training_session.h"
@@ -47,14 +46,13 @@ struct PipelineRuntime::Impl : ExecutionBackend {
     /// Last WRITE to a layer: (completion tick, writer stage).
     std::map<std::uint64_t, std::pair<Tick, int>> lastWrite;
     /**
-     * CSP's write-visibility check, the threaded executor's gate used
-     * single-threaded: admission registers each parameterized block,
-     * a backward write commits it. Only CSP reads it, so only CSP
-     * runs register and commit (other policies write out of order).
-     * Restored subnets are not registered: the chains of a phase
-     * start at rank 0. Rebuilt by newGate() at every phase.
+     * In-flight subnets' claims in the session's commit gate, CSP's
+     * write-visibility check used single-threaded: a forward reads
+     * once its stage's claims are readable, a backward write commits
+     * them. Only CSP reads the gate, so only CSP runs take claims
+     * (other policies write out of order).
      */
-    std::unique_ptr<CommitGate> gate;
+    std::map<SubnetId, TrainingSession::StageClaims> claims;
     /**
      * Busy seconds of this phase: a subnet folds into busyFolded in
      * sequence-ID order once it and every lower ID completed, so the
@@ -82,20 +80,9 @@ struct PipelineRuntime::Impl : ExecutionBackend {
 
     Impl(const SearchSpace &s, const RuntimeConfig &c)
         : space(s), config(c), model(c.system),
-          numStages(c.numStages), session(s, config), gate(newGate())
+          numStages(c.numStages), session(s, config)
     {
         session.attach(this);
-    }
-
-    /** A fresh gate, reporting its commits to config.commitObserver
-     *  (a live CspOracle) when one is attached. */
-    std::unique_ptr<CommitGate>
-    newGate() const
-    {
-        auto g = std::make_unique<CommitGate>();
-        if (config.commitObserver)
-            g->onCommitEvent(config.commitObserver);
-        return g;
     }
 
     const Subnet &
@@ -192,11 +179,9 @@ PipelineRuntime::Impl::buildPhase()
 bool
 PipelineRuntime::Impl::upstreamWritesDone(int stage, SubnetId id) const
 {
-    const Subnet &sn = subnetOf(id);
-    auto [lo, hi] = blockRange(stage, id);
-    for (int b = lo; b <= hi; b++) {
-        if (space.parameterized(b, sn.choice(b)) &&
-            !gate->readable(gate->resolve(sn.layer(b).key(), id)))
+    for (const CommitGate::Claim &claim :
+         claims.at(id)[static_cast<std::size_t>(stage)]) {
+        if (!session.gate().readable(claim))
             return false;
     }
     return true;
@@ -291,12 +276,8 @@ void
 PipelineRuntime::Impl::admit(SubnetId id)
 {
     const Subnet &sn = subnetOf(id);
-    if (model.policy == PolicyKind::Csp) {
-        for (int b = 0; b < sn.size(); b++) {
-            if (space.parameterized(b, sn.choice(b)))
-                gate->registerActivation(sn.layer(b).key(), id);
-        }
-    }
+    if (model.policy == PolicyKind::Csp)
+        claims.emplace(id, session.registerClaims(id));
     if (model.mirroring) {
         auto entries = mirrors->plan(sn, session.partitionOf(id));
         mirrors->activate(entries);
@@ -528,12 +509,13 @@ PipelineRuntime::Impl::startBackward(int k, SubnetId id)
                                              k);
             if (lo <= hi && semantics != UpdateSemantics::Deferred) {
                 for (int b = lo; b <= hi; b++) {
-                    if (!space.parameterized(b, subnet.choice(b)))
-                        continue;
-                    std::uint64_t key = subnet.layer(b).key();
-                    lastWrite[key] = {end, k};
-                    if (model.policy == PolicyKind::Csp)
-                        gate->commit(gate->resolve(key, id), k);
+                    if (space.parameterized(b, subnet.choice(b)))
+                        lastWrite[subnet.layer(b).key()] = {end, k};
+                }
+                if (model.policy == PolicyKind::Csp) {
+                    for (const CommitGate::Claim &claim :
+                         claims.at(id)[static_cast<std::size_t>(k)])
+                        session.gate().commit(claim, k);
                 }
             }
 
@@ -583,6 +565,7 @@ void
 PipelineRuntime::Impl::onSubnetComplete(SubnetId id, Tick end)
 {
     mirrorEntries.erase(id);
+    claims.erase(id);
     busyOpen.at(id).completed = true;
     for (auto it = busyOpen.begin();
          it != busyOpen.end() && it->second.completed;
@@ -692,7 +675,7 @@ PipelineRuntime::Impl::resetRunState()
     flushCtl.reset();
     mirrorEntries.clear();
     lastWrite.clear();
-    gate = newGate();
+    claims.clear();
     busyFolded = 0.0;
     busyOpen.clear();
     pendingFinish.clear();
@@ -711,15 +694,10 @@ PipelineRuntime::Impl::beginRecovery()
     double busyAtCrash = session.busyOffset() + busySum();
     // restoreCompleted() needs the rebuilt stages, hence the phase
     // rebuild between the session's re-init and restore.
-    auto rolled = session.rollback(
-        simAtCrash, busyAtCrash, 0.0,
-        [this] {
-            resetRunState();
-            // The new gate's chains restart at rank 0.
-            if (config.recoveryObserver)
-                config.recoveryObserver(session.recoveries());
-            buildPhase();
-        });
+    auto rolled = session.rollback(simAtCrash, busyAtCrash, 0.0, [this] {
+        resetRunState();
+        buildPhase();
+    });
     return rolled.has_value();
 }
 

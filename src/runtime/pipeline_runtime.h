@@ -124,22 +124,22 @@ struct RuntimeConfig {
      */
     bool wallWatchdog = false;
     /**
-     * Called by either executor at the start of each recovery epoch
-     * with the 1-based recovery count, after the commit gate is
-     * rebuilt and before the phase resumes (threads: before workers
-     * respawn).
-     * Recovery recreates the commit gate, so per-layer chains restart
-     * at rank 0; a live CspOracle attached via commitObserver must
-     * reset its chain cursors here (CspOracle::resetLiveChains).
+     * Called once per rollback, on either executor, with the 1-based
+     * recovery count: the run's TrainingSession calls it right after
+     * rebuilding the commit gate, before the restore and before the
+     * phase resumes. The new gate's per-layer chains restart at rank
+     * 0, so a live CspOracle attached via commitObserver must reset
+     * its chain cursors here (CspOracle::resetLiveChains).
      */
     std::function<void(int)> recoveryObserver;
     /** @} */
 
     /**
      * Observer of every CommitGate commit, called from worker threads
-     * as (layerKey, committing subnet, chain rank, stage). Both
-     * executors honor it; the simulator's gate commits only under
-     * CSP, the one policy that reads its write visibility. The
+     * as (layerKey, committing subnet, chain rank, stage). The run's
+     * TrainingSession attaches it to each phase's gate, on either
+     * executor; the simulator's gate commits only under CSP, the one
+     * policy that reads its write visibility. The
      * determinism audit layer's CspOracle attaches here to check
      * commit monotonicity live. Must be thread-safe.
      */

@@ -160,11 +160,28 @@ parseJobSpec(const std::string &text, JobSpec &out,
 
 namespace {
 
+fault::RecoveryPolicy::Config
+policyConfig(const RuntimeConfig &config)
+{
+    fault::RecoveryPolicy::Config policy;
+    policy.maxRetries = config.recoveryMaxRetries;
+    return policy;
+}
+
+} // namespace
+
 RuntimeConfig
-buildConfig(const JobSpec &spec, int numStages, bool accessHistory)
+ServeJob::textConfig(const JobSpec &spec, int numStages,
+                     bool accessHistory)
 {
     RuntimeConfig config;
     config.system = naspipeSystem();
+    // The spec's cap narrows the system window per job (a small
+    // window is how a low-priority tenant bounds its pool share).
+    if (spec.maxInflight > 0)
+        config.system.maxInflight = std::min(
+            spec.maxInflight,
+            config.system.effectiveInflight(numStages));
     config.numStages = numStages;
     config.totalSubnets = spec.steps;
     config.seed = spec.seed;
@@ -184,23 +201,11 @@ buildConfig(const JobSpec &spec, int numStages, bool accessHistory)
     return config;
 }
 
-fault::RecoveryPolicy::Config
-policyConfig(const RuntimeConfig &config)
-{
-    fault::RecoveryPolicy::Config policy;
-    policy.maxRetries = config.recoveryMaxRetries;
-    return policy;
-}
-
-} // namespace
-
-ServeJob::ServeJob(int id, JobSpec spec, int numStages,
-                   bool accessHistory)
+ServeJob::ServeJob(int id, JobSpec spec, RuntimeConfig config)
     : _id(id), _spec(std::move(spec)),
       _ownedSpace(
           std::make_unique<SearchSpace>(makeSpaceByName(_spec.space))),
-      _space(*_ownedSpace),
-      _config(buildConfig(_spec, numStages, accessHistory)),
+      _space(*_ownedSpace), _config(std::move(config)),
       _session(_space, _config), _policy(policyConfig(_config))
 {
     _session.attach(this);
@@ -215,25 +220,11 @@ ServeJob::ServeJob(int id, JobSpec identity, const SearchSpace &space,
     _session.attach(this);
 }
 
-bool
-ServeJob::canAdmit(SubnetId next) const
-{
-    (void)next;
-    // The session already enforces the system in-flight window; the
-    // spec's own cap narrows it per job (a small window is how a
-    // low-priority tenant bounds its pool share).
-    if (_spec.maxInflight > 0 &&
-        _session.inflight() >= _spec.maxInflight)
-        return false;
-    return true;
-}
-
 void
 ServeJob::admit(SubnetId id)
 {
-    const Subnet &sn = _session.subnetOf(id);
     auto run = std::make_shared<SubnetRun>();
-    run->subnet = sn;
+    run->subnet = _session.subnetOf(id);
     run->partition = _session.partitionOf(id);
     run->job = &_binding;
     // The scheduler-assigned global ticket: pool workers order their
@@ -242,28 +233,15 @@ ServeJob::admit(SubnetId id)
     run->ticket = _nextTicket;
     // Registration precedes dispatch and hands out the gate claims:
     // workers poll and commit them, never the gate's table.
-    const SubnetPartition &part = run->partition;
-    run->claims.resize(static_cast<std::size_t>(part.numStages()));
-    for (int s = 0; s < part.numStages(); s++) {
-        for (int b = part.firstBlock(s); b <= part.lastBlock(s); b++) {
-            if (_space.parameterized(b, sn.choice(b)))
-                run->claims[static_cast<std::size_t>(s)].push_back(
-                    _gate->registerActivation(sn.layer(b).key(),
-                                              sn.id()));
-        }
-    }
+    run->claims = _session.registerClaims(id);
     _hooks.dispatch(std::move(run));
 }
 
 void
 ServeJob::restoreCompleted(SubnetId id)
 {
-    // Restored subnets are deliberately NOT registered in the gate,
-    // so the live run's causal chains start fresh at rank 0 — which
-    // keeps a live CspOracle's commit-monotonicity check valid across
-    // a resume and a rollback. The restored store already holds
-    // their weight updates, and the drained barrier guarantees they
-    // hold no pipeline token.
+    // The drained barrier guarantees a restored subnet holds no
+    // pipeline token, and it takes no gate claim.
     (void)id;
 }
 
@@ -302,7 +280,7 @@ ServeJob::start(PoolHooks hooks, double nowSeconds)
     // Pre-materialize so the shared workers' hot path stays
     // structurally read-only on this job's private store.
     _session.store()->materializeAll();
-    rebuildGate();
+    bind();
     _startedAt = nowSeconds;
     _phaseStart = nowSeconds;
     setState(JobState::Admitted);
@@ -440,13 +418,11 @@ ServeJob::recover(double nowSeconds)
         "rollback to " + std::to_string(rolled->toCompleted) +
             ", attempt " +
             std::to_string(_policy.consecutiveFailures())});
-    // Fresh job gate: this job's causal chains restart at rank 0.
-    // The shared workers and every other tenant's gate are untouched,
-    // and no run holding claims into the old gate is left: the drain
-    // count was asserted zero above.
-    rebuildGate();
-    if (_hooks.recovered)
-        _hooks.recovered(_session.recoveries());
+    // The rollback rebuilt the job's gate: its causal chains restart
+    // at rank 0. The shared workers and every other tenant's gate
+    // are untouched, and no run holding claims into the old gate is
+    // left: the drain count was asserted zero above.
+    bind();
     _failStopPending = false;
     _phaseStart = nowSeconds;
     setState(JobState::Running);
@@ -500,16 +476,6 @@ ServeJob::fail(const std::string &reason)
     setState(JobState::Failed);
 }
 
-int
-ServeJob::window() const
-{
-    int limit =
-        _config.system.effectiveInflight(_config.numStages);
-    if (_spec.maxInflight > 0)
-        limit = std::min(limit, _spec.maxInflight);
-    return limit;
-}
-
 void
 ServeJob::setState(JobState next)
 {
@@ -521,16 +487,11 @@ ServeJob::setState(JobState next)
 }
 
 void
-ServeJob::rebuildGate()
+ServeJob::bind()
 {
-    _gate = std::make_unique<CommitGate>();
-    if (_hooks.wakeAll)
-        _gate->onCommit(_hooks.wakeAll);
-    if (_hooks.commitEvent)
-        _gate->onCommitEvent(_hooks.commitEvent);
     _binding.jobId = _id;
     _binding.space = &_space;
-    _binding.gate = _gate.get();
+    _binding.gate = &_session.gate();
     _binding.exec = _config.numeric ? &_session.exec() : nullptr;
 }
 
@@ -579,7 +540,7 @@ ServeJob::complete(RunResult result)
     RunMetrics &m = _result.metrics;
     m.wallSeconds = _finishWallSeconds;
     m.execWorkers = _config.numStages;
-    m.gateCommits = _gate->commits();
+    m.gateCommits = _session.gate().commits();
     _finishing = false;
     setState(JobState::Done);
 }

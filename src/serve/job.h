@@ -7,11 +7,11 @@
  * only in-process job, the solo threaded executor
  * (runTrainingThreaded). It wraps everything that must be *private*
  * for per-run bitwise reproducibility and fault isolation: a
- * TrainingSession (sampler, score delivery, checkpoint cadence), a
- * CommitGate (the run's own causal chains — CSP's guarantee is per
- * supernet, so chains never cross jobs), a ParameterStore /
- * NumericExecutor pair, a seeded fault plan and a bounded-retry
- * recovery policy. What it does NOT own is compute: admitted subnets
+ * TrainingSession (sampler, score delivery, checkpoint cadence, and
+ * the phase's CommitGate — the run's own causal chains: CSP's
+ * guarantee is per supernet, so chains never cross jobs), a
+ * ParameterStore / NumericExecutor pair, a seeded fault plan and a
+ * bounded-retry recovery policy. What it does NOT own is compute: admitted subnets
  * are dispatched into the shared StageWorker pool, tagged with this
  * job's JobBinding so the workers resolve the right gate and
  * executor per task.
@@ -47,7 +47,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/commit_gate.h"
 #include "exec/stage_worker.h"
 #include "fault/fault_plan.h"
 #include "fault/recovery_policy.h"
@@ -130,24 +129,6 @@ class ServeJob : public ExecutionBackend
         /** Submit a run into stage 0 of the shared pool. */
         std::function<void(std::shared_ptr<const SubnetRun>)>
             dispatch;
-        /** Wake every pool worker (a job-gate commit hook). */
-        std::function<void()> wakeAll;
-        /**
-         * Observer of every commit on this job's gate, as
-         * (layerKey, subnet, chain rank, stage) — the per-job
-         * CspOracle's live tap. Called from worker threads; must be
-         * thread-safe.
-         */
-        std::function<void(std::uint64_t, SubnetId, std::size_t,
-                           int)>
-            commitEvent;
-        /**
-         * Called after each successful recovery with the job's
-         * 1-based recovery count. The job gate was recreated, so
-         * chains restart at rank 0 — a live CspOracle resets its
-         * cursors here.
-         */
-        std::function<void(int)> recovered;
         /**
          * Apply a transient fault to the pool: a StageStall of stage
          * @p target or a LinkDegrade of link @p target (the link
@@ -162,16 +143,23 @@ class ServeJob : public ExecutionBackend
     };
 
     /**
-     * A job submitted as text: the named space, run configuration
-     * from buildConfig().
-     * @param id service-assigned job ID (also the metric namespace)
-     * @param spec validated job description
-     * @param numStages shared pool depth (== every job's stages)
+     * The run configuration of a job submitted as text: the NASPipe
+     * system on @p numStages stages (the shared pool depth), with
+     * the spec's window cap folded into system.maxInflight.
      * @param accessHistory keep the full access history
      *        (RuntimeConfig::accessHistory)
      */
-    ServeJob(int id, JobSpec spec, int numStages,
-             bool accessHistory = false);
+    static RuntimeConfig textConfig(const JobSpec &spec, int numStages,
+                                    bool accessHistory = false);
+
+    /**
+     * A job submitted as text: the named space, run @p config from
+     * textConfig() (plus whatever the service adds, such as its
+     * observers bound to @p id).
+     * @param id service-assigned job ID (also the metric namespace)
+     * @param spec validated job description
+     */
+    ServeJob(int id, JobSpec spec, RuntimeConfig config);
 
     /**
      * An in-process job: the caller's own space and configuration
@@ -188,7 +176,6 @@ class ServeJob : public ExecutionBackend
 
     /** @name ExecutionBackend (the session calls back into the job)
      * @{ */
-    bool canAdmit(SubnetId next) const override;
     void admit(SubnetId id) override;
     void restoreCompleted(SubnetId id) override;
     /** Fail-stop faults flip the job to Recovering; stall and degrade
@@ -203,9 +190,9 @@ class ServeJob : public ExecutionBackend
     /** @} */
 
     /**
-     * Queued -> Admitted: build this phase's commit gate, initialize
-     * the session, resume from config().resumePath when set and
-     * pre-materialize the store; a job resumed at its last subnet is
+     * Queued -> Admitted: initialize the session (and with it this
+     * phase's commit gate), resume from config().resumePath when set
+     * and pre-materialize the store; a job resumed at its last subnet is
      * finishing() on return. Returns false (and fails the job) when
      * the capacity planner rejects the spec or the resume fails.
      * @p nowSeconds is the service clock (the job's time origin).
@@ -240,9 +227,9 @@ class ServeJob : public ExecutionBackend
 
     /**
      * Roll back and rejoin: charge the retry policy (exhaustion
-     * fails the job — the per-job exit-5 path), rebuild the gate,
-     * re-init the session, restore the last drained checkpoint and
-     * replay the sampler. Neighbors are untouched by construction:
+     * fails the job — the per-job exit-5 path), re-init the session
+     * (which rebuilds the gate), restore the last drained checkpoint
+     * and replay the sampler. Neighbors are untouched by construction:
      * everything rebuilt here is job-private.
      */
     bool recover(double nowSeconds);
@@ -302,7 +289,10 @@ class ServeJob : public ExecutionBackend
     TrainingSession &session() { return _session; }
     const TrainingSession &session() const { return _session; }
     /** Reserved in-flight window (admission-control accounting). */
-    int window() const;
+    int window() const
+    {
+        return _config.system.effectiveInflight(_config.numStages);
+    }
     int recoveries() const { return _session.recoveries(); }
     int subnetsReplayed() const
     {
@@ -321,7 +311,8 @@ class ServeJob : public ExecutionBackend
 
   private:
     void setState(JobState next);
-    void rebuildGate();
+    /** Point the binding at this phase's gate and executor. */
+    void bind();
     void beginFailStop(const std::string &reason, int stage);
     void finish(double nowSeconds);
 
@@ -340,8 +331,6 @@ class ServeJob : public ExecutionBackend
     bool _retriesExhausted = false;
     bool _cancelRequested = false;
 
-    // Phase-scoped causal chains (rebuilt on every recovery).
-    std::unique_ptr<CommitGate> _gate;
     JobBinding _binding;
     PoolHooks _hooks;
     std::uint64_t _nextTicket = 0;

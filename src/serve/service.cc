@@ -156,22 +156,6 @@ SearchService::hooks(int jobId)
     h.dispatch = [this](std::shared_ptr<const SubnetRun> run) {
         _pool->dispatch(std::move(run));
     };
-    h.wakeAll = [this] { _pool->notifyAll(); };
-    if (_config.commitObserver) {
-        auto observer = _config.commitObserver;
-        h.commitEvent = [observer, jobId](std::uint64_t layerKey,
-                                          SubnetId subnet,
-                                          std::size_t rank,
-                                          int stage) {
-            observer(jobId, layerKey, subnet, rank, stage);
-        };
-    }
-    if (_config.recoveryObserver) {
-        auto observer = _config.recoveryObserver;
-        h.recovered = [observer, jobId](int attempt) {
-            observer(jobId, attempt);
-        };
-    }
     h.perturb = [this](FaultKind kind, int target, int ticks) {
         if (kind == FaultKind::StageStall)
             _pool->injectStall(target, ticks);
@@ -254,9 +238,27 @@ SearchService::applyControl()
         addJob(std::move(inProcess));
     }
     for (auto &entry : specs) {
-        addJob(std::make_unique<ServeJob>(
-            entry.first, std::move(entry.second), _config.numStages,
-            _config.accessHistory));
+        int id = entry.first;
+        RuntimeConfig config = ServeJob::textConfig(
+            entry.second, _config.numStages, _config.accessHistory);
+        // The service's observers, bound to this job's ID; the
+        // job's session attaches them to each phase's gate.
+        if (_config.commitObserver) {
+            config.commitObserver =
+                [observer = _config.commitObserver, id](
+                    std::uint64_t layerKey, SubnetId subnet,
+                    std::size_t rank, int stage) {
+                    observer(id, layerKey, subnet, rank, stage);
+                };
+        }
+        if (_config.recoveryObserver) {
+            config.recoveryObserver =
+                [observer = _config.recoveryObserver, id](int count) {
+                    observer(id, count);
+                };
+        }
+        addJob(std::make_unique<ServeJob>(id, std::move(entry.second),
+                                          std::move(config)));
     }
     for (int id : cancels) {
         auto it = _jobs.find(id);

@@ -85,14 +85,16 @@ struct ServiceConfig {
      * Observer of every job-gate commit, as (jobId, layerKey,
      * subnet, chain rank, stage). Called from pool worker threads;
      * must be thread-safe. The determinism-audit tests attach one
-     * CspOracle per job here.
+     * CspOracle per job here. A text job gets it bound to its ID
+     * as RuntimeConfig::commitObserver; an in-process job follows
+     * its own RuntimeConfig.
      */
     std::function<void(int, std::uint64_t, SubnetId, std::size_t,
                        int)>
         commitObserver;
-    /** Called after a job's successful recovery with (jobId,
-     *  1-based recovery count); a live CspOracle resets its chain
-     *  cursors here (the job gate was recreated). */
+    /** Called at a text job's recovery with (jobId, 1-based recovery
+     *  count), bound like commitObserver; a live CspOracle resets
+     *  its chain cursors here (the job gate was recreated). */
     std::function<void(int, int)> recoveryObserver;
     /**
      * Keep every submitted job's full access history

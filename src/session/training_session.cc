@@ -78,6 +78,9 @@ TrainingSession::initRun()
     _exec = std::make_unique<NumericExecutor>(*_store, ec);
     _trace = std::make_shared<Trace>();
     _trace->enabled(_config.traceEnabled);
+    _gate = std::make_unique<CommitGate>();
+    if (_config.commitObserver)
+        _gate->onCommitEvent(_config.commitObserver);
 
     _subnets.clear();
     _partitions.clear();
@@ -159,15 +162,23 @@ TrainingSession::admissible()
         return false;
     if (_inflight >= _model.effectiveInflight(_numStages))
         return false;
+    // Drain the pipeline for the next checkpoint barrier: at most
+    // nextCkptAt subnets are ever injected before the barrier, so
+    // finished == nextCkptAt implies inflight == 0 — the drained
+    // state a checkpoint captures is a pure function of the
+    // completed count under CSP.
     if (ckptEnabled() && _injected >= _nextCkptAt)
         return false;
     if (!_backend->canAdmit(_injected))
         return false;
     int lag = effectiveFeedbackLag();
     if (lag > 0) {
+        // Feedback-driven samplers see *exactly* the scores of
+        // subnets <= i - lag before drawing subnet i, so their
+        // draws replay identically on any cluster.
         deliverScoresBelow(_injected - lag + 1);
         if (_injected - _nextScoreToReport >= lag)
-            return false;
+            return false;  // required scores not yet available
     }
     return true;
 }
@@ -175,30 +186,9 @@ TrainingSession::admissible()
 int
 TrainingSession::pump(int maxCount)
 {
-    NASPIPE_ASSERT(_backend, "no execution backend attached");
-    int limit = _model.effectiveInflight(_numStages);
-    int lag = effectiveFeedbackLag();
     int count = 0;
-    while (count < maxCount && _injected < _config.totalSubnets &&
-           _inflight < limit) {
+    while (count < maxCount && admissible()) {
         SubnetId nextId = _injected;
-        // Drain the pipeline for the next checkpoint barrier: at most
-        // nextCkptAt subnets are ever injected before the barrier, so
-        // finished == nextCkptAt implies inflight == 0 — the drained
-        // state a checkpoint captures is a pure function of the
-        // completed count under CSP.
-        if (ckptEnabled() && _injected >= _nextCkptAt)
-            break;
-        if (!_backend->canAdmit(nextId))
-            break;
-        if (lag > 0) {
-            // Feedback-driven samplers see *exactly* the scores of
-            // subnets <= i - lag before drawing subnet i, so their
-            // draws replay identically on any cluster.
-            deliverScoresBelow(nextId - lag + 1);
-            if (nextId - _nextScoreToReport >= lag)
-                break;  // required scores not yet available
-        }
         Subnet sn = _sampler->next();
         NASPIPE_ASSERT(sn.id() == nextId, "sampler IDs out of sync");
 
@@ -216,6 +206,26 @@ TrainingSession::pump(int maxCount)
         count++;
     }
     return count;
+}
+
+TrainingSession::StageClaims
+TrainingSession::registerClaims(SubnetId id)
+{
+    // admit() runs before pump() counts the subnet as injected, so
+    // this refuses every restored (or already admitted) ID.
+    NASPIPE_ASSERT(id == _injected, "gate claims for SN", id,
+                   ", which is not being admitted");
+    const Subnet &sn = subnetOf(id);
+    const SubnetPartition &part = partitionOf(id);
+    StageClaims claims(static_cast<std::size_t>(part.numStages()));
+    for (int s = 0; s < part.numStages(); s++) {
+        for (int b = part.firstBlock(s); b <= part.lastBlock(s); b++) {
+            if (_space.parameterized(b, sn.choice(b)))
+                claims[static_cast<std::size_t>(s)].push_back(
+                    _gate->registerActivation(sn.layer(b).key(), id));
+        }
+    }
+    return claims;
 }
 
 bool
@@ -505,6 +515,8 @@ TrainingSession::rollback(double secAtCrash, double busyAtCrash,
         return std::nullopt;  // cannot happen: the same plan fit before
     if (rebuildPhase)
         rebuildPhase();
+    if (_config.recoveryObserver)
+        _config.recoveryObserver(_recoveries);
     setTimeOffsets(secAtCrash + downtimeSeconds, ckpt.busySeconds);
     if (haveCkpt && !restoreState(ckpt, sections))
         return std::nullopt;

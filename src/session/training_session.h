@@ -41,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "exec/commit_gate.h"
 #include "fault/fault_plan.h"
 #include "runtime/pipeline_runtime.h"
 #include "train/run_checkpoint.h"
@@ -84,7 +85,8 @@ class ExecutionBackend
      * Take ownership of executing subnet @p id. Called after the
      * session has recorded the subnet and partition (subnetOf /
      * partitionOf are valid) and opened its numeric context, so the
-     * backend may register dependencies and dispatch immediately.
+     * backend may take its gate claims (registerClaims) and dispatch
+     * immediately.
      */
     virtual void admit(SubnetId id) = 0;
 
@@ -92,7 +94,8 @@ class ExecutionBackend
      * Note that subnet @p id was completed by the checkpointed run
      * being restored: advance whatever executor-local frontiers need
      * to skip past it. The restored store already holds its weight
-     * updates; the backend must NOT re-execute anything.
+     * updates; the backend must NOT re-execute anything, and the
+     * subnet holds no gate claims.
      */
     virtual void restoreCompleted(SubnetId id) = 0;
 
@@ -129,6 +132,10 @@ class ExecutionBackend
 class TrainingSession
 {
   public:
+    /** One subnet's gate claims, grouped by owning stage: claims[s]
+     *  holds stage s's parameterized blocks in block order. */
+    using StageClaims = std::vector<std::vector<CommitGate::Claim>>;
+
     /** What applyCompletion() did after recording the completion. */
     struct Step {
         /** A fail-stop fault fired: no checkpoint was taken, and the
@@ -160,19 +167,21 @@ class TrainingSession
 
     /**
      * (Re)initialize one run phase: plan capacity, build the sampler
-     * / store / numeric executor / trace, and clear the per-run state
-     * (the record table included). Cumulative diagnostics (checkpoint
-     * totals, time offsets, fault counters) survive — rollback()
-     * re-inits the session without losing them. Returns false when the capacity
-     * planner rejects the run (plan() still reports the attempt).
+     * / store / numeric executor / trace and the phase's commit gate
+     * (reporting to config.commitObserver), and clear the per-run
+     * state (the record table included). Cumulative diagnostics
+     * (checkpoint totals, time offsets, fault counters) survive —
+     * rollback() re-inits the session without losing them. Returns
+     * false when the capacity planner rejects the run (plan() still
+     * reports the attempt).
      */
     bool initRun();
 
     /**
-     * Inject as many subnets as every gate allows: the in-flight
-     * limit, the checkpoint drain barrier, the backend's own veto,
-     * and the feedback lag. Each injected subnet is handed to the
-     * backend via admit(). Returns the number injected.
+     * Inject subnets while admissible(): the in-flight limit, the
+     * checkpoint drain barrier, the backend's own veto, and the
+     * feedback lag. Each injected subnet is handed to the backend
+     * via admit(). Returns the number injected.
      */
     int pump();
 
@@ -186,15 +195,30 @@ class TrainingSession
     int pump(int maxCount);
 
     /**
-     * Whether pump() would inject at least one subnet right now —
-     * the same gate checks (injection budget, in-flight window,
-     * checkpoint drain barrier, backend veto, feedback lag) without
-     * admitting anything. Not const: due scores are delivered to the
-     * sampler, exactly as pump() would before drawing — delivery is
-     * uniquely determined by sequence ID, so probing never perturbs
-     * the deterministic draw order.
+     * Whether pump() would inject at least one subnet right now: the
+     * injection budget, the in-flight window, the checkpoint drain
+     * barrier, the backend veto and the feedback lag, in that order.
+     * pump() loops on it. Not const: due scores are delivered to the
+     * sampler before the lag check — delivery is uniquely determined
+     * by sequence ID, so probing never perturbs the deterministic
+     * draw order.
      */
     bool admissible();
+
+    /**
+     * Register subnet @p id's parameterized blocks in this phase's
+     * commit gate and return the claims, grouped by the stages of
+     * its partition. Only the backend's admit() of @p id calls it:
+     * restored subnets are never registered, so a phase's causal
+     * chains start at rank 0 — which keeps a live CspOracle's
+     * commit-monotonicity check valid across a resume and a
+     * rollback. The restored store already holds their updates.
+     */
+    StageClaims registerClaims(SubnetId id);
+
+    /** This phase's commit gate (rebuilt by every initRun()). */
+    CommitGate &gate() { return *_gate; }
+    const CommitGate &gate() const { return *_gate; }
 
     /**
      * Record subnet @p id's completion at absolute time @p atSeconds
@@ -278,7 +302,9 @@ class TrainingSession
     /**
      * Roll the run back to the last drained checkpoint (subnet 0
      * when none was taken): charge the fault counters, initRun(),
-     * let @p rebuildPhase rebuild the executor's phase state, then
+     * let @p rebuildPhase rebuild the executor's phase state, call
+     * config.recoveryObserver with the 1-based recovery count (the
+     * gate was rebuilt, so its chains restart at rank 0), then
      * restore the checkpoint and move the clock to the crash plus
      * the downtime. @p secAtCrash / @p busyAtCrash are absolute run
      * totals at the crash. The downtime is a modeled 5 s of
@@ -369,6 +395,7 @@ class TrainingSession
     std::shared_ptr<ParameterStore> _store;
     std::unique_ptr<NumericExecutor> _exec;
     std::shared_ptr<Trace> _trace;
+    std::unique_ptr<CommitGate> _gate;
 
     // Sequence IDs are consecutive from 0, so position == ID; each
     // vector has one entry per injected or restored subnet.

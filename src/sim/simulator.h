@@ -50,9 +50,6 @@ class Simulator
      */
     void stop() { _stopRequested = true; }
 
-    /** Whether the last run() was aborted via stop(). */
-    bool stopped() const { return _stopRequested; }
-
     /**
      * Run until simulated time would exceed @p deadline; events at
      * exactly @p deadline still execute. Returns events executed.

@@ -132,43 +132,4 @@ Trace::renderTimeline(int numStages, int columns) const
     return oss.str();
 }
 
-std::string
-Trace::exportChromeJson() const
-{
-    // Chrome trace-event format: microsecond timestamps, "X"
-    // (complete) events, pid/tid mapping stages to tracks.
-    std::ostringstream oss;
-    oss << "{\"traceEvents\":[";
-    bool first = true;
-    for (const TraceRecord &r : _records) {
-        if (!first)
-            oss << ",";
-        first = false;
-        std::string name = traceKindName(r.kind);
-        if (r.subnet >= 0)
-            name += " SN" + std::to_string(r.subnet);
-        // Zero-duration markers (e.g. flushes) get 1 us so they
-        // remain visible.
-        double durUs =
-            std::max(1.0, static_cast<double>(r.end - r.start) /
-                              kTicksPerUs);
-        oss << "{\"name\":\"" << name << "\",\"ph\":\"X\",\"ts\":"
-            << static_cast<double>(r.start) / kTicksPerUs
-            << ",\"dur\":" << durUs << ",\"pid\":0,\"tid\":"
-            << r.stage << ",\"args\":{\"subnet\":" << r.subnet;
-        if (!r.detail.empty()) {
-            oss << ",\"detail\":\"";
-            for (char c : r.detail) {
-                if (c == '"' || c == '\\')
-                    oss << '\\';
-                oss << c;
-            }
-            oss << "\"";
-        }
-        oss << "}}";
-    }
-    oss << "]}";
-    return oss.str();
-}
-
 } // namespace naspipe

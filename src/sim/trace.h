@@ -79,13 +79,6 @@ class Trace
      */
     std::string renderTimeline(int numStages, int columns = 100) const;
 
-    /**
-     * Export all records as Chrome trace-event JSON ("X" complete
-     * events, one track per stage), loadable in chrome://tracing or
-     * Perfetto for interactive inspection of a schedule.
-     */
-    std::string exportChromeJson() const;
-
     /** Drop all records. */
     void clear() { _records.clear(); }
 

@@ -8,12 +8,6 @@
 
 namespace naspipe {
 
-const char *
-spaceFamilyName(SpaceFamily family)
-{
-    return family == SpaceFamily::Nlp ? "NLP" : "CV";
-}
-
 namespace {
 
 /** Candidate kinds available per family, in cycling order. */

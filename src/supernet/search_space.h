@@ -27,9 +27,6 @@ enum class SpaceFamily {
     Cv,   ///< AmoebaNet style (ImageNet dataset)
 };
 
-/** Printable family name. */
-const char *spaceFamilyName(SpaceFamily family);
-
 /**
  * Immutable description of one supernet search space.
  */

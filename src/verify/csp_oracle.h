@@ -134,7 +134,7 @@ class CspOracle
 
     /**
      * Drop only the live chain cursors, keeping violations and
-     * counters. Call at each recovery epoch of the threaded executor
+     * counters. Call at each recovery epoch, on either executor
      * (RuntimeConfig::recoveryObserver): recovery recreates the
      * CommitGate, so every layer's chain legitimately restarts at
      * rank 0 and replayed commits would otherwise trip CommitOrder.

@@ -103,16 +103,6 @@ TEST(CommitGate, RegistrationDropsTheCommittedPrefix)
     EXPECT_EQ(gate.retainedOf(999), 0u);  // unregistered layer
 }
 
-TEST(CommitGate, CommitHookFires)
-{
-    CommitGate gate;
-    CommitGate::Claim claim = gate.registerActivation(1, 0);
-    int fired = 0;
-    gate.onCommit([&fired] { fired++; });
-    gate.commit(claim);
-    EXPECT_EQ(fired, 1);
-}
-
 TEST(CommitGate, CommitOnAnotherThreadMakesTheClaimReadable)
 {
     CommitGate gate;

@@ -9,6 +9,7 @@
 
 
 #include "core/engine.h"
+#include "obs/trace_export.h"
 #include "schedule/ssp_scheduler.h"
 #include "train/convergence.h"
 
@@ -150,7 +151,10 @@ TEST(Extensions, TraceExportsFromRealRun)
     config.traceEnabled = true;
     RunResult r = runTraining(space, config);
     ASSERT_FALSE(r.oom);
-    std::string json = r.trace->exportChromeJson();
+    obs::TraceHeader header;
+    header.mode = "wall";
+    header.numStages = config.numStages;
+    std::string json = obs::chromeTraceJson(r.trace->records(), header);
     EXPECT_NE(json.find("fwd SN0"), std::string::npos);
     EXPECT_NE(json.find("bwd SN3"), std::string::npos);
 }

@@ -107,6 +107,28 @@ TEST_F(PlannerFixture, WeightStashInflatesPipedreamFootprint)
               gp.residentParamBytesPerGpu);
 }
 
+TEST_F(PlannerFixture, WeightStashHoldsTheMeanOneFOneBVersions)
+{
+    // PipeDream's 1F1B steady state: stage s of D holds D - s - 1
+    // extra weight versions of its subnet share, (D - 1) / 2 on
+    // average over the stages (3.5 at D = 8).
+    SearchSpace space = makeNlpC1();
+    CapacityPlanner planner(space, gpu);
+    SystemModel stash = pipedreamSystem();
+    SystemModel noStash = stash;
+    noStash.weightStash = false;
+    for (int d : {1, 2, 8}) {
+        double extra =
+            static_cast<double>(
+                planner.plan(stash, d).residentParamBytesPerGpu) -
+            static_cast<double>(
+                planner.plan(noStash, d).residentParamBytesPerGpu);
+        double share =
+            static_cast<double>(space.meanSubnetParamBytes()) / d;
+        EXPECT_NEAR(extra, share * (d - 1) / 2.0, 1.0) << "D = " << d;
+    }
+}
+
 TEST_F(PlannerFixture, MoreGpusRelieveAllResidentPressure)
 {
     SearchSpace space = makeNlpC0();

@@ -570,7 +570,8 @@ TEST(ServeService, CancelAfterLastCompletionIsIgnored)
     // The same edge without a service, so the finishing window is
     // certain to be hit: the cancel lands between the last
     // completion and complete().
-    ServeJob direct(1, resumed, kStages);
+    ServeJob direct(1, resumed,
+                    ServeJob::textConfig(resumed, kStages));
     ServeJob::PoolHooks hooks;
     hooks.dispatch = [](std::shared_ptr<const SubnetRun>) {
         FAIL() << "a job resumed at its end dispatched a subnet";

@@ -16,6 +16,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -622,6 +623,99 @@ TEST(TrainingSessionCore, AdmissibleAgreesWithPumpOne)
     }
     EXPECT_EQ(f.session.finished(), 10);
     EXPECT_FALSE(f.session.admissible());
+}
+
+/** A backend that takes every admitted subnet's gate claims, as
+ *  both executors do. */
+class ClaimingBackend : public MockBackend
+{
+  public:
+    void admit(SubnetId id) override
+    {
+        MockBackend::admit(id);
+        claims[id] = session->registerClaims(id);
+    }
+    TrainingSession *session = nullptr;
+    std::map<SubnetId, TrainingSession::StageClaims> claims;
+};
+
+TEST(TrainingSessionCore, GateClaimsAndObserversComeFromTheSession)
+{
+    // The session builds each phase's gate with the run's commit
+    // observer attached, hands out claims to the subnet being
+    // admitted only, and calls the recovery observer once per
+    // rollback, after the rebuild. Restored subnets hold no claim,
+    // so the new phase's chains start at rank 0.
+    SearchSpace space = makeSpaceByName("NLP.c1");
+    RuntimeConfig c = config(8, 4);
+    c.ckptInterval = 4;
+    std::vector<SubnetId> committed;
+    std::vector<int> recoveries;
+    c.commitObserver = [&committed](std::uint64_t, SubnetId subnet,
+                                    std::size_t, int) {
+        committed.push_back(subnet);
+    };
+    c.recoveryObserver = [&recoveries](int count) {
+        recoveries.push_back(count);
+    };
+    TrainingSession session(space, c);
+    ClaimingBackend backend;
+    backend.session = &session;
+    session.attach(&backend);
+    ASSERT_TRUE(session.initRun());
+    ASSERT_EQ(session.pump(), 4);
+
+    // One claim per parameterized block, grouped by owning stage.
+    for (SubnetId id = 0; id < 4; id++) {
+        const Subnet &sn = session.subnetOf(id);
+        const TrainingSession::StageClaims &claims = backend.claims.at(id);
+        ASSERT_EQ(claims.size(), 2u);
+        for (int k = 0; k < 2; k++) {
+            std::vector<std::uint64_t> want, got;
+            auto [lo, hi] = session.blockRange(k, id);
+            for (int b = lo; b <= hi; b++) {
+                if (space.parameterized(b, sn.choice(b)))
+                    want.push_back(sn.layer(b).key());
+            }
+            for (const CommitGate::Claim &claim :
+                 claims[static_cast<std::size_t>(k)]) {
+                EXPECT_EQ(claim.subnet, id);
+                got.push_back(claim.layerKey);
+            }
+            EXPECT_EQ(got, want) << "SN" << id << " stage " << k;
+        }
+    }
+    // An admitted (or restored) subnet cannot register again.
+    EXPECT_THROW(session.registerClaims(0), std::logic_error);
+
+    // Commits reach the run's observer.
+    for (const auto &stage : backend.claims.at(0)) {
+        for (const CommitGate::Claim &claim : stage) {
+            EXPECT_EQ(claim.rank, 0u);
+            session.gate().commit(claim, 0);
+        }
+    }
+    EXPECT_FALSE(committed.empty());
+    EXPECT_EQ(committed.size(), session.gate().commits());
+
+    for (SubnetId id = 0; id < 4; id++) {
+        if (session.recordCompletion(id, 0.5f, 0.1 * (id + 1)))
+            session.commitCheckpoint(session.buildCheckpoint(1.0, 0.5));
+    }
+    ASSERT_EQ(session.pump(), 4);  // SN4..7 in flight at the crash
+    auto report = session.rollback(2.0, 1.5, 0.0, [&recoveries] {
+        EXPECT_TRUE(recoveries.empty());  // the observer runs after
+    });
+    ASSERT_TRUE(report.has_value());
+    EXPECT_EQ(recoveries, (std::vector<int>{1}));
+    EXPECT_EQ(session.gate().commits(), 0u);  // a fresh gate
+    EXPECT_THROW(session.registerClaims(3), std::logic_error);
+    ASSERT_EQ(session.pump(), 4);
+    // SN4 is the phase's first registered activator of every layer.
+    for (const auto &stage : backend.claims.at(4)) {
+        for (const CommitGate::Claim &claim : stage)
+            EXPECT_EQ(claim.rank, 0u);
+    }
 }
 
 /** Every score a session delivered, as (ID, score), in order. */

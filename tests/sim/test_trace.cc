@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/trace_export.h"
 #include "sim/trace.h"
 
 namespace naspipe {
@@ -83,23 +84,32 @@ TEST(Trace, ChromeJsonExport)
     t.add({0, 2 * kTicksPerUs, 0, TraceKind::Forward, 3, ""});
     t.add({5 * kTicksPerUs, 5 * kTicksPerUs, 1, TraceKind::Flush, -1,
            "bulk \"flush\""});
-    std::string json = t.exportChromeJson();
+    obs::TraceHeader header;
+    header.mode = "wall";
+    header.numStages = 2;
+    std::string json = obs::chromeTraceJson(t.records(), header);
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("\"fwd SN3\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-    EXPECT_NE(json.find("\"dur\":2"), std::string::npos);
+    EXPECT_NE(json.find("\"dur\":2.000"), std::string::npos);
     // Zero-duration records keep a visible 1 us.
-    EXPECT_NE(json.find("\"dur\":1"), std::string::npos);
+    EXPECT_NE(json.find("\"ts\":5.000,\"dur\":1.000"),
+              std::string::npos);
     // Quotes in details are escaped.
     EXPECT_NE(json.find("bulk \\\"flush\\\""), std::string::npos);
     // Stage maps to tid.
-    EXPECT_NE(json.find("\"tid\":1"), std::string::npos);
+    EXPECT_NE(json.find("\"pid\":0,\"tid\":1,\"args\""),
+              std::string::npos);
 }
 
 TEST(Trace, ChromeJsonEmpty)
 {
-    Trace t;
-    EXPECT_EQ(t.exportChromeJson(), "{\"traceEvents\":[]}");
+    obs::TraceHeader header;
+    header.mode = "wall";
+    std::string json = obs::chromeTraceJson({}, header);
+    // Only the process-name metadata, then the run header.
+    EXPECT_EQ(json.find("\"ph\":\"X\""), std::string::npos);
+    EXPECT_NE(json.find("\"mode\":\"wall\""), std::string::npos);
 }
 
 TEST(Trace, ClearEmpties)

@@ -415,9 +415,21 @@ main(int argc, char **argv)
         }
     }
 
+    obs::TraceHeader header;
+    header.space = spaceName;
+    header.executor = executorName;
+    header.mode = obsWall ? "wall" : "logical";
+    header.seed = seed;
+    header.steps = steps;
+    header.numStages = gpus;
     if (!tracePath.empty()) {
+        // The run's own records, as --trace-out --obs-wall writes.
+        obs::TraceHeader wall = header;
+        wall.mode = "wall";
         std::ofstream out(tracePath);
-        out << result.trace->exportChromeJson();
+        out << obs::chromeTraceJson(result.trace->records(), wall);
+        if (!out)
+            fatal("cannot write trace ", tracePath);
         if (!quiet)
             std::printf("trace       %s (chrome://tracing)\n",
                         tracePath.c_str());
@@ -430,13 +442,6 @@ main(int argc, char **argv)
             space, result.sampled, result.partitions, gpus,
             result.metrics.batch,
             config.system.effectiveInflight(gpus));
-        obs::TraceHeader header;
-        header.space = spaceName;
-        header.executor = executorName;
-        header.mode = obsWall ? "wall" : "logical";
-        header.seed = seed;
-        header.steps = steps;
-        header.numStages = gpus;
         if (!traceOutPath.empty()) {
             std::ofstream out(traceOutPath);
             out << obs::chromeTraceJson(obsWall
